@@ -5,11 +5,18 @@ first n_edges % M right nodes take the larger value).  Sampling matches left
 stubs to right stubs through a seeded uniform permutation, then swaps away
 duplicate entries until the graph is simple.  The result is approximately
 uniform over simple left-regular graphs; no exact-uniformity claim is made.
+
+The sampler lays the N*ell stubs out in consecutive blocks, one per right
+node, and keeps two views of that layout: stubs[p], the item at position p,
+and loc[x], the positions of item x's ell stubs in ascending order.  loc is
+the inverse of the permutation, so it costs no sort.  It answers "how many
+stubs of x sit in block i" in O(ell), lists a pass's duplicates without a
+sort per block, and finally hands each item's right nodes and positions to
+the graph directly.  Every graph, sampled, loaded or built by hand, passes
+the same vectorised checks in O(N*ell).
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -24,7 +31,7 @@ class BiRegularGraph:
     """
 
     def __init__(self, n_left: int, ell: int, right_adj: list[np.ndarray],
-                 seed: int = -1, retries: int = 0):
+                 seed: int = -1, retries: int = 0, *, _incidence=None):
         self.n_left = n_left
         self.n_right = len(right_adj)
         self.ell = ell
@@ -38,24 +45,32 @@ class BiRegularGraph:
         degrees = self.degrees()
         if degrees.min() < 1 or degrees.max() - degrees.min() > 1:
             raise ValueError("right degrees must take at most two adjacent values")
-        for adj in self.right_adj:
-            if len(adj) != len(np.unique(adj)):
-                raise ValueError("parallel edge: left node repeated in a right list")
-
-        # invert the right lists once: for each left node, the ell incident
-        # (right node, position) pairs, in one vectorized grouping pass
         vals = np.concatenate(self.right_adj)
-        if len(vals) and (vals.min() < 0 or vals.max() >= n_left):
-            raise ValueError("left index out of range")
         if len(vals) != n_left * ell:
             raise ValueError(f"edge count {len(vals)} != N*ell = {n_left * ell}")
-        owners = np.repeat(np.arange(self.n_right, dtype=np.int64), degrees)
-        positions = np.concatenate([np.arange(d, dtype=np.int64) for d in degrees])
-        order = np.argsort(vals, kind="stable")
-        if not np.array_equal(vals[order], np.repeat(np.arange(n_left), ell)):
+        if vals.min() < 0 or vals.max() >= n_left:
+            raise ValueError("left index out of range")
+        if np.any(np.bincount(vals, minlength=n_left) != ell):
             raise ValueError("left degrees are not all equal to ell")
-        self._left_rights = owners[order].reshape(n_left, ell)
-        self._left_positions = positions[order].reshape(n_left, ell)
+        starts = np.concatenate([[0], np.cumsum(degrees)[:-1]])
+        if _incidence is None:
+            # group the edges by left node; a stable sort keeps each node's
+            # right nodes in ascending order
+            order = np.argsort(vals, kind="stable")
+            owners = np.repeat(np.arange(self.n_right, dtype=np.int64), degrees)[order]
+            rights = owners.reshape(n_left, ell)
+            positions = (order - starts[owners]).reshape(n_left, ell)
+        else:
+            # the sampler's incidence must point back at each left node
+            rights, positions = _incidence
+            slots = starts[rights] + positions
+            if not np.array_equal(vals[slots], np.broadcast_to(
+                    np.arange(n_left)[:, None], slots.shape)):
+                raise ValueError("left incidence disagrees with the right lists")
+        if np.any(rights[:, 1:] <= rights[:, :-1]):
+            raise ValueError("parallel edge: left node repeated in a right list")
+        self._left_rights = rights
+        self._left_positions = positions
 
     def degrees(self) -> np.ndarray:
         return np.array([len(a) for a in self.right_adj], dtype=np.int64)
@@ -134,79 +149,148 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int,
         # is forced; build it directly rather than repairing collisions
         right_adj = [np.arange(n_left, dtype=np.int64) for _ in range(n_right)]
         return BiRegularGraph(n_left, ell, right_adj, seed=seed)
-    bounds = np.concatenate([[0], np.cumsum(degrees)])
+    blocks = _Blocks(degrees)
 
     rng = np.random.default_rng(seed)
     for attempt in range(max_retries):
-        stubs = rng.permutation(np.repeat(np.arange(n_left, dtype=np.int64), ell))
-        if _repair(stubs, bounds, rng, max_passes):
-            right_adj = [np.sort(stubs[bounds[i]:bounds[i + 1]])
-                         for i in range(n_right)]
-            return BiRegularGraph(n_left, ell, right_adj, seed=seed, retries=attempt)
+        # shuffling stub indices draws the same permutation as shuffling the
+        # item labels np.repeat(arange(N), ell); stub k belongs to item k // ell
+        perm = rng.permutation(n_edges)
+        stubs = perm // ell
+        loc = np.empty(n_edges, dtype=np.int64)
+        loc[perm] = np.arange(n_edges)
+        del perm
+        # loc[x]: the positions of x's ell stubs, ascending (and so in
+        # ascending block order); the repair keeps every row sorted
+        loc = loc.reshape(n_left, ell)
+        if ell == 2:  # np.sort pays per row; pairs swap in bulk
+            first = np.minimum(loc[:, 0], loc[:, 1])
+            np.maximum(loc[:, 0], loc[:, 1], out=loc[:, 1])
+            loc[:, 0] = first
+        else:
+            loc.sort(axis=1)
+        if _repair(stubs, loc, blocks, rng, max_passes):
+            return _assemble(n_left, ell, stubs, loc, blocks, seed, attempt)
     raise RuntimeError(
         f"simple-graph repair failed after {max_retries} resamples "
         f"(N={n_left}, M={n_right}, ell={ell}, seed={seed})"
     )
 
 
-def _duplicate_positions(stubs: np.ndarray, bounds: np.ndarray) -> list[int]:
-    """Absolute positions of every in-block repeat beyond the first."""
-    out = []
-    for i in range(len(bounds) - 1):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
+class _Blocks:
+    """Stub positions cut into consecutive blocks, one per right node.
+
+    Block i spans positions bounds[i]..bounds[i+1]-1.  The first `extra`
+    blocks hold base + 1 stubs and the rest base, so the block of a position
+    is computed, not looked up in a table of N*ell entries.
+    """
+
+    def __init__(self, degrees: np.ndarray):
+        self.bounds = [0] + np.cumsum(degrees).tolist()
+        self.base = int(degrees[-1])
+        self.extra = int(np.count_nonzero(degrees > self.base))
+        self.split = self.extra * (self.base + 1)
+
+    def of(self, pos: int) -> int:
+        if pos < self.split:
+            return pos // (self.base + 1)
+        return self.extra + (pos - self.split) // self.base
+
+    def of_all(self, pos: np.ndarray) -> np.ndarray:
+        head = np.minimum(pos, self.split)
+        return head // (self.base + 1) + (pos - head) // self.base
+
+
+def _assemble(n_left, ell, stubs, loc, blocks, seed, retries):
+    """Sorted right lists plus the left incidence, read off the stub layout."""
+    right_adj = []
+    rank = np.empty(len(stubs), dtype=np.int64)
+    for lo, hi in zip(blocks.bounds[:-1], blocks.bounds[1:]):
         seg = stubs[lo:hi]
-        order = np.argsort(seg, kind="stable")
-        dup_mask = seg[order][1:] == seg[order][:-1]
-        out.extend(lo + int(order[k + 1]) for k in np.nonzero(dup_mask)[0])
-    return out
+        order = np.argsort(seg)
+        right_adj.append(seg[order])
+        rank[lo + order] = np.arange(hi - lo)
+    return BiRegularGraph(n_left, ell, right_adj, seed=seed, retries=retries,
+                          _incidence=(blocks.of_all(loc), rank[loc]))
 
 
-def _repair(stubs: np.ndarray, bounds: np.ndarray, rng, max_passes: int) -> bool:
+def _duplicates(loc: np.ndarray, blocks: _Blocks):
+    """Positions and blocks of every in-block repeat beyond the first.
+
+    Ordered by (block, item, position), the order in which repairs are made.
+    """
+    owner = blocks.of_all(loc)
+    repeat = owner[:, 1:] == owner[:, :-1]
+    dup_pos = loc[:, 1:][repeat]
+    dup_block = owner[:, 1:][repeat]
+    order = np.argsort(dup_block, kind="stable")
+    return dup_pos[order].tolist(), dup_block[order].tolist()
+
+
+def _repair(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng,
+            max_passes: int) -> bool:
     """Swap duplicate in-block stubs with other stubs until simple.
 
     A swap is accepted when it fixes the duplicate without creating a new one
     (incoming value absent from this block, outgoing value absent from the
-    target block), judged against exact per-block multiset counts that are
-    updated with every swap.  Random probes find such a target quickly in
-    sparse blocks; a linear scan backs them up in dense ones, and a blind
-    swap breaks ties when no clean target exists at all.
+    target block).  Whether item x sits in block i is read exactly from x's
+    ell stub positions in loc, which every swap keeps current.  Random probes
+    find such a target quickly in sparse blocks; a linear scan backs them up
+    in dense ones, and a blind swap breaks ties when no clean target exists
+    at all.  A pass of clean swaps alone leaves the graph simple, so only a
+    blind swap calls for another look.
     """
-    n_right = len(bounds) - 1
     n = len(stubs)
-    block_ids = np.repeat(np.arange(n_right, dtype=np.int64), np.diff(bounds))
+    bnd = blocks.bounds
+
+    def fits(q, i, row_x):
+        j = blocks.of(q)
+        if j == i:
+            return False
+        lo, hi = bnd[i], bnd[i + 1]
+        if any(lo <= s < hi for s in loc[stubs[q]].tolist()):
+            return False
+        lo, hi = bnd[j], bnd[j + 1]
+        return not any(lo <= s < hi for s in row_x)
+
+    simple = False
     for _ in range(max_passes):
-        dups = _duplicate_positions(stubs, bounds)
-        if not dups:
+        if simple:  # the last pass swapped cleanly: nothing is left to find
             return True
-        counts = [Counter(stubs[bounds[i]:bounds[i + 1]].tolist())
-                  for i in range(n_right)]
-        for p in dups:
-            i = int(block_ids[p])
+        dup_pos, dup_block = _duplicates(loc, blocks)
+        if not dup_pos:
+            return True
+        simple = True
+        for p, i in zip(dup_pos, dup_block):
             x = int(stubs[p])
-            if counts[i][x] <= 1:
+            row_x = loc[x].tolist()
+            lo, hi = bnd[i], bnd[i + 1]
+            if sum(lo <= s < hi for s in row_x) <= 1:
                 continue  # already fixed by an earlier swap this pass
             q_found = -1
             for _try in range(32):
                 q = int(rng.integers(n))
-                j = int(block_ids[q])
-                if j != i and counts[i][int(stubs[q])] == 0 and counts[j][x] == 0:
+                if fits(q, i, row_x):
                     q_found = q
                     break
             if q_found < 0:
                 start = int(rng.integers(n))
                 for off in range(n):
                     q = (start + off) % n
-                    j = int(block_ids[q])
-                    if j != i and counts[i][int(stubs[q])] == 0 and counts[j][x] == 0:
+                    if fits(q, i, row_x):
                         q_found = q
                         break
             if q_found < 0:
                 q_found = int(rng.integers(n))  # blind swap, better than stalling
-            j = int(block_ids[q_found])
+                simple = False
             y = int(stubs[q_found])
-            stubs[p], stubs[q_found] = y, x
-            counts[i][x] -= 1
-            counts[i][y] += 1
-            counts[j][y] -= 1
-            counts[j][x] += 1
+            if y != x:
+                stubs[p], stubs[q_found] = y, x
+                row_x[row_x.index(p)] = q_found
+                row_x.sort()
+                loc[x] = row_x
+                row_y = loc[y].tolist()
+                row_y[row_y.index(q_found)] = p
+                row_y.sort()
+                loc[y] = row_y
     return False
