@@ -43,7 +43,9 @@ class BiRegularGraph:
         if self.n_right < 1 or n_left < 1:
             raise ValueError("graph must have at least one node on each side")
         degrees = self.degrees()
-        if degrees.min() < 1 or degrees.max() - degrees.min() > 1:
+        if degrees.min() < 1:
+            raise ValueError("every right node needs at least one edge")
+        if degrees.max() - degrees.min() > 1:
             raise ValueError("right degrees must take at most two adjacent values")
         vals = np.concatenate(self.right_adj)
         if len(vals) != n_left * ell:
@@ -83,13 +85,6 @@ class BiRegularGraph:
         """The ell (right node, position) pairs incident to a left node."""
         return list(zip(self._left_rights[left].tolist(),
                         self._left_positions[left].tolist()))
-
-    def position_of(self, right: int, left: int) -> int:
-        """Index of `left` inside right_adj[right]; raises on a non-edge."""
-        for i, pos in self.left_edges(left):
-            if i == right:
-                return pos
-        raise ValueError(f"no edge between right node {right} and left node {left}")
 
     # -- text serialization --------------------------------------------------
     # line 1: "N M ell seed"; then one line per right node with its ascending

@@ -66,16 +66,6 @@ def test_random_shapes_invariants():
         assert np.all(counts == ell)
 
 
-def test_position_of():
-    g = sample_graph(30, 6, 2, seed=77)
-    for i, adj in enumerate(g.right_adj):
-        for pos, v in enumerate(adj):
-            assert g.position_of(i, int(v)) == pos
-    missing = next(v for v in range(30) if not any(i == 0 for i, _ in g.left_edges(v)))
-    with pytest.raises(ValueError):
-        g.position_of(0, missing)
-
-
 def test_left_adj_consistency():
     g = sample_graph(25, 5, 3, seed=4)
     for v in range(25):
@@ -107,15 +97,41 @@ def test_load_rejects_malformed(tmp_path):
         BiRegularGraph.load(str(path))
 
 
-def test_explicit_lists_validate():
-    # hand-built graphs must satisfy the same invariants
+# (N, ell, right lists, message of the check that must reject them)
+INVALID_GRAPHS = [
+    (4, 2, [[0, 4], [1, 3], [0, 1], [2, 3]], "out of range"),
+    (4, 2, [[-1, 2], [1, 3], [0, 1], [2, 3]], "out of range"),
+    (4, 2, [[0, 2, 1], [1, 3], [0, 1], [2, 3]], "edge count"),
+    (4, 2, [[0, 2], [1, 3], [0, 1], [0, 3]], "left degrees"),  # 3 and 1
+    (4, 2, [[0, 1, 2], [3], [0, 1], [2, 3]], "two adjacent values"),
+    (1, 2, [[0], [0], []], "at least one edge"),
+    (4, 2, [[0, 0], [1, 3], [1, 2], [2, 3]], "parallel edge"),
+    (4, 2, [[0, 2], [1, 3], [0, 1], [3, 2]], None),  # valid: file order kept
+]
+
+
+def test_explicit_lists_validate(tmp_path):
+    # hand-built and loaded graphs must satisfy the same invariants
     good = [[0, 2], [1, 3], [0, 1], [2, 3]]
     g = BiRegularGraph(4, 2, [np.array(a) for a in good])
     assert g.seed == -1
-    with pytest.raises(ValueError):
-        BiRegularGraph(4, 2, [np.array(a) for a in [[0, 0], [1, 3], [1, 2], [2, 3]]])
-    with pytest.raises(ValueError):
-        BiRegularGraph(4, 2, [np.array(a) for a in [[0, 2, 1], [1, 3], [0], [2, 3]]])
+    for n, ell, adj, message in INVALID_GRAPHS:
+        lists = [np.array(a, dtype=np.int64) for a in adj]
+        path = tmp_path / "g.txt"
+        path.write_text(f"{n} {len(adj)} {ell} 0\n"
+                        + "".join(" ".join(map(str, a)) + "\n" for a in adj))
+        if message is None:
+            g = BiRegularGraph.load(str(path))
+            assert [a.tolist() for a in g.right_adj] == adj
+            assert g.left_edges(3) == [(1, 1), (3, 0)]
+            continue
+        with pytest.raises(ValueError, match=message):
+            BiRegularGraph(n, ell, lists)
+        # an empty line is not an adjacency line, so a file with an empty
+        # group fails the line count instead
+        with pytest.raises(ValueError,
+                           match=message if all(adj) else "adjacency lines"):
+            BiRegularGraph.load(str(path))
 
 
 def test_infeasible_shapes_raise():
