@@ -185,7 +185,8 @@ class GF2m:
             z = self.half_trace(u)
         else:
             z = self._solve_quad_by_table(u)
-        assert self.sqr(z) ^ z == u
+        if self.sqr(z) ^ z != u:
+            raise AssertionError(f"z={z} does not solve z^2 + z = {u}")
         return z
 
     def _solve_quad_by_table(self, u: int) -> int:

@@ -279,6 +279,24 @@ def test_selftest_fails_loudly_on_golden_mismatch(capsys, monkeypatch):
     assert "FAILED" in out
 
 
+def test_selftest_checks_under_optimize():
+    # python -O strips assert statements; the checks must not depend on them
+    proc = subprocess.run([sys.executable, "-O", "-m", "qgt", "selftest"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "7/7 checks passed" in proc.stdout
+
+
+def test_selftest_fails_on_golden_mismatch_under_optimize():
+    script = ("import sys; from qgt import cli, reference; "
+              "reference.REFERENCE_SIGNATURE[1, 0] ^= 1; "
+              "sys.exit(cli.main(['selftest']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL signature golden" in proc.stdout
+
+
 # -- wiring -------------------------------------------------------------------
 
 
