@@ -67,6 +67,17 @@ def field_degree_for(r_max: int, t: int) -> int:
     return b
 
 
+def group_shape(n_items: int, ell: int, m_groups: int, t: int) -> tuple[int, int, int]:
+    """(r_max, b, s) for N items in M groups at left degree ell, radius t.
+
+    r_max = ceil(N ell / M) is the largest group, b the field degree that
+    addresses r_max columns, and s = t b + 1 the tests per group.
+    """
+    r_max = -(-n_items * ell // m_groups)
+    b = field_degree_for(r_max, t)
+    return r_max, b, t * b + 1
+
+
 def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
                   beta: float = DEFAULT_BETA,
                   constants: str = "table") -> DesignParams:
@@ -81,9 +92,7 @@ def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
     if not isinstance(ell, int) or ell < 2:
         raise ValueError(f"ell must be an int >= 2 or 'auto', got {ell!r}")
     m_groups = max(ell, math.ceil(c * k * beta))
-    r_max = math.ceil(n_items * ell / m_groups)
-    b = field_degree_for(r_max, t)
-    s = t * b + 1
+    r_max, b, s = group_shape(n_items, ell, m_groups, t)
     m_bound = c * k * (t * math.log2(ell * n_items / (c * k) + 1.0) + 1.0) + 1.0
     return DesignParams(
         n_items=n_items, k=k, t=t, ell=ell, beta=beta, m_groups=m_groups,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import build_signature, decode, derive_params, encode, field_degree_for
+from .codec import build_signature, decode, derive_params, encode, group_shape
 from .graphs import sample_graph
 
 CSV_COLUMNS = ["m_over_K", "t", "ell", "N", "K", "trials",
@@ -73,14 +73,11 @@ def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
     """
     upper = (m_budget - 1) // (t * 3 + 1)  # s >= t*3 + 1 always
     for m in range(min(upper, n_items * ell), ell - 1, -1):
-        r_max = math.ceil(n_items * ell / m)
-        if r_max > n_items:
-            continue
         try:
-            s = t * field_degree_for(r_max, t) + 1
+            r_max, _, s = group_shape(n_items, ell, m, t)
         except ValueError:
             continue  # r_max too large for the field table at this small M
-        if m * s + 1 <= m_budget:
+        if r_max <= n_items and m * s + 1 <= m_budget:
             return m
     raise ValueError(f"no feasible design fits m_budget={m_budget} "
                      f"(N={n_items}, t={t}, ell={ell})")
@@ -102,8 +99,7 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
     for g_idx, m_over_k in enumerate(m_over_k_grid):
         m_budget = int(round(m_over_k * k))
         m_groups = groups_within_budget(n_items, t, ell, m_budget)
-        r_max = math.ceil(n_items * ell / m_groups)
-        s = t * field_degree_for(r_max, t) + 1
+        _, _, s = group_shape(n_items, ell, m_groups, t)
         cfg = TrialConfig(n_items=n_items, k=k, t=t, ell=ell,
                           m_groups=m_groups, root_method=root_method)
         graph = None
