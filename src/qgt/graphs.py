@@ -65,9 +65,7 @@ class BiRegularGraph:
         else:
             # the sampler's incidence must point back at each left node
             rights, positions = _incidence
-            slots = starts[rights] + positions
-            if not np.array_equal(vals[slots], np.broadcast_to(
-                    np.arange(n_left)[:, None], slots.shape)):
+            if np.any(vals[starts[rights] + positions] != np.arange(n_left)[:, None]):
                 raise ValueError("left incidence disagrees with the right lists")
         if np.any(rights[:, 1:] <= rights[:, :-1]):
             raise ValueError("parallel edge: left node repeated in a right list")
