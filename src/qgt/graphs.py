@@ -13,7 +13,8 @@ the inverse of the permutation, so it costs no sort.  It answers "how many
 stubs of x sit in block i" in O(ell), lists a pass's duplicates without a
 sort per block, and finally hands each item's right nodes and positions to
 the graph directly.  Every graph, sampled, loaded or built by hand, passes
-the same vectorised checks in O(N*ell).
+the same vectorised O(N*ell) checks; loaded and hand-built graphs first pay
+one stable sort to group their edges by left node.
 """
 
 from __future__ import annotations
