@@ -79,17 +79,21 @@ def build_parity_columns(spec: BchSpec) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def syndrome_from_bits(spec: BchSpec, bits) -> list[int]:
-    """Unpack t*b syndrome bits into the odd power sums [S_1, S_3, ...]."""
+def syndrome_from_bits(spec: BchSpec, bits):
+    """Unpack t*b syndrome bits into the odd power sums [S_1, S_3, ...].
+
+    bits has shape (..., t*b).  A single row gives a list of t ints; a stack
+    gives an int64 array of shape bits.shape[:-1] + (t,).
+    """
     bits = np.asarray(bits)
-    if bits.shape != (spec.syndrome_bits,):
+    if bits.ndim == 0 or bits.shape[-1] != spec.syndrome_bits:
         raise ValueError(
-            f"expected {spec.syndrome_bits} syndrome bits, got shape {bits.shape}"
+            f"expected {spec.syndrome_bits} syndrome bits in the last axis, "
+            f"got shape {bits.shape}"
         )
-    b = spec.field.degree
-    return [
-        spec.field.element_from_bits(bits[k * b : (k + 1) * b]) for k in range(spec.t)
-    ]
+    sums = spec.field.element_from_bits(
+        bits.reshape(bits.shape[:-1] + (spec.t, spec.field.degree)))
+    return sums.tolist() if bits.ndim == 1 else sums
 
 
 def find_error_locator(spec: BchSpec, syndrome: list[int]) -> tuple[list[int], int]:

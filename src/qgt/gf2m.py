@@ -76,16 +76,15 @@ class GF2m:
         # numpy copies for vectorized evaluation (chien search, matrix builds)
         self.alog_np = np.array(alog, dtype=np.int64)
         self.log_np = np.array(log, dtype=np.int64)
+        # weight of each bit position, most significant first
+        self._bit_weights = np.int64(1) << np.arange(degree - 1, -1, -1, dtype=np.int64)
         self._quad_solver: list[int] | None = None
+        self._quad_table: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"GF2m(degree={self.degree}, primitive_poly=0b{self.primitive_poly:b})"
 
     # -- basic arithmetic ---------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -144,15 +143,17 @@ class GF2m:
         shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
         return ((np.asarray(elements, dtype=np.int64)[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
 
-    def element_from_bits(self, bits) -> int:
-        """Inverse of bit_column."""
+    def element_from_bits(self, bits):
+        """Inverse of bit_column, over the last axis of a stack of bit rows.
+
+        bits has shape (..., b).  A single row gives a Python int; a stack
+        gives an int64 array of shape bits.shape[:-1].
+        """
         bits = np.asarray(bits)
-        if bits.shape != (self.degree,):
-            raise ValueError(f"expected {self.degree} bits, got shape {bits.shape}")
-        value = 0
-        for j, bit in enumerate(bits):
-            value |= int(bit) << (self.degree - 1 - j)
-        return value
+        if bits.ndim == 0 or bits.shape[-1] != self.degree:
+            raise ValueError(f"expected {self.degree} bits in the last axis, got shape {bits.shape}")
+        values = bits.astype(np.int64) @ self._bit_weights
+        return int(values) if bits.ndim == 1 else values
 
     # -- characteristic-2 helpers for closed-form root finding --------------
 
@@ -198,6 +199,22 @@ class GF2m:
             raise AssertionError("trace said solvable but the linear solve disagreed")
         particular, _kernel = sol
         return particular
+
+    def quadratic_table(self) -> np.ndarray:
+        """Table of z with z^2 + z = u and bit 0 clear, indexed by u; -1 if none.
+
+        The other solution is z ^ 1.  Built on first use by squaring every
+        even element at once: z and z ^ 1 share their u, so the even half of
+        the field reaches each solvable u exactly once.
+        """
+        if self._quad_table is None:
+            z = np.arange(0, self.order + 1, 2, dtype=np.int64)
+            u = self.alog_np[(2 * self.log_np[z]) % self.order] ^ z
+            u[0] = 0  # log_np[0] is a placeholder; 0^2 + 0 = 0
+            table = np.full(self.order + 1, -1, dtype=np.int64)
+            table[u] = z
+            self._quad_table = table
+        return self._quad_table
 
 
 def solve_gf2(columns: list[int], rhs: int, nbits: int) -> tuple[int, list[int]] | None:

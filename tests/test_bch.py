@@ -107,6 +107,20 @@ def test_syndrome_pack_unpack_round_trip():
         syndrome_from_bits(spec, np.zeros(7, dtype=np.uint8))
 
 
+def test_syndrome_from_bits_stacks():
+    spec = make_bch(5, 3, 20)
+    f = spec.field
+    rng = np.random.default_rng(5)
+    values = rng.integers(0, f.order + 1, size=(4, 6, 3))
+    bits = np.concatenate([f.bit_columns(values[..., k].ravel()).T for k in range(3)], axis=1)
+    packed = syndrome_from_bits(spec, bits.reshape(4, 6, 15))
+    assert packed.shape == (4, 6, 3) and np.array_equal(packed, values)
+    assert syndrome_from_bits(spec, bits[0]) == values[0, 0].tolist()
+    for shape in [(), (2, 14), (3, 16), (1, 2, 5)]:
+        with pytest.raises(ValueError):
+            syndrome_from_bits(spec, np.zeros(shape, dtype=np.uint8))
+
+
 def test_syndrome_matches_power_sums():
     # column-sum syndrome equals the field power sums of the error locators
     spec = make_bch(4, 2, 15)

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from qgt.gf2m import GF2m, PRIMITIVE_POLY, make_field, solve_gf2
+from qgt.gf2m import PRIMITIVE_POLY, make_field, solve_gf2
 
 
 def test_degree_3_uses_canonical_polynomial():
@@ -32,11 +32,12 @@ def test_degree_3_power_table():
 
 
 def test_add_is_xor():
+    # addition is bitwise xor: alpha^3 = alpha + 1 under x^3 + x + 1
     f = make_field(3)
     a3 = f.alpha_pow(3)
     assert a3 == 0b011
-    assert GF2m.add(a3, 0b010) == 0b001
-    assert GF2m.add(a3, a3) == 0
+    assert a3 ^ f.alpha_pow(1) == f.alpha_pow(0)
+    assert a3 ^ a3 == 0
 
 
 def test_mul_examples():
@@ -81,8 +82,8 @@ def test_field_axioms_random(degree):
         c = rng.randrange(f.order + 1)
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, GF2m.add(b, c)) == GF2m.add(f.mul(a, b), f.mul(a, c))
-        assert f.sqr(GF2m.add(a, b)) == GF2m.add(f.sqr(a), f.sqr(b))  # Frobenius
+        assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
+        assert f.sqr(a ^ b) == f.sqr(a) ^ f.sqr(b)  # Frobenius
 
 
 def test_bit_column_is_msb_first():
@@ -102,6 +103,24 @@ def test_bit_column_round_trip():
     cols = f.bit_columns(np.arange(f.order + 1))
     assert cols.shape == (7, f.order + 1)
     assert cols[:, 1].tolist() == f.bit_column(1).tolist()
+
+
+def test_element_from_bits_stacks():
+    f = make_field(5)
+    elements = np.arange(f.order + 1)
+    rows = f.bit_columns(elements).T  # one bit row per element
+    packed = f.element_from_bits(rows)
+    assert packed.dtype == np.int64 and packed.tolist() == elements.tolist()
+    stacked = f.element_from_bits(rows.reshape(4, 8, 5))
+    assert stacked.shape == (4, 8) and stacked.ravel().tolist() == elements.tolist()
+    single = f.element_from_bits(rows[13])
+    assert type(single) is int and single == 13
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (6,), (3, 4), (2, 3, 6)])
+def test_element_from_bits_rejects_wrong_shapes(shape):
+    with pytest.raises(ValueError):
+        make_field(5).element_from_bits(np.zeros(shape, dtype=np.uint8))
 
 
 def test_sqrt_inverts_square():
@@ -137,6 +156,21 @@ def test_solve_quadratic_unit(degree):
             assert f.sqr(z ^ 1) ^ (z ^ 1) == u
         else:
             assert z is None
+
+
+@pytest.mark.parametrize("degree", [3, 4, 7, 8, 15, 16])
+def test_quadratic_table_agrees_with_solver(degree):
+    f = make_field(degree)
+    table = f.quadratic_table()
+    assert table is f.quadratic_table()  # built once
+    assert table.shape == (f.order + 1,)
+    us = range(f.order + 1) if degree <= 8 else random.Random(degree).sample(range(f.order + 1), 300)
+    for u in us:
+        z = f.solve_quadratic_unit(u)
+        if z is None:
+            assert table[u] == -1
+        else:
+            assert table[u] in (z, z ^ 1) and table[u] % 2 == 0
 
 
 def test_solve_gf2_consistent_and_inconsistent():
