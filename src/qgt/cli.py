@@ -10,6 +10,7 @@ items 1-based; files carry 0-based indices and say so in their headers.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import tempfile
@@ -276,6 +277,25 @@ def _check_random_decode():
             _expect(got == pos, (pos, got, method))
 
 
+def _check_round_resolve():
+    # every slice of count <= 2 over a full b=4, t=2 code, and two tampered
+    # ones: the closed-form stack resolve must agree with Berlekamp-Massey
+    # and a Chien scan, slice by slice
+    sig = codec.build_signature(t=2, r_max=15)
+    spec = sig.bch
+    patterns = [p for w in range(3) for p in itertools.combinations(range(sig.r), w)]
+    slices = np.array([sig.columns[list(p)].sum(axis=0) for p in patterns])
+    got = codec.resolve_node(slices, sig)
+    for p, z, positions in zip(patterns, slices, got):
+        syndrome = bch.syndrome_from_bits(spec, z[1:] & 1)
+        want = bch.decode_syndrome(spec, syndrome, len(p), method="chien")
+        _expect(positions == frozenset(p) and want == set(p), (p, positions, want))
+    tampered = slices[[20, 100]].copy()
+    tampered[:, 3] += 2  # bits intact, integer sums broken
+    got = codec.resolve_node(tampered, sig)
+    _expect(got == [None, None], got)
+
+
 def cmd_selftest(args) -> int:
     checks = [
         ("field power table", _check_power_table),
@@ -285,6 +305,7 @@ def cmd_selftest(args) -> int:
         ("analytic test count", _check_formula_count),
         ("graph file round trip", _check_graph_round_trip),
         ("syndrome decoding", _check_random_decode),
+        ("batched round resolve", _check_round_resolve),
     ]
     failures = 0
     for name, fn in checks:
@@ -344,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", metavar="FILE",
                    help="graph file (default: built-in 14-item example)")
     p.add_argument("--t", type=int, help="decoding radius for --graph")
-    p.add_argument("--method", choices=("chien", "direct"), default="chien")
+    p.add_argument("--method", choices=("chien", "direct"), default="chien",
+                   help="root finder for groups of count >= 3")
     p.add_argument("--out", metavar="FILE", help="write recovered support here")
     p.set_defaults(func=cmd_decode)
 
@@ -361,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_SEED})")
     p.add_argument("--fixed-graph", action="store_true",
                    help="reuse one graph per grid point")
-    p.add_argument("--method", choices=("chien", "direct"), default="chien")
+    p.add_argument("--method", choices=("chien", "direct"), default="chien",
+                   help="root finder for groups of count >= 3")
     p.add_argument("--out", metavar="CSV")
     p.set_defaults(func=cmd_simulate)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,17 @@ class Signature:
         parity = build_parity_columns(bch)
         self.matrix = np.vstack([np.ones((1, bch.r), dtype=np.uint8), parity])
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Row p is column p of matrix as int64; row r is zero ("no column").
+
+        These rows are what encode and peeling add and subtract.  Built on
+        first use: a design sweep builds signatures it never encodes with.
+        """
+        columns = np.zeros((self.r + 1, self.s), dtype=np.int64)
+        columns[:-1] = self.matrix.T
+        return columns
+
     @property
     def s(self) -> int:
         return self.matrix.shape[0]
@@ -141,10 +153,10 @@ def encode(graph: BiRegularGraph, sig: Signature, support) -> np.ndarray:
 
     Cost is O(K * ell * s); only the columns of defective items are touched.
     """
-    support = set(int(v) for v in support)
-    for v in support:
-        if not 0 <= v < graph.n_left:
-            raise ValueError(f"item {v} out of range [0, {graph.n_left})")
+    items = np.array(sorted(set(int(v) for v in support)), dtype=np.int64)
+    if items.size and (items[0] < 0 or items[-1] >= graph.n_left):
+        bad = items[0] if items[0] < 0 else items[-1]
+        raise ValueError(f"item {bad} out of range [0, {graph.n_left})")
     if graph.max_right_degree > sig.r:
         raise ValueError(
             f"signature covers {sig.r} columns but a group has "
@@ -152,34 +164,99 @@ def encode(graph: BiRegularGraph, sig: Signature, support) -> np.ndarray:
         )
     s = sig.s
     y = np.zeros(graph.n_right * s + 1, dtype=np.int64)
-    y[0] = len(support)
-    cols = sig.matrix.astype(np.int64)
-    for v in support:
-        for i, pos in graph.left_edges(v):
-            y[1 + i * s : 1 + (i + 1) * s] += cols[:, pos]
+    y[0] = len(items)
+    _scatter(np.add, y[1:].reshape(graph.n_right, s), graph, sig, items)
     return y
 
 
-def resolve_node(z: np.ndarray, sig: Signature,
-                 method: str = "chien") -> frozenset[int] | None:
-    """Positions of the defectives inside one group slice, or None.
+def _scatter(op, blocks: np.ndarray, graph: BiRegularGraph, sig: Signature,
+             items: np.ndarray) -> np.ndarray:
+    """Add (op=np.add) or subtract (np.subtract) items' columns, in place.
 
-    z is the length-s residual of the group (count in slot 0).  Returns the
-    set of column positions when the count is at most t and the decoded
-    columns integer-sum back to z exactly; otherwise None.
+    blocks is the M x s view of a test vector.  Each item's signature column
+    goes into every group it belongs to; two items sharing a group are both
+    applied, which op.at guarantees.  Returns the groups touched, with repeats.
     """
-    count = int(z[0])
-    if count == 0:
-        return frozenset() if not z.any() else None
-    if count < 0 or count > sig.bch.t:
-        return None
-    syndrome = syndrome_from_bits(sig.bch, (z[1:] % 2).astype(np.uint8))
+    rights = graph._left_rights[items].ravel()
+    op.at(blocks, rights, sig.columns[graph._left_positions[items].ravel()])
+    return rights
+
+
+def resolve_node(z: np.ndarray, sig: Signature, method: str = "chien"):
+    """Positions of the defectives inside group slices, or None.
+
+    z is the length-s residual of one group (count in slot 0), or a stack of
+    them with shape (f, s), which gives a list with one result per row.  A
+    result is the set of column positions when the count is at most t and
+    the decoded columns integer-sum back to the slice exactly; otherwise None.
+
+    Counts 0, 1 and 2 are solved in closed form over the whole stack at once;
+    larger counts go row by row through Berlekamp-Massey and find_roots with
+    the given method.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    if z.ndim not in (1, 2) or z.shape[-1] != sig.s:
+        raise ValueError(f"expected slices of length {sig.s}, got shape {z.shape}")
+    stack = np.atleast_2d(z)
+    t = sig.bch.t
+    count = stack[:, 0]
+    out: list[frozenset[int] | None] = [None] * len(stack)
+    closed = np.flatnonzero((count >= 0) & (count <= min(t, 2)))
+    if closed.size:
+        positions, ok = _resolve_closed_form(stack[closed], sig)
+        for row, pos in zip(closed[ok].tolist(), positions[ok].tolist()):
+            out[row] = frozenset(p for p in pos if p >= 0)
+    for row in np.flatnonzero((count > 2) & (count <= t)).tolist():
+        out[row] = _resolve_by_locator(stack[row], sig, method)
+    return out if z.ndim == 2 else out[0]
+
+
+def _resolve_closed_form(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a stack of slices of count 0, 1 or 2 without a root search.
+
+    Returns (positions, ok): positions has shape (f, 2), -1 marking an empty
+    slot, and ok marks the rows that pass every check.  For count 1 the
+    position is log S1.  For count 2 the locators X1, X2 solve
+    x^2 + S1 x + sigma2 with sigma2 = (S3 + S1^3) / S1; putting x = S1 z
+    gives z^2 + z = sigma2 / S1^2, read from the field's quadratic table,
+    and X1, X2 = S1 z, S1 (z + 1).  S1 = 0, sigma2 = 0 or an unsolvable
+    quadratic fail the row.
+    """
+    f = sig.bch.field
+    n, r = f.order, sig.r
+    count = z[:, 0]
+    syndrome = syndrome_from_bits(sig.bch, z[:, 1:] & 1)
+    s1 = syndrome[:, 0]
+    log1 = f.log_np[s1]
+    ok = (count == 0) | (s1 != 0)
+    positions = np.full((len(z), 2), -1, dtype=np.int64)
+    one = count == 1
+    positions[one, 0] = log1[one]
+    two = np.flatnonzero(count == 2)
+    if two.size:
+        l1 = log1[two]
+        cube_term = syndrome[two, 1] ^ f.alog_np[(3 * l1) % n]  # S1 sigma2
+        u = f.alog_np[(f.log_np[cube_term] - 3 * l1) % n]
+        root = f.quadratic_table()[u]
+        ok[two] &= (cube_term != 0) & (root >= 0)
+        positions[two, 0] = (l1 + f.log_np[root]) % n
+        positions[two, 1] = (l1 + f.log_np[root ^ 1]) % n
+    ok &= (positions < r).all(axis=1)  # roots inside the shortened range
+    # integer re-check of the whole slice; an empty slot reads the zero column
+    look = np.where(ok[:, None] & (positions >= 0), positions, r)
+    ok &= (sig.columns[look].sum(axis=1) == z).all(axis=1)
+    return positions, ok
+
+
+def _resolve_by_locator(z: np.ndarray, sig: Signature,
+                        method: str) -> frozenset[int] | None:
+    """One slice of count 3..t: Berlekamp-Massey, roots, integer re-check."""
+    syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
     try:
-        positions = decode_syndrome(sig.bch, syndrome, count, method=method)
+        positions = decode_syndrome(sig.bch, syndrome, int(z[0]), method=method)
     except DecodeFailure:
         return None
-    check = sig.matrix[:, sorted(positions)].astype(np.int64).sum(axis=1)
-    if not np.array_equal(check, z):
+    if not np.array_equal(sig.columns[sorted(positions)].sum(axis=0), z):
         return None
     return frozenset(positions)
 
@@ -188,47 +265,47 @@ def decode(graph: BiRegularGraph, sig: Signature, y: np.ndarray,
            method: str = "chien", order_rng=None, trace=None) -> DecodeOutcome:
     """Peel the test vector back to the defective set.
 
-    Rounds are synchronous: every group that looks resolvable at the start of
-    a round is attempted before newly peeled groups are considered, so the
-    iteration count matches the per-round picture.  The recovered set itself
-    does not depend on processing order; order_rng, if given, shuffles each
-    round's worklist (used to test exactly that).  trace(round_idx, residual,
-    recovered) is called after each round when provided.
+    Rounds are synchronous: every group in the round's frontier (unresolved,
+    count at most t) is resolved from the residual as it stood when the round
+    began, in one resolve_node call.  The items recovered are deduplicated,
+    so each item is peeled exactly once, and their columns are subtracted in
+    one scatter; the next frontier is the touched groups still unresolved
+    with count at most t.  After every round the residual equals
+    y - encode(recovered), so success means exactly that the recovered set
+    re-encodes to y.  method picks the root finder for groups of count 3 or
+    more.  order_rng, if given, shuffles each round's frontier, which cannot
+    change the result (used to test exactly that).  trace(round_idx,
+    residual, recovered) is called after each round when provided.
     """
     m, s = graph.n_right, sig.s
     if y.shape != (m * s + 1,):
         raise ValueError(f"test vector has shape {y.shape}, expected ({m * s + 1},)")
     t = sig.bch.t
-    residual = y[1:].reshape(m, s).copy()
+    residual = y[1:].reshape(m, s).astype(np.int64)
     resolved = np.zeros(m, dtype=bool)
     recovered: set[int] = set()
-    frontier = [i for i in range(m) if residual[i, 0] <= t]
+    frontier = np.flatnonzero(residual[:, 0] <= t)
     iterations = 0
-    while frontier:
+    while frontier.size:
         iterations += 1
         if order_rng is not None:
             order_rng.shuffle(frontier)
-        next_frontier: list[int] = []
-        for i in frontier:
-            if resolved[i]:
-                continue
-            positions = resolve_node(residual[i], sig, method=method)
+        found: list[int] = []
+        results = resolve_node(residual[frontier], sig, method=method)
+        for i, positions in zip(frontier.tolist(), results):
             if positions is None:
                 # inconsistent slice; retried only if a later peel changes it
                 continue
             adj = graph.right_adj[i]
-            if any(p >= len(adj) for p in positions):
+            if positions and max(positions) >= len(adj):
                 # decoded a padding column; cannot happen on genuine input
                 continue
             resolved[i] = True
-            for p in sorted(positions):
-                v = int(adj[p])
-                recovered.add(v)
-                for i2, p2 in graph.left_edges(v):
-                    residual[i2, :] -= sig.matrix[:, p2].astype(np.int64)
-                    if not resolved[i2] and residual[i2, 0] <= t:
-                        next_frontier.append(i2)
-        frontier = sorted(i for i in set(next_frontier) if not resolved[i])
+            found.extend(adj[sorted(positions)].tolist())
+        new = np.array(sorted(set(found) - recovered), dtype=np.int64)
+        recovered.update(new.tolist())
+        touched = np.unique(_scatter(np.subtract, residual, graph, sig, new))
+        frontier = touched[~resolved[touched] & (residual[touched, 0] <= t)]
         if trace is not None:
             trace(iterations, residual.copy(), set(recovered))
     unresolved = int((~resolved).sum())

@@ -261,7 +261,7 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "checks passed" in out
-    assert out.count("ok   ") == 7
+    assert out.count("ok   ") == 8
 
 
 def test_selftest_quiet(capsys):
@@ -284,7 +284,7 @@ def test_selftest_checks_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-m", "qgt", "selftest"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "7/7 checks passed" in proc.stdout
+    assert "8/8 checks passed" in proc.stdout
 
 
 def test_selftest_fails_on_golden_mismatch_under_optimize():
