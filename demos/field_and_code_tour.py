@@ -6,7 +6,8 @@ Run:  python3 demos/field_and_code_tour.py
 
 import numpy as np
 
-from qgt.bch import (build_parity_columns, decode_syndrome, find_error_locator,
+from qgt.bch import (DIRECT_ROOTS_MIN_FIELD_DEGREE, _chien_roots, _direct_roots,
+                     build_parity_columns, decode_syndrome, find_error_locator,
                      make_bch, syndrome_from_bits)
 from qgt.gf2m import make_field
 
@@ -35,8 +36,10 @@ print()
 # ---- decoding a multi-error syndrome ---------------------------------------
 # For t errors the columns stack t field elements (odd powers alpha^j,
 # alpha^3j, ...).  The decoder recovers the error locator polynomial from the
-# power sums, then finds its roots two ways: a full scan over the positions,
-# and closed-form formulas for degrees up to 4.  Both must agree.
+# power sums, then finds its roots: a full (Chien) scan over the positions,
+# or closed-form formulas for degrees up to 4.  decode_syndrome picks the
+# closed form only on wide fields, where the scan grows expensive; here both
+# are called by hand and must agree.
 
 spec3 = make_bch(6, 3, 63)
 cols = build_parity_columns(spec3)
@@ -53,8 +56,13 @@ print(f"power-sum syndrome [S1, S3, S5]: {syndrome}")
 locator, degree = find_error_locator(spec3, syndrome)
 print(f"error locator coefficients (degree {degree}): {locator}")
 
-for method in ("chien", "direct"):
-    got = decode_syndrome(spec3, syndrome, 3, method=method)
-    print(f"decoded via {method:6s}: {sorted(got)}")
-assert decode_syndrome(spec3, syndrome, 3) == errors
+# a root alpha^-j of the locator marks position j
+field, n = spec3.field, spec3.n
+for name, finder in (("chien", _chien_roots), ("direct", _direct_roots)):
+    positions = sorted((n - field.dlog(rho)) % n for rho in finder(field, locator))
+    print(f"roots via {name:6s} -> positions {positions}")
+    assert set(positions) == errors
+got = decode_syndrome(spec3, syndrome, 3)
+print(f"decode_syndrome (Chien below b={DIRECT_ROOTS_MIN_FIELD_DEGREE}): {sorted(got)}")
+assert got == errors
 print("\nboth root finders recover the planted positions exactly")

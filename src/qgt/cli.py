@@ -155,7 +155,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     graph, sig, label = _load_design(args)
     y = codec.load_test_vector(args.y)
-    outcome = codec.decode(graph, sig, y, method=args.method)
+    outcome = codec.decode(graph, sig, y)
     labels = " ".join(str(v + 1) for v in sorted(outcome.recovered))
     print(f"# design: {label}")
     print(f"declared defective count: {int(y[0])}")
@@ -183,11 +183,10 @@ def cmd_simulate(args) -> int:
     if ell == "auto":
         ell = codec.derive_params(args.N, args.K, args.t).ell
     print(f"# simulate N={args.N} K={args.K} t={args.t} ell={ell} "
-          f"trials={args.trials} seed={seed} method={args.method} "
+          f"trials={args.trials} seed={seed} "
           f"fixed_graph={args.fixed_graph}")
     points = simulate.run_sweep(args.N, args.K, args.t, grid, args.trials,
-                                seed, ell=ell, fixed_graph=args.fixed_graph,
-                                root_method=args.method)
+                                seed, ell=ell, fixed_graph=args.fixed_graph)
     text = simulate.sweep_csv(points, args.N, args.K, args.t, ell, seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -262,6 +261,8 @@ def _check_graph_round_trip():
 
 
 def _check_random_decode():
+    # b=6 decodes through the Chien scan; the closed-form finder must find
+    # the same roots on every locator
     spec = bch.make_bch(6, 3, 63)
     cols = bch.build_parity_columns(spec)
     rng = np.random.default_rng(0)
@@ -272,9 +273,12 @@ def _check_random_decode():
         for j in pos:
             bits ^= cols[:, j].astype(np.int64)
         syndrome = bch.syndrome_from_bits(spec, bits.astype(np.uint8))
-        for method in ("chien", "direct"):
-            got = bch.decode_syndrome(spec, syndrome, w, method=method)
-            _expect(got == pos, (pos, got, method))
+        got = bch.decode_syndrome(spec, syndrome, w)
+        _expect(got == pos, (pos, got))
+        if w:
+            locator, _ = bch.find_error_locator(spec, syndrome)
+            direct = bch._direct_roots(spec.field, locator)
+            _expect(direct == bch._chien_roots(spec.field, locator), (pos, direct))
 
 
 def _check_round_resolve():
@@ -288,7 +292,7 @@ def _check_round_resolve():
     got = codec.resolve_node(slices, sig)
     for p, z, positions in zip(patterns, slices, got):
         syndrome = bch.syndrome_from_bits(spec, z[1:] & 1)
-        want = bch.decode_syndrome(spec, syndrome, len(p), method="chien")
+        want = bch.decode_syndrome(spec, syndrome, len(p))
         _expect(positions == frozenset(p) and want == set(p), (p, positions, want))
     tampered = slices[[20, 100]].copy()
     tampered[:, 3] += 2  # bits intact, integer sums broken
@@ -365,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", metavar="FILE",
                    help="graph file (default: built-in 14-item example)")
     p.add_argument("--t", type=int, help="decoding radius for --graph")
-    p.add_argument("--method", choices=("chien", "direct"), default="chien",
-                   help="root finder for groups of count >= 3")
     p.add_argument("--out", metavar="FILE", help="write recovered support here")
     p.set_defaults(func=cmd_decode)
 
@@ -383,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_SEED})")
     p.add_argument("--fixed-graph", action="store_true",
                    help="reuse one graph per grid point")
-    p.add_argument("--method", choices=("chien", "direct"), default="chien",
-                   help="root finder for groups of count >= 3")
     p.add_argument("--out", metavar="CSV")
     p.set_defaults(func=cmd_simulate)
 

@@ -25,7 +25,7 @@ from .bch import (
     make_bch,
     syndrome_from_bits,
 )
-from .density import design_constant
+from .density import design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE
 from .graphs import BiRegularGraph
 
@@ -37,9 +37,9 @@ class DesignParams:
     """Resolved shape of one measurement design.
 
     m_total = M*s + 1 is what the design spends; m_bound is the real-valued
-    target c K (t log2(ell N/(c K) + 1) + 1) + 1 it tracks.  m_total runs
-    above m_bound by the integer ceilings (field degree b, M) and the beta
-    slack; see tests for the quantified bound.
+    target it tracks, density.paper_test_count at this design's c and ell.
+    m_total runs above m_bound by the integer ceilings (field degree b, M)
+    and the beta slack; see tests for the quantified bound.
     """
 
     n_items: int
@@ -94,7 +94,7 @@ def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
         raise ValueError(f"ell must be an int >= 2 or 'auto', got {ell!r}")
     m_groups = max(ell, math.ceil(c * k * beta))
     r_max, b, s = group_shape(n_items, ell, m_groups, t)
-    m_bound = c * k * (t * math.log2(ell * n_items / (c * k) + 1.0) + 1.0) + 1.0
+    m_bound = paper_test_count(n_items, k, t, c, ell)
     return DesignParams(
         n_items=n_items, k=k, t=t, ell=ell, beta=beta, m_groups=m_groups,
         r_max=r_max, b=b, s=s, m_total=m_groups * s + 1, m_bound=m_bound,
@@ -182,7 +182,7 @@ def _scatter(op, blocks: np.ndarray, graph: BiRegularGraph, sig: Signature,
     return rights
 
 
-def resolve_node(z: np.ndarray, sig: Signature, method: str = "chien"):
+def resolve_node(z: np.ndarray, sig: Signature):
     """Positions of the defectives inside group slices, or None.
 
     z is the length-s residual of one group (count in slot 0), or a stack of
@@ -191,8 +191,7 @@ def resolve_node(z: np.ndarray, sig: Signature, method: str = "chien"):
     the decoded columns integer-sum back to the slice exactly; otherwise None.
 
     Counts 0, 1 and 2 are solved in closed form over the whole stack at once;
-    larger counts go row by row through Berlekamp-Massey and find_roots with
-    the given method.
+    larger counts go row by row through Berlekamp-Massey and find_roots.
     """
     z = np.asarray(z, dtype=np.int64)
     if z.ndim not in (1, 2) or z.shape[-1] != sig.s:
@@ -207,7 +206,7 @@ def resolve_node(z: np.ndarray, sig: Signature, method: str = "chien"):
         for row, pos in zip(closed[ok].tolist(), positions[ok].tolist()):
             out[row] = frozenset(p for p in pos if p >= 0)
     for row in np.flatnonzero((count > 2) & (count <= t)).tolist():
-        out[row] = _resolve_by_locator(stack[row], sig, method)
+        out[row] = _resolve_by_locator(stack[row], sig)
     return out if z.ndim == 2 else out[0]
 
 
@@ -248,12 +247,11 @@ def _resolve_closed_form(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.
     return positions, ok
 
 
-def _resolve_by_locator(z: np.ndarray, sig: Signature,
-                        method: str) -> frozenset[int] | None:
+def _resolve_by_locator(z: np.ndarray, sig: Signature) -> frozenset[int] | None:
     """One slice of count 3..t: Berlekamp-Massey, roots, integer re-check."""
     syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
     try:
-        positions = decode_syndrome(sig.bch, syndrome, int(z[0]), method=method)
+        positions = decode_syndrome(sig.bch, syndrome, int(z[0]))
     except DecodeFailure:
         return None
     if not np.array_equal(sig.columns[sorted(positions)].sum(axis=0), z):
@@ -262,7 +260,7 @@ def _resolve_by_locator(z: np.ndarray, sig: Signature,
 
 
 def decode(graph: BiRegularGraph, sig: Signature, y: np.ndarray,
-           method: str = "chien", order_rng=None, trace=None) -> DecodeOutcome:
+           trace=None) -> DecodeOutcome:
     """Peel the test vector back to the defective set.
 
     Rounds are synchronous: every group in the round's frontier (unresolved,
@@ -272,10 +270,8 @@ def decode(graph: BiRegularGraph, sig: Signature, y: np.ndarray,
     one scatter; the next frontier is the touched groups still unresolved
     with count at most t.  After every round the residual equals
     y - encode(recovered), so success means exactly that the recovered set
-    re-encodes to y.  method picks the root finder for groups of count 3 or
-    more.  order_rng, if given, shuffles each round's frontier, which cannot
-    change the result (used to test exactly that).  trace(round_idx,
-    residual, recovered) is called after each round when provided.
+    re-encodes to y.  trace(round_idx, residual, recovered) is called after
+    each round when provided.
     """
     m, s = graph.n_right, sig.s
     if y.shape != (m * s + 1,):
@@ -288,10 +284,8 @@ def decode(graph: BiRegularGraph, sig: Signature, y: np.ndarray,
     iterations = 0
     while frontier.size:
         iterations += 1
-        if order_rng is not None:
-            order_rng.shuffle(frontier)
         found: list[int] = []
-        results = resolve_node(residual[frontier], sig, method=method)
+        results = resolve_node(residual[frontier], sig)
         for i, positions in zip(frontier.tolist(), results):
             if positions is None:
                 # inconsistent slice; retried only if a later peel changes it

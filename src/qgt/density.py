@@ -146,8 +146,8 @@ def de_fixed_point(cfg: DeConfig) -> DeResult:
                     converged_to_zero=p < cfg.p_zero)
 
 
-def _collapses(t: int, ell: int, lam: float, **cfg_kwargs) -> bool:
-    return de_fixed_point(DeConfig(t=t, ell=ell, lam=lam, **cfg_kwargs)).converged_to_zero
+def _collapses(t: int, ell: int, lam: float) -> bool:
+    return de_fixed_point(DeConfig(t=t, ell=ell, lam=lam)).converged_to_zero
 
 
 @lru_cache(maxsize=None)
@@ -242,9 +242,14 @@ def design_constant(t: int, constants: str = "table") -> tuple[float, int]:
     raise ValueError(f"constants must be 'table' or 'solve', got {constants!r}")
 
 
+def paper_test_count(n_items: int, k: int, t: int, c: float, ell: int) -> float:
+    """The paper's test count c K (t log2(ell N / (c K) + 1) + 1) + 1."""
+    return c * k * (t * math.log2(ell * n_items / (c * k) + 1.0) + 1.0) + 1.0
+
+
 def tests_needed(n_items: int, k: int, t: int,
                  constants: str = "table") -> tuple[float, int]:
-    """Test count m(N, K, t) = c K (t log2(ell N / (c K) + 1) + 1) + 1.
+    """Test count m(N, K, t) from paper_test_count at c(t) and ell_star.
 
     Returns (real value, ceiling).  This is the information-order bound the
     design aims for; an engineered design rounds the field degree up and so
@@ -253,5 +258,5 @@ def tests_needed(n_items: int, k: int, t: int,
     if not 1 <= k < n_items:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")
     c, ell_star = design_constant(t, constants)
-    m = c * k * (t * math.log2(ell_star * n_items / (c * k) + 1.0) + 1.0) + 1.0
+    m = paper_test_count(n_items, k, t, c, ell_star)
     return m, math.ceil(m)

@@ -21,6 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# repair passes per stub layout, and layouts drawn, before sampling gives up
+MAX_REPAIR_PASSES = 200
+MAX_RESAMPLES = 8
+
 
 class BiRegularGraph:
     """Bipartite graph with N left nodes of degree ell and M right nodes.
@@ -114,12 +118,11 @@ class BiRegularGraph:
         return cls(n_left, ell, right_adj, seed=seed)
 
 
-def sample_graph(n_left: int, n_right: int, ell: int, seed: int,
-                 max_passes: int = 200, max_retries: int = 8) -> BiRegularGraph:
+def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGraph:
     """Draw a simple left-regular graph; deterministic for a given seed.
 
     Raises ValueError for infeasible shapes (a right degree above N forces a
-    parallel edge) and RuntimeError if repair fails across max_retries
+    parallel edge) and RuntimeError if repair fails across MAX_RESAMPLES
     resamples, which is astronomically unlikely for feasible shapes.
     """
     if ell < 2:
@@ -146,7 +149,7 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int,
     blocks = _Blocks(degrees)
 
     rng = np.random.default_rng(seed)
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RESAMPLES):
         # shuffling stub indices draws the same permutation as shuffling the
         # item labels np.repeat(arange(N), ell); stub k belongs to item k // ell
         perm = rng.permutation(n_edges)
@@ -163,10 +166,10 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int,
             loc[:, 0] = first
         else:
             loc.sort(axis=1)
-        if _repair(stubs, loc, blocks, rng, max_passes):
+        if _repair(stubs, loc, blocks, rng):
             return _assemble(n_left, ell, stubs, loc, blocks, seed, attempt)
     raise RuntimeError(
-        f"simple-graph repair failed after {max_retries} resamples "
+        f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
         f"(N={n_left}, M={n_right}, ell={ell}, seed={seed})"
     )
 
@@ -221,8 +224,7 @@ def _duplicates(loc: np.ndarray, blocks: _Blocks):
     return dup_pos[order].tolist(), dup_block[order].tolist()
 
 
-def _repair(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng,
-            max_passes: int) -> bool:
+def _repair(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng) -> bool:
     """Swap duplicate in-block stubs with other stubs until simple.
 
     A swap is accepted when it fixes the duplicate without creating a new one
@@ -248,7 +250,7 @@ def _repair(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng,
         return not any(lo <= s < hi for s in row_x)
 
     simple = False
-    for _ in range(max_passes):
+    for _ in range(MAX_REPAIR_PASSES):
         if simple:  # the last pass swapped cleanly: nothing is left to find
             return True
         dup_pos, dup_block = _duplicates(loc, blocks)

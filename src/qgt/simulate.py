@@ -30,7 +30,6 @@ class TrialConfig:
     t: int
     ell: int
     m_groups: int
-    root_method: str = "chien"
 
     def __post_init__(self):
         if not 0 <= self.k <= self.n_items:
@@ -60,7 +59,7 @@ def run_trial(cfg: TrialConfig, trial_seed, graph=None) -> tuple[bool, float]:
     support = set(rng.choice(cfg.n_items, size=cfg.k, replace=False).tolist())
     sig = build_signature(cfg.t, graph.max_right_degree)
     y = encode(graph, sig, support)
-    outcome = decode(graph, sig, y, method=cfg.root_method)
+    outcome = decode(graph, sig, y)
     missed = len(support - outcome.recovered)
     fraction = missed / cfg.k if cfg.k else 0.0
     return outcome.recovered == support, fraction
@@ -85,8 +84,7 @@ def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
 
 def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
               master_seed: int, ell: int | str = "auto",
-              fixed_graph: bool = False,
-              root_method: str = "chien") -> list[SweepPoint]:
+              fixed_graph: bool = False) -> list[SweepPoint]:
     """Success statistics across a grid of test budgets m = (m/K) * K.
 
     Each grid point inverts its budget to the largest feasible M, then runs
@@ -100,8 +98,7 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
         m_budget = int(round(m_over_k * k))
         m_groups = groups_within_budget(n_items, t, ell, m_budget)
         _, _, s = group_shape(n_items, ell, m_groups, t)
-        cfg = TrialConfig(n_items=n_items, k=k, t=t, ell=ell,
-                          m_groups=m_groups, root_method=root_method)
+        cfg = TrialConfig(n_items=n_items, k=k, t=t, ell=ell, m_groups=m_groups)
         graph = None
         if fixed_graph:
             base = np.random.SeedSequence(master_seed, spawn_key=(g_idx,))

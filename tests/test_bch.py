@@ -6,9 +6,13 @@ import random
 import numpy as np
 import pytest
 
+from qgt import bch
 from qgt.bch import (
+    DIRECT_ROOTS_MIN_FIELD_DEGREE,
     BchSpec,
     DecodeFailure,
+    _chien_roots,
+    _direct_roots,
     build_parity_columns,
     decode_syndrome,
     find_error_locator,
@@ -17,7 +21,9 @@ from qgt.bch import (
     poly_eval,
     syndrome_from_bits,
 )
+from qgt.codec import build_signature, decode, encode
 from qgt.gf2m import make_field
+from qgt.graphs import sample_graph
 
 # frozen single-error parity matrix over GF(2^3), full length r = 7
 H_T1_B3 = np.array(
@@ -176,16 +182,20 @@ def test_locator_matches_product_form():
         assert locator == expected
 
 
-@pytest.mark.parametrize("method", ["chien", "direct"])
-def test_decode_exhaustive_b4_t2(method):
-    # every weight <= 2 pattern on the full-length code decodes exactly
+@pytest.mark.parametrize("finder", ["chien", "direct"])
+def test_decode_exhaustive_b4_t2(finder, monkeypatch):
+    # every weight <= 2 pattern on the full-length code decodes exactly,
+    # with find_roots routed to one finder
+    roots = {"chien": _chien_roots, "direct": _direct_roots}[finder]
+    monkeypatch.setattr(bch, "find_roots",
+                        lambda spec, locator: roots(spec.field, locator))
     spec = make_bch(4, 2, 15)
     cols = build_parity_columns(spec)
     patterns = [()] + [(j,) for j in range(15)] + list(itertools.combinations(range(15), 2))
     assert len(patterns) == 121
     for positions in patterns:
         syn = syndrome_of(spec, cols, positions)
-        assert decode_syndrome(spec, syn, len(positions), method=method) == set(positions)
+        assert decode_syndrome(spec, syn, len(positions)) == set(positions)
 
 
 def test_decode_exhaustive_b3_t1_all_singles():
@@ -197,7 +207,8 @@ def test_decode_exhaustive_b3_t1_all_singles():
 
 
 def test_decode_random_patterns_never_fail():
-    # randomized perfect-decoding sweep across fields and radii
+    # randomized perfect-decoding sweep across fields and radii; half the
+    # nonempty patterns also check the closed-form roots of their locator
     rng = random.Random(20240817)
     cases = 0
     for degree in (6, 8, 10):
@@ -208,8 +219,11 @@ def test_decode_random_patterns_never_fail():
                 w = rng.randrange(0, t + 1)
                 positions = rng.sample(range(spec.r), w) if w else []
                 syn = syndrome_of(spec, cols, positions)
-                method = "direct" if rng.random() < 0.5 else "chien"
-                assert decode_syndrome(spec, syn, w, method=method) == set(positions)
+                assert decode_syndrome(spec, syn, w) == set(positions)
+                if rng.random() < 0.5 and w:
+                    locator, _ = find_error_locator(spec, syn)
+                    roots = _direct_roots(spec.field, locator)
+                    assert roots == {spec.field.alpha_pow(-j) for j in positions}
                 cases += 1
     assert cases == 3 * 4 * 850
 
@@ -241,39 +255,88 @@ def test_decode_rejects_wrong_weight():
         decode_syndrome(spec, syn, 3)  # beyond t
 
 
-@pytest.mark.parametrize("degree", [4, 6, 8, 9])
+@pytest.mark.parametrize("degree", [4, 6, 8, 9, 12, 15])
 def test_chien_direct_agree_on_random_locators(degree):
     # random polynomials with constant term 1, degree <= 4: identical root
     # sets whether or not the polynomial splits
     f = make_field(degree)
-    spec = make_bch(degree, 2, f.order)
     rng = random.Random(degree * 101)
-    for _ in range(2500):
+    for _ in range(2500 if degree < DIRECT_ROOTS_MIN_FIELD_DEGREE else 300):
         d = rng.randrange(1, 5)
         coeffs = [1] + [rng.randrange(f.order + 1) for _ in range(d - 1)]
         coeffs.append(rng.randrange(1, f.order + 1))  # leading coefficient nonzero
-        chien = find_roots(spec, coeffs, method="chien")
-        direct = find_roots(spec, coeffs, method="direct")
+        chien = _chien_roots(f, coeffs)
+        direct = _direct_roots(f, coeffs)
         assert chien == direct
         for rho in chien:
             assert poly_eval(f, coeffs, rho) == 0
 
 
 def test_direct_handles_irreducible_quadratic():
-    # x^2 + x + u with trace(u) = 1 has no roots; both methods agree on empty
+    # x^2 + x + u with trace(u) = 1 has no roots; both finders agree on empty
     f = make_field(8)
-    spec = make_bch(8, 2, 255)
     u = next(a for a in range(1, 256) if f.trace(a) == 1)
     locator = [1, 1, u]  # constant-term-1 form with the same root structure
-    assert find_roots(spec, locator, method="direct") == set()
-    assert find_roots(spec, locator, method="chien") == set()
+    assert _direct_roots(f, locator) == set()
+    assert _chien_roots(f, locator) == set()
 
 
 def test_direct_repeated_root_quadratic():
     # sigma with sigma_1 = 0 has a double root; the distinct-root set is size 1
     f = make_field(5)
-    spec = make_bch(5, 2, 31)
     a = f.alpha_pow(7)
     locator = [1, 0, f.sqr(f.inv(a))]  # (1 + x/a)^2
-    assert find_roots(spec, locator, method="chien") == {a}
-    assert find_roots(spec, locator, method="direct") == {a}
+    assert _chien_roots(f, locator) == {a}
+    assert _direct_roots(f, locator) == {a}
+
+
+# -- which root finder find_roots picks ---------------------------------------
+
+
+def _refuse(name):
+    def finder(f, locator):
+        raise AssertionError(f"{name} called at b={f.degree}, degree {len(locator) - 1}")
+    return finder
+
+
+def _decode_count_three_plus(n_items, t, seed):
+    """Decode 2t defectives in a 4-group design; some group holds 3 or more."""
+    g = sample_graph(n_items, 4, 2, seed=seed)
+    sig = build_signature(t, g.max_right_degree)
+    rng = np.random.default_rng(seed)
+    support = set(rng.choice(n_items, size=2 * t, replace=False).tolist())
+    y = encode(g, sig, support)
+    assert y[1::sig.s].max() >= 3
+    out = decode(g, sig, y)
+    return sig.bch.field.degree, out.success and out.recovered == support
+
+
+@pytest.mark.parametrize("n_items, t", [(1 << 12, 3), (1 << 15, 4)])
+def test_wide_fields_solve_in_closed_form(n_items, t, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bch, "_chien_roots", _refuse("Chien scan"))
+    monkeypatch.setattr(bch, "_direct_roots",
+                        lambda f, locator: calls.append(1) or _direct_roots(f, locator))
+    b, ok = _decode_count_three_plus(n_items, t, seed=1)
+    assert b >= DIRECT_ROOTS_MIN_FIELD_DEGREE and ok
+    assert calls
+
+
+def test_narrow_fields_keep_the_chien_scan(monkeypatch):
+    monkeypatch.setattr(bch, "_direct_roots", _refuse("closed form"))
+    b, ok = _decode_count_three_plus(400, 3, seed=1)
+    assert b == 8 and ok
+
+
+@pytest.mark.parametrize("degree", [5, 6, 7, 8])
+def test_high_degree_locators_go_to_chien(degree, monkeypatch):
+    monkeypatch.setattr(bch, "_direct_roots", _refuse("closed form"))
+    spec = make_bch(15, 8, (1 << 15) - 1)
+    f = spec.field
+    rng = random.Random(degree)
+    roots = {f.alpha_pow(-j) for j in rng.sample(range(spec.r), degree)}
+    locator = [1]
+    for rho in roots:  # times (1 + x / rho)
+        inv = f.inv(rho)
+        locator = [a ^ f.mul(inv, b) for a, b in zip(locator + [0], [0] + locator)]
+    assert find_roots(spec, locator) == roots

@@ -248,6 +248,16 @@ def test_simulate_malformed_env_seed(capsys, monkeypatch):
     assert code == 2 and "QGT_SEED" in err
 
 
+@pytest.mark.parametrize("argv", [["decode", "--y", "y.txt"],
+                                  ["simulate", "--N", "300", "--K", "10"]])
+def test_method_flag_is_gone(argv, capsys):
+    # decode picks its root finder itself; the old flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--method", "chien"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+
 def test_simulate_validates_k(capsys):
     code, _, err = run_cli(capsys, "simulate", "--N", "100", "--K", "100",
                            "--grid", "20", "--trials", "2")

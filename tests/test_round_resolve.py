@@ -1,8 +1,8 @@
 """The batched peeling round against the per-group loop it replaced.
 
 sequential_decode below is that loop, kept as the oracle: it resolves one
-group at a time with Berlekamp-Massey and a Chien scan, peeling into the
-residual as it goes.  On genuine input the batched decoder must match it
+group at a time with Berlekamp-Massey and find_roots, peeling into the
+residual as it goes, optionally in a shuffled order.  On genuine input the batched decoder must match it
 round by round; on corrupted input it must keep its own invariant, which
 the loop did not (it could peel an item twice).
 """
@@ -28,7 +28,7 @@ def oracle_resolve(z, sig):
         return None
     syndrome = syndrome_from_bits(sig.bch, (z[1:] % 2).astype(np.uint8))
     try:
-        positions = decode_syndrome(sig.bch, syndrome, count, method="chien")
+        positions = decode_syndrome(sig.bch, syndrome, count)
     except DecodeFailure:
         return None
     check = sig.matrix[:, sorted(positions)].astype(np.int64).sum(axis=1)
@@ -109,10 +109,9 @@ def genuine_instances(count, seed):
         yield graph, sig, encode(graph, sig, support)
 
 
-def run_with_trace(fn, graph, sig, y, order_seed):
+def run_with_trace(fn, graph, sig, y, **kwargs):
     rounds = []
-    order_rng = None if order_seed is None else np.random.default_rng(order_seed)
-    out = fn(graph, sig, y, order_rng=order_rng,
+    out = fn(graph, sig, y, **kwargs,
              trace=lambda it, res, rec: rounds.append((it, res.tobytes(), frozenset(rec))))
     return (out.recovered, out.iterations, out.success, out.unresolved_right), rounds
 
@@ -122,8 +121,11 @@ def test_batched_rounds_match_sequential_oracle(order_seed):
     degrees, stalled = set(), 0
     for graph, sig, y in genuine_instances(280, seed=11 if order_seed is None else 12):
         degrees.add((sig.bch.t, sig.bch.field.degree))
-        got = run_with_trace(decode, graph, sig, y, order_seed)
-        want = run_with_trace(sequential_decode, graph, sig, y, order_seed)
+        # the oracle peels in frontier order; shuffled, it must still give
+        # the batched decoder's rounds
+        order_rng = None if order_seed is None else np.random.default_rng(order_seed)
+        got = run_with_trace(decode, graph, sig, y)
+        want = run_with_trace(sequential_decode, graph, sig, y, order_rng=order_rng)
         assert got == want
         stalled += not got[0][2]
     assert {b for _, b in degrees} == set(range(3, 17))
@@ -142,7 +144,7 @@ def test_count_two_closed_form_all_pairs_small_field():
     got = resolve_node(pair_slices(sig, pairs), sig)
     for pair, z, positions in zip(pairs, pair_slices(sig, pairs), got):
         syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
-        assert decode_syndrome(sig.bch, syndrome, 2, method="chien") == set(pair)
+        assert decode_syndrome(sig.bch, syndrome, 2) == set(pair)
         assert positions == frozenset(pair)
 
 
@@ -155,7 +157,7 @@ def test_count_two_closed_form_random_pairs_wide_field(b):
     slices = pair_slices(sig, pairs)
     for pair, z, positions in zip(pairs, slices, resolve_node(slices, sig)):
         syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
-        assert decode_syndrome(sig.bch, syndrome, 2, method="chien") == set(pair)
+        assert decode_syndrome(sig.bch, syndrome, 2) == set(pair)
         assert positions == frozenset(pair)
 
 
@@ -227,8 +229,8 @@ def test_padding_column_is_never_peeled():
     assert resolve_node(y[1:1 + sig.s], sig) == frozenset({5})
     assert out.recovered == set() and not out.success
     assert out.unresolved_right == 1
-    assert run_with_trace(decode, graph, sig, y, None) == \
-        run_with_trace(sequential_decode, graph, sig, y, None)
+    assert run_with_trace(decode, graph, sig, y) == \
+        run_with_trace(sequential_decode, graph, sig, y)
 
 
 GRAPH = sample_graph(120, 12, 2, seed=4)

@@ -54,15 +54,6 @@ def test_run_trial_with_fixed_graph():
     assert a == b
 
 
-def test_run_trial_direct_roots():
-    cfg = TrialConfig(n_items=300, k=12, t=2, ell=2, m_groups=40,
-                      root_method="direct")
-    for s in range(10):
-        ok, frac = run_trial(cfg, s)
-        if ok:
-            assert frac == 0.0
-
-
 def _brute_best_m(n_items, t, ell, m_budget):
     best = None
     for m in range(ell, n_items * ell + 1):
