@@ -134,6 +134,28 @@ def test_design_table_matches_live_solver():
         assert lambda_threshold(t, ell_live) == pytest.approx(lam_frozen, abs=5e-3)
 
 
+# (c(t), ell_star, lambda_T(t, ell_star)) exactly as the solver computed them
+# with the numpy Poisson-by-binomial step; DESIGN_TABLE is these rounded.
+SOLVER_FLOATS = {
+    1: (1.221793132767221, 3, 2.4554074822841288),
+    2: (0.5968569950161471, 2, 3.3508864212036134),
+    3: (0.38839519130708555, 2, 5.149394340515136),
+    4: (0.2941488856851628, 2, 6.799277839660646),
+    5: (0.23908225153510573, 2, 8.365321922302247),
+    6: (0.2025261119709644, 2, 9.875269813537596),
+    7: (0.17630207141634457, 2, 11.344166202545164),
+    8: (0.15648068105150614, 2, 12.781130466461182),
+}
+
+
+@pytest.mark.parametrize("t", sorted(SOLVER_FLOATS))
+def test_solver_output_pinned(t):
+    c, ell_star, lam = SOLVER_FLOATS[t]
+    assert c_of_t(t) == (c, ell_star)
+    assert lambda_threshold(t, ell_star) == lam
+    assert DESIGN_TABLE[t] == (round(c, 6), ell_star, round(lam, 6))
+
+
 def test_design_constant_paths():
     assert design_constant(1) == (1.221793, 3)
     assert design_constant(2, constants="table")[1] == 2
