@@ -2,11 +2,15 @@
 
 State p_j is the probability that a defective item is still unresolved after
 round j.  A right node resolves when at most t of its other defective
-neighbors are unresolved; with Poisson(lambda) defective degrees
-(lambda = K*ell/M) the per-edge recursion is
+neighbors are unresolved.  Along an edge, the number X of other defective
+neighbors is Poisson(lambda) (lambda = K*ell/M), and each is unresolved with
+probability p_j, so the unresolved count is Binom(X, p_j).  By Poisson
+thinning that count is Poisson(lambda p_j), and the recursion is
 
-    q_j = sum_{i<=t} rho_i + sum_{i>t} rho_i * P[Binom(i-1, p_j) <= t-1]
-    p_{j+1} = (1 - q_j)^(ell-1),        rho_i = e^-lambda lambda^(i-1)/(i-1)!
+    q_j = P[Poisson(lambda p_j) <= t-1] = e^(-lambda p_j) sum_{k<t} (lambda p_j)^k / k!
+    p_{j+1} = (1 - q_j)^(ell-1)
+
+one t-term sum per round.  At t = 1 this is p_{j+1} = (1 - e^(-lambda p_j))^(ell-1).
 
 The decoder succeeds (asymptotically) iff the iteration from p=1 collapses to
 zero, which happens exactly below a sharp threshold lambda_T(t, ell).  The
@@ -19,9 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-from scipy.special import gammaln
-
 
 @dataclass(frozen=True)
 class DeConfig:
@@ -30,7 +31,6 @@ class DeConfig:
     t: int
     ell: int
     lam: float
-    poisson_tail_tol: float = 1e-12
     fixed_point_tol: float = 1e-10
     max_iters: int = 10_000
     p_zero: float = 1e-6
@@ -40,9 +40,9 @@ class DeConfig:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if self.ell < 2:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        for name in ("poisson_tail_tol", "fixed_point_tol", "p_zero"):
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        for name in ("fixed_point_tol", "p_zero"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iters < 1:
@@ -56,70 +56,20 @@ class DeResult:
     converged_to_zero: bool
 
 
-def rho_weights(lam: float, i_max: int | None = None,
-                tail_tol: float = 1e-12) -> np.ndarray:
-    """Poisson weights rho_i = e^-lam lam^(i-1)/(i-1)! for i = 1..i_max.
-
-    Computed in log space.  When i_max is None it is grown until the missing
-    mass 1 - sum is below tail_tol.
-    """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if i_max is not None:
-        i = np.arange(1, i_max + 1, dtype=np.float64)
-        return np.exp(-lam + (i - 1) * math.log(lam) - gammaln(i))
-    guess = int(lam + 10 * math.sqrt(lam) + 20)
-    for _ in range(60):
-        w = rho_weights(lam, guess)
-        if 1.0 - w.sum() < tail_tol:
-            return w
-        guess *= 2
-    raise RuntimeError(f"Poisson tail would not close at lambda={lam}")
-
-
-@lru_cache(maxsize=4096)
-def _step_tables(t: int, ell: int, lam: float, tail_tol: float):
-    """Precomputed pieces of the recursion for one (t, ell, lambda)."""
-    rho = rho_weights(lam, None, tail_tol)
-    i_max = len(rho)
-    head = float(rho[:t].sum())  # nodes of defective degree <= t always resolve
-    if i_max <= t:
-        return head, None, None, None
-    tail = rho[t:]  # i = t+1 .. i_max
-    n = np.arange(t, i_max, dtype=np.float64)  # i-1 for those i
-    k = np.arange(t, dtype=np.float64)
-    # binomial coefficients C(i-1, k); exact in float64 for the sizes involved
-    log_binom = gammaln(n[:, None] + 1) - gammaln(k[None, :] + 1) \
-        - gammaln(n[:, None] - k[None, :] + 1)
-    binom = np.exp(log_binom)
-    return head, tail, n, binom
-
-
 def de_step(p: float, cfg: DeConfig) -> float:
     """One round of the recursion; p = 0 is treated exactly (absorbing)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if p == 0.0:
-        return 0.0  # q = full Poisson mass = 1, exactly
-    head, tail, n, binom = _step_tables(
-        cfg.t, cfg.ell, cfg.lam, cfg.poisson_tail_tol
-    )
-    q = head
-    if tail is not None:
-        k = np.arange(cfg.t, dtype=np.float64)
-        # P[Binom(i-1, p) <= t-1] termwise; k <= 7 so direct powers are stable
-        pk = p ** k
-        qk = (1.0 - p) ** (n[:, None] - k[None, :])
-        q += float((tail[:, None] * binom * pk[None, :] * qk).sum())
+        return 0.0  # q = P[Poisson(0) <= t-1] = 1, exactly
+    x = cfg.lam * p
+    term = math.exp(-x)  # e^-x x^k / k!, a pmf value, so it never overflows
+    q = term
+    for k in range(1, cfg.t):
+        term *= x / k
+        q += term
     q = min(q, 1.0)
     return (1.0 - q) ** (cfg.ell - 1)
-
-
-def de_step_t1_closed_form(p: float, cfg: DeConfig) -> float:
-    """Independent t = 1 form: p_next = (1 - e^(-lambda p))^(ell-1)."""
-    if cfg.t != 1:
-        raise ValueError("closed form only applies to t = 1")
-    return (-math.expm1(-cfg.lam * p)) ** (cfg.ell - 1)
 
 
 def de_fixed_point(cfg: DeConfig) -> DeResult:
@@ -157,10 +107,15 @@ def lambda_threshold(t: int, ell: int, tol: float = 1e-4) -> float:
     t = 1 has the closed form inf_x -log(1 - x^(1/(ell-1)))/x on (0, 1),
     found by golden-section (the objective is unimodal; for ell = 2 the
     infimum sits at the left edge).  t >= 2 bisects the collapse indicator,
-    growing the upper bracket until it straddles.
+    growing the upper bracket until it straddles, down to a bracket of width
+    tol (or of adjacent floats, if tol is finer than that).
     """
+    if t < 1 or ell < 2:
+        raise ValueError(f"need t >= 1 and ell >= 2, got t={t}, ell={ell}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if t == 1:
-        return _lambda_threshold_t1(ell, tol)
+        return _lambda_threshold_t1(ell)
     lo, hi = 0.01, 5.0 * ell
     if not _collapses(t, ell, lo):
         raise RuntimeError(f"no collapse even at lambda={lo} for t={t}, ell={ell}")
@@ -172,6 +127,8 @@ def lambda_threshold(t: int, ell: int, tol: float = 1e-4) -> float:
             raise RuntimeError(f"threshold above {hi} for t={t}, ell={ell}?")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _collapses(t, ell, mid):
             lo = mid
         else:
@@ -179,7 +136,7 @@ def lambda_threshold(t: int, ell: int, tol: float = 1e-4) -> float:
     return 0.5 * (lo + hi)
 
 
-def _lambda_threshold_t1(ell: int, tol: float) -> float:
+def _lambda_threshold_t1(ell: int) -> float:
     def objective(x: float) -> float:
         return -math.log1p(-(x ** (1.0 / (ell - 1)))) / x
 
@@ -207,6 +164,8 @@ def c_of_t(t: int, ell_min: int = 2, ell_max: int = 12) -> tuple[float, int]:
 
     Returns (c, ell_star); ties break toward the smaller ell.
     """
+    if not 2 <= ell_min <= ell_max:
+        raise ValueError(f"need 2 <= ell_min <= ell_max, got {ell_min}..{ell_max}")
     best = None
     for ell in range(ell_min, ell_max + 1):
         ratio = ell / lambda_threshold(t, ell)

@@ -15,7 +15,7 @@ from qgt.bch import (_chien_roots, _direct_roots, build_parity_columns, decode_s
                      find_error_locator, make_bch, syndrome_from_bits)
 from qgt.codec import build_signature, decode, derive_params, encode, measurement_matrix
 from qgt.density import (DESIGN_TABLE, DeConfig, c_of_t, de_fixed_point,
-                         de_step, de_step_t1_closed_form, lambda_threshold)
+                         de_step, lambda_threshold)
 from qgt.density import tests_needed as analytic_test_count
 from qgt.graphs import BiRegularGraph, sample_graph
 from qgt.simulate import TrialConfig, run_trial
@@ -227,7 +227,8 @@ def test_density_evolution_properties():
         for lam in (0.5, 2.455, 8.0):
             cfg = DeConfig(t=1, ell=ell, lam=lam)
             for p in np.linspace(0.0, 1.0, 21):
-                gap = abs(de_step(float(p), cfg) - de_step_t1_closed_form(float(p), cfg))
+                closed_form = (-math.expm1(-lam * p)) ** (ell - 1)
+                gap = abs(de_step(float(p), cfg) - closed_form)
                 assert gap <= 1e-10, (ell, lam, p, gap)
 
     for t in (1, 2, 3, 4):

@@ -48,6 +48,16 @@ def test_table_stdout(capsys):
     assert abs(float(first[1]) - 1.221793) < 1e-6
 
 
+def test_table_solve_reproduces_frozen_rows(capsys):
+    # DESIGN_TABLE is the solver's own output rounded to the printed digits
+    code, frozen, _ = run_cli(capsys, "table")
+    assert code == 0
+    code, solved, _ = run_cli(capsys, "table", "--solve")
+    assert code == 0
+    assert len(solved.strip().splitlines()) == 9
+    assert solved == frozen
+
+
 def test_table_t_max_one(capsys):
     code, out, _ = run_cli(capsys, "table", "--t-max", "1")
     assert code == 0

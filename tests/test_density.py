@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.stats import binom, poisson
 
 from qgt.density import (
     DESIGN_TABLE,
@@ -12,36 +12,33 @@ from qgt.density import (
     c_of_t,
     de_fixed_point,
     de_step,
-    de_step_t1_closed_form,
     design_constant,
     lambda_threshold,
-    rho_weights,
 )
 from qgt.density import tests_needed as formula_test_count
 
 
-def test_rho_weights_basics():
-    w = rho_weights(1.0, 3)
-    assert w[0] == pytest.approx(math.exp(-1.0))
-    assert w[1] == pytest.approx(math.exp(-1.0))
-    assert w[2] == pytest.approx(math.exp(-1.0) / 2)
+def summed_step(p, t, ell, lam):
+    """The recursion summed term by term, without Poisson thinning.
+
+    The other-defective degree i is Poisson(lam), truncated far into its
+    tail; a node of degree i resolves when Binom(i, p) <= t-1.
+    """
+    i = np.arange(int(lam + 12.0 * math.sqrt(lam) + 40.0))
+    q = float(np.sum(poisson.pmf(i, lam) * binom.cdf(t - 1, i, p)))
+    return (1.0 - min(q, 1.0)) ** (ell - 1)
 
 
-def test_rho_weights_auto_tail_against_cdf():
-    # independent check: missing mass equals the Poisson survival function
-    for lam in (0.3, 1.0, 5.0, 40.0):
-        w = rho_weights(lam, None, 1e-12)
-        assert 1.0 - w.sum() < 1e-12
-        i_max = len(w)
-        assert w.sum() == pytest.approx(poisson.cdf(i_max - 1, lam), abs=1e-13)
-        assert poisson.sf(i_max - 1, lam) < 1e-11
-
-
-def test_rho_weights_match_scipy_pmf():
-    lam = 7.3
-    w = rho_weights(lam, 40)
-    expected = poisson.pmf(np.arange(40), lam)
-    assert np.allclose(w, expected, rtol=1e-12, atol=0)
+def test_de_step_matches_summed_oracle():
+    rng = np.random.default_rng(20261018)
+    ps = rng.uniform(0.0, 1.0, 2000)
+    ps[:20], ps[20:40] = 0.0, 1.0
+    for p in ps:
+        t, ell = int(rng.integers(1, 9)), int(rng.integers(2, 13))
+        lam = float(rng.uniform(0.05, 60.0))
+        got = de_step(float(p), DeConfig(t=t, ell=ell, lam=lam))
+        assert got == pytest.approx(summed_step(p, t, ell, lam), abs=1e-12, rel=0), \
+            (t, ell, lam, p)
 
 
 def test_de_step_zero_is_absorbing():
@@ -58,13 +55,13 @@ def test_de_step_rejects_bad_p():
 
 
 def test_de_step_matches_t1_closed_form():
-    # general recursion against the independent t = 1 formula
+    # at t = 1 a node resolves only with no unresolved other neighbor
     for ell in (2, 3, 5):
         for lam in (0.5, 1.7, 3.0):
             cfg = DeConfig(t=1, ell=ell, lam=lam)
             for p in (1.0, 0.9, 0.5, 0.1, 1e-3, 1e-8):
                 assert de_step(p, cfg) == pytest.approx(
-                    de_step_t1_closed_form(p, cfg), abs=1e-10
+                    (-math.expm1(-lam * p)) ** (ell - 1), abs=1e-10
                 )
 
 
@@ -72,7 +69,7 @@ def test_de_step_p1_value():
     # at p = 1 a node helps only if its defective degree is <= t
     t, ell, lam = 2, 3, 4.0
     cfg = DeConfig(t=t, ell=ell, lam=lam)
-    q = poisson.cdf(t - 1, lam)  # rho_1 + rho_2 = P[degree - 1 <= t - 1]
+    q = poisson.cdf(t - 1, lam)  # P[other-defective degree <= t - 1]
     assert de_step(1.0, cfg) == pytest.approx((1.0 - q) ** (ell - 1), rel=1e-12)
 
 
@@ -134,8 +131,9 @@ def test_design_table_matches_live_solver():
         assert lambda_threshold(t, ell_live) == pytest.approx(lam_frozen, abs=5e-3)
 
 
-# (c(t), ell_star, lambda_T(t, ell_star)) exactly as the solver computed them
-# with the numpy Poisson-by-binomial step; DESIGN_TABLE is these rounded.
+# (c(t), ell_star, lambda_T(t, ell_star)) as exact floats, so a change to the
+# DE step or the search cannot move them unnoticed; DESIGN_TABLE is these
+# rounded to six decimals.
 SOLVER_FLOATS = {
     1: (1.221793132767221, 3, 2.4554074822841288),
     2: (0.5968569950161471, 2, 3.3508864212036134),
@@ -192,5 +190,33 @@ def test_config_validation():
         DeConfig(t=1, ell=1, lam=1.0)
     with pytest.raises(ValueError):
         DeConfig(t=1, ell=2, lam=0.0)
+    for lam in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            DeConfig(t=1, ell=2, lam=lam)
     with pytest.raises(ValueError):
         DeConfig(t=1, ell=2, lam=1.0, p_zero=0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan"), float("inf")])
+def test_threshold_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        lambda_threshold(2, 2, tol=tol)
+
+
+def test_threshold_rejects_bad_degrees():
+    for t, ell in ((0, 2), (1, 1), (2, 1)):
+        with pytest.raises(ValueError, match="ell >= 2"):
+            lambda_threshold(t, ell)
+
+
+def test_threshold_tol_below_float_spacing_terminates():
+    # the bracket stops at adjacent floats instead of spinning forever
+    assert lambda_threshold(2, 2, tol=1e-300) == pytest.approx(
+        lambda_threshold(2, 2), abs=1e-4)
+
+
+def test_c_of_t_rejects_bad_ell_range():
+    with pytest.raises(ValueError, match="ell_min <= ell_max"):
+        c_of_t(2, ell_min=5, ell_max=4)
+    with pytest.raises(ValueError, match="ell_min <= ell_max"):
+        c_of_t(2, ell_min=1, ell_max=4)
