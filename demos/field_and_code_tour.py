@@ -1,14 +1,13 @@
 """Tour of the arithmetic layers: GF(2^b) tables, parity columns, and
-syndrome decoding with both root finders.
+syndrome decoding, one syndrome at a time and as a batch.
 
 Run:  python3 demos/field_and_code_tour.py
 """
 
 import numpy as np
 
-from qgt.bch import (DIRECT_ROOTS_MIN_FIELD_DEGREE, _chien_roots, _direct_roots,
-                     build_parity_columns, decode_syndrome, find_error_locator,
-                     make_bch, syndrome_from_bits)
+from qgt.bch import (build_parity_columns, decode_syndrome, decode_syndromes,
+                     find_error_locator, find_roots, make_bch, syndrome_from_bits)
 from qgt.gf2m import make_field
 
 # ---- the field GF(2^3) ------------------------------------------------------
@@ -35,11 +34,11 @@ print()
 
 # ---- decoding a multi-error syndrome ---------------------------------------
 # For t errors the columns stack t field elements (odd powers alpha^j,
-# alpha^3j, ...).  The decoder recovers the error locator polynomial from the
-# power sums, then finds its roots: a full (Chien) scan over the positions,
-# or closed-form formulas for degrees up to 4.  decode_syndrome picks the
-# closed form only on wide fields, where the scan grows expensive; here both
-# are called by hand and must agree.
+# alpha^3j, ...).  decode_syndrome recovers the error locator polynomial
+# from the power sums by Berlekamp-Massey, then finds its roots with a full
+# (Chien) scan over the positions.  The peeling decoder instead hands a
+# whole stack of syndromes to decode_syndromes, which solves counts up to 4
+# in closed form; both must agree.
 
 spec3 = make_bch(6, 3, 63)
 cols = build_parity_columns(spec3)
@@ -57,12 +56,14 @@ locator, degree = find_error_locator(spec3, syndrome)
 print(f"error locator coefficients (degree {degree}): {locator}")
 
 # a root alpha^-j of the locator marks position j
-field, n = spec3.field, spec3.n
-for name, finder in (("chien", _chien_roots), ("direct", _direct_roots)):
-    positions = sorted((n - field.dlog(rho)) % n for rho in finder(field, locator))
-    print(f"roots via {name:6s} -> positions {positions}")
-    assert set(positions) == errors
+n = spec3.n
+positions = sorted((n - spec3.field.dlog(rho)) % n for rho in find_roots(spec3, locator))
+print(f"roots via the Chien scan -> positions {positions}")
 got = decode_syndrome(spec3, syndrome, 3)
-print(f"decode_syndrome (Chien below b={DIRECT_ROOTS_MIN_FIELD_DEGREE}): {sorted(got)}")
-assert got == errors
-print("\nboth root finders recover the planted positions exactly")
+print(f"decode_syndrome: {sorted(got)}")
+assert set(positions) == got == errors
+
+batch, ok = decode_syndromes(spec3, [syndrome], [3])
+print(f"decode_syndromes (closed form): {sorted(batch[0].tolist())}, ok={bool(ok[0])}")
+assert ok[0] and set(batch[0].tolist()) == errors
+print("\nboth decoders recover the planted positions exactly")

@@ -20,7 +20,6 @@ from .codec import (
     load_support,
     load_test_vector,
     measurement_matrix,
-    save_dense_matrix,
     save_support,
     save_test_vector,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "sample_graph",
-    "save_dense_matrix",
     "save_support",
     "save_test_vector",
     "sweep_csv",

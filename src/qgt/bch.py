@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import GF2m, make_field, solve_gf2
+from .gf2m import GF2m, make_field
 
 MAX_T = 8
 
@@ -147,39 +147,15 @@ def find_error_locator(spec: BchSpec, syndrome: list[int]) -> tuple[list[int], i
     return c, length
 
 
-def poly_eval(field: GF2m, coeffs: list[int], x: int) -> int:
-    """Evaluate a polynomial (coefficients low order first) at x."""
-    acc = 0
-    for coef in reversed(coeffs):
-        acc = field.mul(acc, x) ^ coef
-    return acc
-
-
-# Field degree from which degree <= 4 locators take the closed-form solvers
-# instead of the Chien scan, which costs O(2^b) per locator against a few
-# b-bit GF(2) solves.  Per weight-3 locator, Chien/closed form, one core of a
-# 2-vCPU Xeon host: 58/75 us at b=10, 78/78 at b=11, 135/95 at b=12, 838/119
-# at b=15 (weight 4 alike; see README's Decoder section).
-DIRECT_ROOTS_MIN_FIELD_DEGREE = 12
-
-
 def find_roots(spec: BchSpec, locator: list[int]) -> set[int]:
     """Distinct roots of the locator polynomial among the field elements.
 
-    Locators of degree 1..4 over fields of degree DIRECT_ROOTS_MIN_FIELD_DEGREE
-    or more go to the closed-form characteristic-2 solvers, all others to the
-    Chien scan.  Both finders return the same set.
+    A Chien scan: the locator is evaluated at alpha^i for every i at once.
+    sigma(0) = 1, so 0 is never a root.
     """
     if not locator or locator[0] != 1:
         raise ValueError("locator must have constant term 1")
-    degree = len(locator) - 1
-    if 1 <= degree <= 4 and spec.field.degree >= DIRECT_ROOTS_MIN_FIELD_DEGREE:
-        return _direct_roots(spec.field, locator)
-    return _chien_roots(spec.field, locator)
-
-
-def _chien_roots(f: GF2m, locator: list[int]) -> set[int]:
-    # evaluate at alpha^i for every i at once; sigma(0) = 1 so 0 is never a root
+    f = spec.field
     n = f.order
     i = np.arange(n, dtype=np.int64)
     acc = np.full(n, locator[0], dtype=np.int64)
@@ -189,92 +165,6 @@ def _chien_roots(f: GF2m, locator: list[int]) -> set[int]:
         idx = (f.dlog(locator[k]) + k * i) % n
         acc ^= f.alog_np[idx]
     return {int(f.alog_np[e]) for e in np.nonzero(acc == 0)[0]}
-
-
-def _affine_solutions(f: GF2m, a4: int, a2: int, a1: int, rhs: int) -> list[int]:
-    """All x with a4*x^4 + a2*x^2 + a1*x = rhs, via a GF(2) linear solve."""
-    cols = []
-    for j in range(f.degree):
-        e = 1 << j
-        img = f.mul(a4, f.sqr(f.sqr(e))) ^ f.mul(a2, f.sqr(e)) ^ f.mul(a1, e)
-        cols.append(img)
-    sol = solve_gf2(cols, rhs, f.degree)
-    if sol is None:
-        return []
-    particular, kernel = sol
-    out = [particular]
-    for vec in kernel:
-        out = out + [x ^ vec for x in out]
-    return out
-
-
-def _roots_monic_quadratic(f: GF2m, p: int, q: int) -> list[int]:
-    # x^2 + p x + q
-    if p == 0:
-        return [f.sqrt(q)]
-    u = f.div(q, f.sqr(p))
-    z = f.solve_quadratic_unit(u)
-    if z is None:
-        return []
-    return [f.mul(p, z), f.mul(p, z ^ 1)]
-
-
-def _roots_monic_cubic(f: GF2m, p: int, q: int, r: int) -> list[int]:
-    # x^3 + p x^2 + q x + r; shift x = y + p leaves y^3 + s y + w, and every
-    # root of that is in the kernel of the linearized y^4 + s y^2 + w y
-    s = f.sqr(p) ^ q
-    w = f.mul(p, q) ^ r
-    candidates = _affine_solutions(f, 1, s, w, 0)
-    roots = []
-    for y in candidates:
-        x = y ^ p
-        if poly_eval(f, [r, q, p, 1], x) == 0:
-            roots.append(x)
-    return roots
-
-
-def _roots_monic_quartic(f: GF2m, a: int, b: int, c: int, d: int) -> list[int]:
-    # x^4 + a x^3 + b x^2 + c x + d with d != 0
-    if a == 0:
-        return [x for x in _affine_solutions(f, 1, b, c, d)
-                if poly_eval(f, [d, c, b, 0, 1], x) == 0]
-    # kill the linear term with x = y + h, then invert: u = 1/y turns
-    # y^4 + a y^3 + B y^2 + D into the affine u^4 + (B/D) u^2 + (a/D) u + 1/D
-    h = f.sqrt(f.div(c, a))
-    big_b = f.mul(a, h) ^ b
-    big_d = poly_eval(f, [d, c, b, a, 1], h)
-    if big_d == 0:
-        roots = {h}
-        # synthetic division by (x + h)
-        c2 = a ^ h
-        c1 = b ^ f.mul(h, c2)
-        c0 = c ^ f.mul(h, c1)
-        roots.update(_roots_monic_cubic(f, c2, c1, c0))
-        return sorted(roots)
-    inv_d = f.inv(big_d)
-    roots = []
-    for u in _affine_solutions(f, 1, f.mul(big_b, inv_d), f.mul(a, inv_d), inv_d):
-        if u == 0:
-            continue
-        x = f.inv(u) ^ h
-        if poly_eval(f, [d, c, b, a, 1], x) == 0:
-            roots.append(x)
-    return roots
-
-
-def _direct_roots(f: GF2m, locator: list[int]) -> set[int]:
-    degree = len(locator) - 1
-    lead_inv = f.inv(locator[degree])
-    monic = [f.mul(coef, lead_inv) for coef in locator]
-    if degree == 1:
-        roots = [monic[0]]  # x + m0
-    elif degree == 2:
-        roots = _roots_monic_quadratic(f, monic[1], monic[0])
-    elif degree == 3:
-        roots = _roots_monic_cubic(f, monic[2], monic[1], monic[0])
-    else:
-        roots = _roots_monic_quartic(f, monic[3], monic[2], monic[1], monic[0])
-    return {x for x in roots if poly_eval(f, locator, x) == 0}
 
 
 def decode_syndrome(spec: BchSpec, syndrome: list[int], weight: int) -> set[int]:
@@ -302,3 +192,162 @@ def decode_syndrome(spec: BchSpec, syndrome: list[int], weight: int) -> set[int]
     if any(j >= spec.r for j in positions):
         raise DecodeFailure("root maps outside the shortened column range")
     return positions
+
+
+def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.ndarray]:
+    """decode_syndrome over a stack: row i claims counts[i] columns.
+
+    syndromes has shape (f, t), the odd power sums as syndrome_from_bits
+    packs a stack, and counts has shape (f,).  Returns (positions, ok):
+    positions has shape (f, t), -1 marking an empty slot, and ok marks the
+    rows whose locator of degree counts[i] has that many distinct nonzero
+    roots, all inside the shortened range.  On the syndrome of a pattern of
+    that weight these are its positions.  A row that is no such syndrome may
+    pass too, so callers check the positions against what they hold.
+
+    Counts 0..4 are solved in closed form over the whole stack.  The
+    locators X = alpha^j of a weight-w pattern are the roots of
+    x^w + sigma1 x^(w-1) + ... + sigma_w, with sigma1 = S1.  Count 1 has
+    X = S1.  For count 2, x = S1 z turns the quadratic into
+    z^2 + z = (S3 + S1^3)/S1^3, read from the field's quadratic table.
+    Counts 3 and 4 share one batched GF(2) solve (see _locators_3_4).
+    Counts 5..t go row by row through decode_syndrome.
+    """
+    f, t = spec.field, spec.t
+    n = f.order
+    syn = np.asarray(syndromes, dtype=np.int64).reshape(-1, t)
+    counts = np.asarray(counts, dtype=np.int64)
+    roots = np.zeros((len(counts), max(t, 4)), dtype=np.int64)  # 0: empty slot
+    ok = (counts >= 0) & (counts <= t) & ((counts != 0) | ~syn.any(axis=1))
+    s1 = syn[:, 0]
+    one = counts == 1
+    roots[one, 0] = s1[one]
+
+    two = np.flatnonzero((counts == 2) & ok)
+    if two.size:
+        l1 = f.log_np[s1[two]]
+        cube_term = syn[two, 1] ^ f.alog_np[(3 * l1) % n]  # S1 sigma2
+        z = f.quadratic_table()[f.alog_np[(f.log_np[cube_term] - 3 * l1) % n]]
+        ok[two] &= (s1[two] != 0) & (cube_term != 0) & (z >= 0)
+        roots[two, 0] = f.alog_np[(l1 + f.log_np[z]) % n]
+        roots[two, 1] = f.alog_np[(l1 + f.log_np[z ^ 1]) % n]
+
+    if t > 2:
+        many = np.flatnonzero(ok & (counts > 2))
+        closed = many[counts[many] <= 4]
+        if closed.size:
+            sums = np.zeros((closed.size, 4), dtype=np.int64)
+            sums[:, : min(t, 4)] = syn[closed, :4]  # t = 3 has no S7, and no count 4
+            x, solved = _locators_3_4(f, counts[closed] == 3, *sums.T)
+            roots[closed, :4] = x
+            ok[closed] &= solved
+        for row in many[counts[many] > 4].tolist():
+            try:
+                found = decode_syndrome(spec, syn[row].tolist(), int(counts[row]))
+            except DecodeFailure:
+                ok[row] = False
+                continue
+            roots[row, : len(found)] = f.alog_np[sorted(found)]
+
+    roots = roots[:, :t]
+    filled = roots != 0
+    ok &= filled.sum(axis=1) == counts
+    positions = np.where(filled, f.log_np[roots], -1)
+    ok &= (positions < spec.r).all(axis=1)
+    return positions, ok
+
+
+def _locators_3_4(f: GF2m, cubic, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
+    """Locators of count-3 (where cubic) and count-4 rows from their sums.
+
+    Returns (roots, solved), roots of shape (rows, 4) with a count-3 row's
+    unused slot last, holding 0; solved marks the rows whose locator has
+    count distinct roots.  Each locator becomes a quartic
+    x^4 + a x^3 + b x^2 + c x + d:
+
+    - count 3: Peterson's sigma2 = (S1^2 S3 + S5)/(S1^3 + S3) and
+      sigma3 = S1^3 + S3 + S1 sigma2; the cubic times (x + S1) is a quartic
+      with a = 0, and its extra root S1 is dropped;
+    - count 4: Newton's identities leave a 2 x 2 system in sigma2 and sigma4
+      with determinant S3 (S3 + S1^3) + S1 (S5 + S1^5), solved by Cramer's
+      rule, and sigma3 = S3 + S1^3 + S1 sigma2.
+
+    With a = 0 the quartic is already affine in x.  Otherwise x = h + 1/u,
+    where h^2 = c/a, makes it u^4 + (a h + b)/P(h) u^2 + a/P(h) u = 1/P(h).
+    h is never a root there: with the linear term gone, a root at h is a
+    double root, whose power sums are those of a quadratic, and those make
+    the determinant 0.  One batched _solve_affine then serves every row.
+    """
+    den = s3 ^ _pow(f, s1, 3)
+    num = _mul(f, _pow(f, s1, 2), s3) ^ s5
+    sigma2 = _mul(f, num, _pow(f, den, -1))
+    sigma3 = den ^ _mul(f, s1, sigma2)
+    d2 = s5 ^ _pow(f, s1, 5)
+    r2 = s7 ^ _mul(f, s1, _pow(f, s3, 2)) ^ _mul(f, _pow(f, s1, 4), s3) ^ _pow(f, s1, 7)
+    det = _mul(f, s3, den) ^ _mul(f, s1, d2)
+    tau2 = _mul(f, _mul(f, num, s3) ^ _mul(f, s1, r2), _pow(f, det, -1))
+    tau4 = _mul(f, _mul(f, den, r2) ^ _mul(f, d2, num), _pow(f, det, -1))
+    a = np.where(cubic, 0, s1)
+    b = np.where(cubic, _pow(f, s1, 2) ^ sigma2, tau2)
+    c = np.where(cubic, _mul(f, s1, sigma2) ^ sigma3, den ^ _mul(f, s1, tau2))
+    d = np.where(cubic, _mul(f, s1, sigma3), tau4)
+
+    h = _pow(f, _mul(f, c, _pow(f, a, -1)), 1 << (f.degree - 1))
+    inv_at_h = _pow(f, _pow(f, h, 4) ^ _mul(f, b, _pow(f, h, 2)) ^ d, -1)
+    linear = a == 0
+    u, solved = _solve_affine(
+        f,
+        np.where(linear, b, _mul(f, _mul(f, a, h) ^ b, inv_at_h)),
+        np.where(linear, c, _mul(f, a, inv_at_h)),
+        np.where(linear, d, inv_at_h),
+    )
+    x = np.where(linear[:, None], u, _pow(f, u, -1) ^ h[:, None])
+    x = -np.sort(-np.where(cubic[:, None] & (x == s1[:, None]), 0, x), axis=1)
+    return x, solved & (np.where(cubic, den, det) != 0)
+
+
+def _solve_affine(f: GF2m, a2, a1, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """The solutions of u^4 + a2 u^2 + a1 u = rhs, row by row, when four.
+
+    u -> u^4 + a2 u^2 + a1 u is GF(2)-linear, so each row is a b x b system
+    over GF(2) whose column j is the image of 2^j.  Gauss-Jordan elimination
+    runs on every row at once; rhs rides along as one more column that never
+    pivots, and tags record which columns each column now sums.  Returns
+    (solutions, solved), solutions of shape (rows, 4); solved marks the
+    consistent rows whose kernel has dimension 2, i.e. four solutions.
+    """
+    b = f.degree
+    at = np.arange(len(rhs))
+    basis = np.int64(1) << np.arange(b + 1, dtype=np.int64)
+    vecs = np.empty((len(rhs), b + 1), dtype=np.int64)
+    vecs[:, :b] = (_pow(f, basis[:b], 4) ^ _mul(f, a2[:, None], _pow(f, basis[:b], 2))
+                   ^ _mul(f, a1[:, None], basis[:b]))
+    vecs[:, b] = rhs
+    tags = np.tile(basis, (len(rhs), 1))
+    free = np.ones(vecs.shape, dtype=bool)
+    free[:, b] = False
+    for bit in range(b):
+        has = (vecs >> bit) & 1 == 1
+        pick = has & free
+        found = pick.any(axis=1)
+        p = pick.argmax(axis=1)
+        has[at, p] = False
+        has &= found[:, None]
+        vecs ^= np.where(has, vecs[at, p][:, None], 0)
+        tags ^= np.where(has, tags[at, p][:, None], 0)
+        free[at, p] &= ~found
+    kernel = free[:, :b]
+    solved = (vecs[:, b] == 0) & (kernel.sum(axis=1) == 2)
+    k1, k2 = np.sort(np.where(kernel, tags[:, :b], 0), axis=1)[:, -2:].T
+    particular = tags[:, b] ^ basis[b]
+    return particular[:, None] ^ np.stack([np.zeros_like(k1), k1, k2, k1 ^ k2], axis=1), solved
+
+
+def _mul(f: GF2m, a, b):
+    """Elementwise product of arrays of field elements."""
+    return np.where((a == 0) | (b == 0), 0, f.alog_np[(f.log_np[a] + f.log_np[b]) % f.order])
+
+
+def _pow(f: GF2m, a, e: int):
+    """Elementwise a^e for any integer e; 0 maps to 0, also for e < 0."""
+    return np.where(a == 0, 0, f.alog_np[(e * f.log_np[a]) % f.order])

@@ -261,11 +261,12 @@ def _check_graph_round_trip():
 
 
 def _check_random_decode():
-    # b=6 decodes through the Chien scan; the closed-form finder must find
-    # the same roots on every locator
+    # Berlekamp-Massey with a Chien scan, one syndrome at a time, and the
+    # batched closed form must both recover every planted pattern
     spec = bch.make_bch(6, 3, 63)
     cols = bch.build_parity_columns(spec)
     rng = np.random.default_rng(0)
+    patterns, syndromes = [], []
     for _ in range(50):
         w = int(rng.integers(0, 4))
         pos = set(rng.choice(63, size=w, replace=False).tolist())
@@ -275,29 +276,32 @@ def _check_random_decode():
         syndrome = bch.syndrome_from_bits(spec, bits.astype(np.uint8))
         got = bch.decode_syndrome(spec, syndrome, w)
         _expect(got == pos, (pos, got))
-        if w:
-            locator, _ = bch.find_error_locator(spec, syndrome)
-            direct = bch._direct_roots(spec.field, locator)
-            _expect(direct == bch._chien_roots(spec.field, locator), (pos, direct))
+        patterns.append(pos)
+        syndromes.append(syndrome)
+    positions, ok = bch.decode_syndromes(spec, syndromes, [len(p) for p in patterns])
+    for pos, row, good in zip(patterns, positions.tolist(), ok.tolist()):
+        _expect(good and {j for j in row if j >= 0} == pos, (pos, row))
 
 
 def _check_round_resolve():
-    # every slice of count <= 2 over a full b=4, t=2 code, and two tampered
-    # ones: the closed-form stack resolve must agree with Berlekamp-Massey
-    # and a Chien scan, slice by slice
-    sig = codec.build_signature(t=2, r_max=15)
-    spec = sig.bch
-    patterns = [p for w in range(3) for p in itertools.combinations(range(sig.r), w)]
-    slices = np.array([sig.columns[list(p)].sum(axis=0) for p in patterns])
-    got = codec.resolve_node(slices, sig)
-    for p, z, positions in zip(patterns, slices, got):
-        syndrome = bch.syndrome_from_bits(spec, z[1:] & 1)
-        want = bch.decode_syndrome(spec, syndrome, len(p))
-        _expect(positions == frozenset(p) and want == set(p), (p, positions, want))
-    tampered = slices[[20, 100]].copy()
-    tampered[:, 3] += 2  # bits intact, integer sums broken
-    got = codec.resolve_node(tampered, sig)
-    _expect(got == [None, None], got)
+    # every slice of count <= t over a full b=4 code at t=2 and t=4, and one
+    # tampered slice of each count from 2: the batched resolve must agree
+    # with Berlekamp-Massey and a Chien scan, slice by slice
+    for t in (2, 4):
+        sig = codec.build_signature(t=t, r_max=15)
+        spec = sig.bch
+        patterns = [p for w in range(t + 1) for p in itertools.combinations(range(sig.r), w)]
+        slices = np.array([sig.columns[list(p)].sum(axis=0) for p in patterns])
+        got = codec.resolve_node(slices, sig)
+        for p, z, positions in zip(patterns, slices, got):
+            syndrome = bch.syndrome_from_bits(spec, z[1:] & 1)
+            want = bch.decode_syndrome(spec, syndrome, len(p))
+            _expect(positions == frozenset(p) and want == set(p), (p, positions, want))
+        first = {len(p): i for i, p in reversed(list(enumerate(patterns)))}
+        tampered = slices[[first[w] for w in range(2, t + 1)]].copy()
+        tampered[:, 3] += 2  # bits intact, integer sums broken
+        got = codec.resolve_node(tampered, sig)
+        _expect(got == [None] * (t - 1), got)
 
 
 def cmd_selftest(args) -> int:

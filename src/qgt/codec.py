@@ -17,14 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bch import (
-    BchSpec,
-    DecodeFailure,
-    build_parity_columns,
-    decode_syndrome,
-    make_bch,
-    syndrome_from_bits,
-)
+from .bch import BchSpec, build_parity_columns, decode_syndromes, make_bch, syndrome_from_bits
 from .density import design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE
 from .graphs import BiRegularGraph
@@ -93,6 +86,12 @@ def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
     if not isinstance(ell, int) or ell < 2:
         raise ValueError(f"ell must be an int >= 2 or 'auto', got {ell!r}")
     m_groups = max(ell, math.ceil(c * k * beta))
+    n_max = ((1 << MAX_DEGREE) - 1) * m_groups // ell  # r_max fits GF(2^MAX_DEGREE)
+    if n_items > n_max:
+        raise ValueError(
+            f"N={n_items} is too large: at K={k}, t={t} the largest N this "
+            f"design can size is {n_max} (M={m_groups}, ell={ell})"
+        )
     r_max, b, s = group_shape(n_items, ell, m_groups, t)
     m_bound = paper_test_count(n_items, k, t, c, ell)
     return DesignParams(
@@ -153,10 +152,11 @@ def encode(graph: BiRegularGraph, sig: Signature, support) -> np.ndarray:
 
     Cost is O(K * ell * s); only the columns of defective items are touched.
     """
-    items = np.array(sorted(set(int(v) for v in support)), dtype=np.int64)
-    if items.size and (items[0] < 0 or items[-1] >= graph.n_left):
+    items = sorted(set(int(v) for v in support))
+    if items and (items[0] < 0 or items[-1] >= graph.n_left):
         bad = items[0] if items[0] < 0 else items[-1]
         raise ValueError(f"item {bad} out of range [0, {graph.n_left})")
+    items = np.array(items, dtype=np.int64)
     if graph.max_right_degree > sig.r:
         raise ValueError(
             f"signature covers {sig.r} columns but a group has "
@@ -187,76 +187,22 @@ def resolve_node(z: np.ndarray, sig: Signature):
 
     z is the length-s residual of one group (count in slot 0), or a stack of
     them with shape (f, s), which gives a list with one result per row.  A
-    result is the set of column positions when the count is at most t and
-    the decoded columns integer-sum back to the slice exactly; otherwise None.
-
-    Counts 0, 1 and 2 are solved in closed form over the whole stack at once;
-    larger counts go row by row through Berlekamp-Massey and find_roots.
+    result is the set of column positions when bch.decode_syndromes resolves
+    the slice's parity bits at its count and the decoded columns integer-sum
+    back to the slice exactly; otherwise None.
     """
     z = np.asarray(z, dtype=np.int64)
     if z.ndim not in (1, 2) or z.shape[-1] != sig.s:
         raise ValueError(f"expected slices of length {sig.s}, got shape {z.shape}")
     stack = np.atleast_2d(z)
-    t = sig.bch.t
-    count = stack[:, 0]
-    out: list[frozenset[int] | None] = [None] * len(stack)
-    closed = np.flatnonzero((count >= 0) & (count <= min(t, 2)))
-    if closed.size:
-        positions, ok = _resolve_closed_form(stack[closed], sig)
-        for row, pos in zip(closed[ok].tolist(), positions[ok].tolist()):
-            out[row] = frozenset(p for p in pos if p >= 0)
-    for row in np.flatnonzero((count > 2) & (count <= t)).tolist():
-        out[row] = _resolve_by_locator(stack[row], sig)
-    return out if z.ndim == 2 else out[0]
-
-
-def _resolve_closed_form(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a stack of slices of count 0, 1 or 2 without a root search.
-
-    Returns (positions, ok): positions has shape (f, 2), -1 marking an empty
-    slot, and ok marks the rows that pass every check.  For count 1 the
-    position is log S1.  For count 2 the locators X1, X2 solve
-    x^2 + S1 x + sigma2 with sigma2 = (S3 + S1^3) / S1; putting x = S1 z
-    gives z^2 + z = sigma2 / S1^2, read from the field's quadratic table,
-    and X1, X2 = S1 z, S1 (z + 1).  S1 = 0, sigma2 = 0 or an unsolvable
-    quadratic fail the row.
-    """
-    f = sig.bch.field
-    n, r = f.order, sig.r
-    count = z[:, 0]
-    syndrome = syndrome_from_bits(sig.bch, z[:, 1:] & 1)
-    s1 = syndrome[:, 0]
-    log1 = f.log_np[s1]
-    ok = (count == 0) | (s1 != 0)
-    positions = np.full((len(z), 2), -1, dtype=np.int64)
-    one = count == 1
-    positions[one, 0] = log1[one]
-    two = np.flatnonzero(count == 2)
-    if two.size:
-        l1 = log1[two]
-        cube_term = syndrome[two, 1] ^ f.alog_np[(3 * l1) % n]  # S1 sigma2
-        u = f.alog_np[(f.log_np[cube_term] - 3 * l1) % n]
-        root = f.quadratic_table()[u]
-        ok[two] &= (cube_term != 0) & (root >= 0)
-        positions[two, 0] = (l1 + f.log_np[root]) % n
-        positions[two, 1] = (l1 + f.log_np[root ^ 1]) % n
-    ok &= (positions < r).all(axis=1)  # roots inside the shortened range
+    syndromes = syndrome_from_bits(sig.bch, stack[:, 1:] & 1)
+    positions, ok = decode_syndromes(sig.bch, syndromes, stack[:, 0])
     # integer re-check of the whole slice; an empty slot reads the zero column
-    look = np.where(ok[:, None] & (positions >= 0), positions, r)
-    ok &= (sig.columns[look].sum(axis=1) == z).all(axis=1)
-    return positions, ok
-
-
-def _resolve_by_locator(z: np.ndarray, sig: Signature) -> frozenset[int] | None:
-    """One slice of count 3..t: Berlekamp-Massey, roots, integer re-check."""
-    syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
-    try:
-        positions = decode_syndrome(sig.bch, syndrome, int(z[0]))
-    except DecodeFailure:
-        return None
-    if not np.array_equal(sig.columns[sorted(positions)].sum(axis=0), z):
-        return None
-    return frozenset(positions)
+    look = np.where(ok[:, None] & (positions >= 0), positions, sig.r)
+    ok &= (sig.columns[look].sum(axis=1) == stack).all(axis=1)
+    out = [frozenset(p for p in pos if p >= 0) if good else None
+           for pos, good in zip(positions.tolist(), ok.tolist())]
+    return out if z.ndim == 2 else out[0]
 
 
 def decode(graph: BiRegularGraph, sig: Signature, y: np.ndarray,
@@ -336,7 +282,10 @@ def load_test_vector(path: str) -> np.ndarray:
         values = [int(ln) for ln in fh if ln.strip() and not ln.startswith("#")]
     if not values:
         raise ValueError(f"{path}: empty test vector")
-    return np.array(values, dtype=np.int64)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{path}: a count does not fit in 64 bits") from None
 
 
 def save_support(path: str, support) -> None:
@@ -350,9 +299,3 @@ def load_support(path: str) -> set[int]:
     with open(path, "r", encoding="utf-8") as fh:
         return {int(ln) for ln in fh if ln.strip() and not ln.startswith("#")}
 
-
-def save_dense_matrix(path: str, a: np.ndarray) -> None:
-    """Row-major text dump, one space-separated row per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")

@@ -78,7 +78,6 @@ class GF2m:
         self.log_np = np.array(log, dtype=np.int64)
         # weight of each bit position, most significant first
         self._bit_weights = np.int64(1) << np.arange(degree - 1, -1, -1, dtype=np.int64)
-        self._quad_solver: list[int] | None = None
         self._quad_table: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -155,50 +154,7 @@ class GF2m:
         values = bits.astype(np.int64) @ self._bit_weights
         return int(values) if bits.ndim == 1 else values
 
-    # -- characteristic-2 helpers for closed-form root finding --------------
-
-    def trace(self, a: int) -> int:
-        acc = 0
-        x = a
-        for _ in range(self.degree):
-            acc ^= x
-            x = self.sqr(x)
-        return acc & 1
-
-    def half_trace(self, a: int) -> int:
-        # solves z^2 + z = a when the degree is odd and trace(a) == 0
-        acc = 0
-        x = a
-        for _ in range((self.degree + 1) // 2):
-            acc ^= x
-            x = self.sqr(self.sqr(x))
-        return acc
-
-    def solve_quadratic_unit(self, u: int) -> int | None:
-        """One solution z of z^2 + z = u, or None if there is none.
-
-        The other solution is z ^ 1.  Odd degrees use the half-trace; even
-        degrees solve the GF(2)-linear system for the map z -> z^2 + z.
-        """
-        if self.trace(u) != 0:
-            return None
-        if self.degree % 2 == 1:
-            z = self.half_trace(u)
-        else:
-            z = self._solve_quad_by_table(u)
-        if self.sqr(z) ^ z != u:
-            raise AssertionError(f"z={z} does not solve z^2 + z = {u}")
-        return z
-
-    def _solve_quad_by_table(self, u: int) -> int:
-        if self._quad_solver is None:
-            cols = [self.sqr(1 << j) ^ (1 << j) for j in range(self.degree)]
-            self._quad_solver = cols
-        sol = solve_gf2(self._quad_solver, u, self.degree)
-        if sol is None:
-            raise AssertionError("trace said solvable but the linear solve disagreed")
-        particular, _kernel = sol
-        return particular
+    # -- the quadratic table ------------------------------------------------
 
     def quadratic_table(self) -> np.ndarray:
         """Table of z with z^2 + z = u and bit 0 clear, indexed by u; -1 if none.
@@ -215,61 +171,6 @@ class GF2m:
             table[u] = z
             self._quad_table = table
         return self._quad_table
-
-
-def solve_gf2(columns: list[int], rhs: int, nbits: int) -> tuple[int, list[int]] | None:
-    """Solve sum_j x_j * columns[j] = rhs over GF(2) for the bits x_j.
-
-    columns[j] is a bitmask of length nbits.  Returns (particular solution,
-    kernel basis) with solutions encoded as bitmasks over j, or None when the
-    system is inconsistent.
-    """
-    n = len(columns)
-    # rows of the augmented matrix: low n bits = coefficients, bit n = rhs
-    rows = []
-    for r in range(nbits):
-        row = 0
-        for j in range(n):
-            row |= ((columns[j] >> r) & 1) << j
-        row |= ((rhs >> r) & 1) << n
-        rows.append(row)
-
-    pivot_col_of_row: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, nbits):
-            if (rows[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            pivot_col_of_row.append(-1)
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(nbits):
-            if r != rank and (rows[r] >> col) & 1:
-                rows[r] ^= rows[rank]
-        pivot_col_of_row.append(col)
-        rank += 1
-    # inconsistent if any zero row has rhs bit set
-    for r in range(rank, nbits):
-        if rows[r] >> n:
-            return None
-
-    pivots = [c for c in pivot_col_of_row if c >= 0]
-    free = [c for c in range(n) if c not in pivots]
-    particular = 0
-    for r, col in enumerate(pivots):
-        if (rows[r] >> n) & 1:
-            particular |= 1 << col
-    kernel = []
-    for f in free:
-        vec = 1 << f
-        for r, col in enumerate(pivots):
-            if (rows[r] >> f) & 1:
-                vec |= 1 << col
-        kernel.append(vec)
-    return particular, kernel
 
 
 @lru_cache(maxsize=None)

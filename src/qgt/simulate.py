@@ -91,6 +91,8 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
     `trials` independent trials.  fixed_graph reuses one graph per grid point
     instead of resampling per trial.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if ell == "auto":
         ell = derive_params(n_items, max(k, 1), t).ell
     points = []

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from qgt.bch import (_chien_roots, _direct_roots, build_parity_columns, decode_syndrome,
-                     find_error_locator, make_bch, syndrome_from_bits)
+from qgt.bch import (build_parity_columns, decode_syndrome, decode_syndromes, make_bch,
+                     syndrome_from_bits)
 from qgt.codec import build_signature, decode, derive_params, encode, measurement_matrix
 from qgt.density import (DESIGN_TABLE, DeConfig, c_of_t, de_fixed_point,
                          de_step, lambda_threshold)
@@ -124,8 +124,9 @@ def test_printed_reference_design_and_decode():
 def test_syndrome_decoder_oracle():
     # (b=4, t=2, full length 15): all 121 patterns of weight <= 2 decode
     # exactly from their syndromes.  Then across b in {6,8,10} and t <= 4,
-    # ten thousand random patterns decode with zero failures, and the scan
-    # and closed-form root finders agree on the locator of every instance.
+    # ten thousand random patterns decode with zero failures, one at a time
+    # through Berlekamp-Massey and the Chien scan, and again as one
+    # closed-form batch per code.
     spec = make_bch(4, 2, 15)
     cols = build_parity_columns(spec)
 
@@ -135,20 +136,19 @@ def test_syndrome_decoder_oracle():
             bits ^= columns[:, j].astype(np.int64)
         return syndrome_from_bits(sp, bits.astype(np.uint8))
 
-    def finders_agree(sp, syn, w):
-        if w == 0:
-            return True
-        locator, _ = find_error_locator(sp, syn)
-        return _chien_roots(sp.field, locator) == _direct_roots(sp.field, locator)
+    def batch_agrees(sp, syndromes, patterns):
+        positions, ok = decode_syndromes(sp, syndromes, [len(p) for p in patterns])
+        got = [{j for j in row if j >= 0} for row in positions.tolist()]
+        return ok.all() and got == patterns
 
     patterns = [set()]
     patterns += [{i} for i in range(15)]
     patterns += [{i, j} for i in range(15) for j in range(i + 1, 15)]
     assert len(patterns) == 121
-    for pat in patterns:
-        syn = syndrome_of(spec, cols, pat)
+    syndromes = [syndrome_of(spec, cols, pat) for pat in patterns]
+    for pat, syn in zip(patterns, syndromes):
         assert decode_syndrome(spec, syn, len(pat)) == pat
-        assert finders_agree(spec, syn, len(pat)), pat
+    assert batch_agrees(spec, syndromes, patterns)
 
     total = 0
     for b in (6, 8, 10):
@@ -158,14 +158,17 @@ def test_syndrome_decoder_oracle():
             sp = make_bch(b, t, r)
             sp_cols = build_parity_columns(sp)
             rng = np.random.default_rng(1000 * b + t)
+            patterns, syndromes = [], []
             for _ in range(834):
                 w = int(rng.integers(0, t + 1))
                 pos = set(rng.choice(r, size=w, replace=False).tolist())
                 syn = syndrome_of(sp, sp_cols, pos)
                 got = decode_syndrome(sp, syn, w)
                 assert got == pos, (b, t, pos, got)
-                assert finders_agree(sp, syn, w), (b, t, pos)
-                total += 1
+                patterns.append(pos)
+                syndromes.append(syn)
+            assert batch_agrees(sp, syndromes, patterns), (b, t)
+            total += len(patterns)
     assert total >= 10_000
     print(f"PASS: 121 exhaustive + {total} random syndrome decodes, 0 failures")
 

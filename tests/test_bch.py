@@ -8,17 +8,15 @@ import pytest
 
 from qgt import bch
 from qgt.bch import (
-    DIRECT_ROOTS_MIN_FIELD_DEGREE,
     BchSpec,
     DecodeFailure,
-    _chien_roots,
-    _direct_roots,
+    _solve_affine,
     build_parity_columns,
     decode_syndrome,
+    decode_syndromes,
     find_error_locator,
     find_roots,
     make_bch,
-    poly_eval,
     syndrome_from_bits,
 )
 from qgt.codec import build_signature, decode, encode
@@ -41,6 +39,29 @@ def syndrome_of(spec, columns, positions):
     for j in positions:
         bits ^= columns[:, j].astype(np.int64)
     return syndrome_from_bits(spec, bits.astype(np.uint8))
+
+
+def batch_decode(spec, syndromes, counts):
+    """decode_syndromes as one set of positions per row, or None."""
+    positions, ok = decode_syndromes(spec, np.array(syndromes).reshape(-1, spec.t), counts)
+    return [{j for j in row if j >= 0} if good else None
+            for row, good in zip(positions.tolist(), ok.tolist())]
+
+
+def power_sums(f, sigma, t):
+    """[S1, S3, ..., S_(2t-1)] of the roots of x^w + sigma[0] x^(w-1) + ...
+
+    Newton's identities, S_k = sigma_1 S_(k-1) + ... + sigma_(k-1) S_1 + k sigma_k,
+    hold whether or not the roots lie in the field.
+    """
+    coef = [1] + list(sigma) + [0] * (2 * t)
+    sums = [0] * (2 * t)
+    for k in range(1, 2 * t):
+        acc = coef[k] if k % 2 else 0
+        for i in range(1, k):
+            acc ^= f.mul(coef[i], sums[k - i])
+        sums[k] = acc
+    return sums[1::2]
 
 
 def test_parity_columns_t1_b3_golden():
@@ -156,7 +177,7 @@ def test_locator_single_error():
         locator, length = find_error_locator(spec, [f.alpha_pow(j)])
         assert length == 1
         # sigma(x) = 1 + alpha^j x, root alpha^(-j)
-        assert poly_eval(f, locator, f.alpha_pow(-j)) == 0
+        assert find_roots(spec, locator) == {f.alpha_pow(-j)}
 
 
 def test_locator_matches_product_form():
@@ -183,19 +204,20 @@ def test_locator_matches_product_form():
 
 
 @pytest.mark.parametrize("finder", ["chien", "direct"])
-def test_decode_exhaustive_b4_t2(finder, monkeypatch):
-    # every weight <= 2 pattern on the full-length code decodes exactly,
-    # with find_roots routed to one finder
-    roots = {"chien": _chien_roots, "direct": _direct_roots}[finder]
-    monkeypatch.setattr(bch, "find_roots",
-                        lambda spec, locator: roots(spec.field, locator))
+def test_decode_exhaustive_b4_t2(finder):
+    # every weight <= 2 pattern on the full-length code decodes exactly, one
+    # syndrome at a time through the Chien scan, or as one closed-form batch
     spec = make_bch(4, 2, 15)
     cols = build_parity_columns(spec)
     patterns = [()] + [(j,) for j in range(15)] + list(itertools.combinations(range(15), 2))
     assert len(patterns) == 121
-    for positions in patterns:
-        syn = syndrome_of(spec, cols, positions)
-        assert decode_syndrome(spec, syn, len(positions)) == set(positions)
+    syndromes = [syndrome_of(spec, cols, positions) for positions in patterns]
+    counts = [len(positions) for positions in patterns]
+    if finder == "chien":
+        got = [decode_syndrome(spec, syn, w) for syn, w in zip(syndromes, counts)]
+    else:
+        got = batch_decode(spec, syndromes, counts)
+    assert got == [set(positions) for positions in patterns]
 
 
 def test_decode_exhaustive_b3_t1_all_singles():
@@ -207,24 +229,24 @@ def test_decode_exhaustive_b3_t1_all_singles():
 
 
 def test_decode_random_patterns_never_fail():
-    # randomized perfect-decoding sweep across fields and radii; half the
-    # nonempty patterns also check the closed-form roots of their locator
+    # randomized perfect-decoding sweep across fields and radii, one
+    # syndrome at a time and as one closed-form batch per code
     rng = random.Random(20240817)
     cases = 0
     for degree in (6, 8, 10):
         for t in (1, 2, 3, 4):
             spec = make_bch(degree, t, spec_r(degree))
             cols = build_parity_columns(spec)
+            patterns, syndromes = [], []
             for _ in range(850):
                 w = rng.randrange(0, t + 1)
-                positions = rng.sample(range(spec.r), w) if w else []
+                positions = set(rng.sample(range(spec.r), w) if w else [])
                 syn = syndrome_of(spec, cols, positions)
-                assert decode_syndrome(spec, syn, w) == set(positions)
-                if rng.random() < 0.5 and w:
-                    locator, _ = find_error_locator(spec, syn)
-                    roots = _direct_roots(spec.field, locator)
-                    assert roots == {spec.field.alpha_pow(-j) for j in positions}
-                cases += 1
+                assert decode_syndrome(spec, syn, w) == positions
+                patterns.append(positions)
+                syndromes.append(syn)
+            assert batch_decode(spec, syndromes, [len(p) for p in patterns]) == patterns
+            cases += len(patterns)
     assert cases == 3 * 4 * 850
 
 
@@ -257,45 +279,91 @@ def test_decode_rejects_wrong_weight():
 
 @pytest.mark.parametrize("degree", [4, 6, 8, 9, 12, 15])
 def test_chien_direct_agree_on_random_locators(degree):
-    # random polynomials with constant term 1, degree <= 4: identical root
-    # sets whether or not the polynomial splits
-    f = make_field(degree)
+    # random locators of degree <= 4, split or not: the closed form resolves
+    # their power sums exactly when the Chien scan finds degree-many roots,
+    # and to the same positions
+    spec = make_bch(degree, 4, (1 << degree) - 1)
+    f, n = spec.field, spec.n
     rng = random.Random(degree * 101)
-    for _ in range(2500 if degree < DIRECT_ROOTS_MIN_FIELD_DEGREE else 300):
+    sigmas = []
+    for _ in range(2500 if degree < 12 else 300):
         d = rng.randrange(1, 5)
-        coeffs = [1] + [rng.randrange(f.order + 1) for _ in range(d - 1)]
-        coeffs.append(rng.randrange(1, f.order + 1))  # leading coefficient nonzero
-        chien = _chien_roots(f, coeffs)
-        direct = _direct_roots(f, coeffs)
-        assert chien == direct
-        for rho in chien:
-            assert poly_eval(f, coeffs, rho) == 0
+        sigmas.append([rng.randrange(f.order + 1) for _ in range(d - 1)]
+                      + [rng.randrange(1, f.order + 1)])  # sigma_d nonzero
+    got = batch_decode(spec, [power_sums(f, sigma, 4) for sigma in sigmas],
+                       [len(sigma) for sigma in sigmas])
+    split = 0
+    for sigma, positions in zip(sigmas, got):
+        roots = find_roots(spec, [1] + sigma)  # reversed: roots alpha^(-j)
+        want = {(n - f.dlog(rho)) % n for rho in roots} if len(roots) == len(sigma) else None
+        assert positions == want, sigma
+        split += want is not None
+    assert 0 < split < len(sigmas)
 
 
 def test_direct_handles_irreducible_quadratic():
-    # x^2 + x + u with trace(u) = 1 has no roots; both finders agree on empty
-    f = make_field(8)
-    u = next(a for a in range(1, 256) if f.trace(a) == 1)
-    locator = [1, 1, u]  # constant-term-1 form with the same root structure
-    assert _direct_roots(f, locator) == set()
-    assert _chien_roots(f, locator) == set()
+    # x^2 + x + u with no z solving z^2 + z = u has no roots: the Chien scan
+    # finds none, and the closed form refuses the row
+    spec = make_bch(8, 2, 255)
+    f = spec.field
+    u = next(a for a in range(1, 256) if f.quadratic_table()[a] < 0)
+    assert find_roots(spec, [1, 1, u]) == set()
+    assert batch_decode(spec, [power_sums(f, [1, u], 2)], [2]) == [None]
 
 
 def test_direct_repeated_root_quadratic():
-    # sigma with sigma_1 = 0 has a double root; the distinct-root set is size 1
-    f = make_field(5)
+    # sigma with sigma_1 = 0 has a double root: the Chien scan finds it once,
+    # and the closed form refuses the row, which needs two distinct roots
+    spec = make_bch(5, 2, 31)
+    f = spec.field
     a = f.alpha_pow(7)
     locator = [1, 0, f.sqr(f.inv(a))]  # (1 + x/a)^2
-    assert _chien_roots(f, locator) == {a}
-    assert _direct_roots(f, locator) == {a}
+    assert find_roots(spec, locator) == {a}
+    assert batch_decode(spec, [power_sums(f, locator[1:], 2)], [2]) == [None]
 
 
-# -- which root finder find_roots picks ---------------------------------------
+@pytest.mark.parametrize("t", [3, 4])
+def test_every_syndrome_of_count_t_small_field(t):
+    # all 16^t syndromes of the b = 4 code, each claiming t columns: the
+    # closed form resolves exactly the syndromes of the t-subsets, among them
+    # every S1 = 0 and every zero determinant or denominator
+    spec = make_bch(4, t, 15)
+    f = spec.field
+    sums = np.stack(np.meshgrid(*[np.arange(16)] * t, indexing="ij"), axis=-1).reshape(-1, t)
+    got = batch_decode(spec, sums, np.full(len(sums), t))
+    want = {}
+    for subset in itertools.combinations(range(15), t):
+        key = [0] * t
+        for j in subset:
+            key = [v ^ f.alpha_pow((2 * k + 1) * j) for k, v in enumerate(key)]
+        want[tuple(key)] = set(subset)
+    assert {tuple(row): pos for row, pos in zip(sums.tolist(), got) if pos is not None} == want
+
+
+def test_affine_solve_matches_brute_force():
+    # every u^4 + a2 u^2 + a1 u = rhs over GF(2^4): solved exactly when four
+    # field elements solve it, and then those four
+    f = make_field(4)
+    a2, a1, rhs = (v.ravel() for v in np.meshgrid(*[np.arange(16)] * 3, indexing="ij"))
+    solutions, solved = _solve_affine(f, a2, a1, rhs)
+    counts = {0: 0, 1: 0, 2: 0, 4: 0}
+    for row in range(len(rhs)):
+        want = {u for u in range(16)
+                if f.pow(u, 4) ^ f.mul(int(a2[row]), f.sqr(u)) ^ f.mul(int(a1[row]), u)
+                == rhs[row]}
+        counts[len(want)] += 1
+        assert solved[row] == (len(want) == 4)
+        if solved[row]:
+            assert set(solutions[row].tolist()) == want
+    assert all(counts.values())
+
+
+# -- counts 3 and 4 never reach a root search ---------------------------------
 
 
 def _refuse(name):
-    def finder(f, locator):
-        raise AssertionError(f"{name} called at b={f.degree}, degree {len(locator) - 1}")
+    def finder(*args):
+        raise AssertionError(f"{name} called")
     return finder
 
 
@@ -313,30 +381,32 @@ def _decode_count_three_plus(n_items, t, seed):
 
 @pytest.mark.parametrize("n_items, t", [(1 << 12, 3), (1 << 15, 4)])
 def test_wide_fields_solve_in_closed_form(n_items, t, monkeypatch):
-    calls = []
-    monkeypatch.setattr(bch, "_chien_roots", _refuse("Chien scan"))
-    monkeypatch.setattr(bch, "_direct_roots",
-                        lambda f, locator: calls.append(1) or _direct_roots(f, locator))
+    monkeypatch.setattr(bch, "find_roots", _refuse("Chien scan"))
+    monkeypatch.setattr(bch, "find_error_locator", _refuse("Berlekamp-Massey"))
     b, ok = _decode_count_three_plus(n_items, t, seed=1)
-    assert b >= DIRECT_ROOTS_MIN_FIELD_DEGREE and ok
-    assert calls
+    assert b >= 12 and ok
 
 
-def test_narrow_fields_keep_the_chien_scan(monkeypatch):
-    monkeypatch.setattr(bch, "_direct_roots", _refuse("closed form"))
+def test_narrow_fields_solve_in_closed_form(monkeypatch):
+    monkeypatch.setattr(bch, "find_roots", _refuse("Chien scan"))
+    monkeypatch.setattr(bch, "find_error_locator", _refuse("Berlekamp-Massey"))
     b, ok = _decode_count_three_plus(400, 3, seed=1)
     assert b == 8 and ok
 
 
 @pytest.mark.parametrize("degree", [5, 6, 7, 8])
-def test_high_degree_locators_go_to_chien(degree, monkeypatch):
-    monkeypatch.setattr(bch, "_direct_roots", _refuse("closed form"))
+def test_high_degree_locators_go_to_chien(degree):
+    # counts above 4 have no closed form: the batch hands them to
+    # decode_syndrome, whose Chien scan finds every root
     spec = make_bch(15, 8, (1 << 15) - 1)
     f = spec.field
     rng = random.Random(degree)
-    roots = {f.alpha_pow(-j) for j in rng.sample(range(spec.r), degree)}
+    positions = set(rng.sample(range(spec.r), degree))
+    roots = {f.alpha_pow(-j) for j in positions}
     locator = [1]
     for rho in roots:  # times (1 + x / rho)
         inv = f.inv(rho)
         locator = [a ^ f.mul(inv, b) for a, b in zip(locator + [0], [0] + locator)]
     assert find_roots(spec, locator) == roots
+    syn = syndrome_of(spec, build_parity_columns(spec), positions)
+    assert batch_decode(spec, [syn, syn], [degree, degree - 1]) == [positions, None]

@@ -111,6 +111,14 @@ def test_design_rejects_k_not_below_n(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_design_beyond_the_largest_n(capsys):
+    code, _, err = run_cli(capsys, "design", "--N", "4194304", "--K", "100")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "largest N this design can size is 2654167" in err
+    assert "increase M" not in err
+
+
 # -- encode / decode ----------------------------------------------------------
 
 
@@ -157,6 +165,24 @@ def test_decode_garbage_y(tmp_path, capsys):
     y_path.write_text("not a number\n")
     code, _, err = run_cli(capsys, "decode", "--y", str(y_path))
     assert code == 2 and "error:" in err
+
+
+def test_decode_count_beyond_int64(tmp_path, capsys):
+    y_path = tmp_path / "y.txt"
+    y_path.write_text("99999999999999999999999\n" + "0\n" * 16)
+    code, _, err = run_cli(capsys, "decode", "--y", str(y_path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_encode_item_beyond_int64(tmp_path, capsys):
+    support = tmp_path / "support.txt"
+    support.write_text("3\n99999999999999999999999\n")
+    code, _, err = run_cli(capsys, "encode", "--support", str(support),
+                           "--out", str(tmp_path / "y.txt"))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "out of range" in err
 
 
 def test_decode_missing_file(tmp_path, capsys):
@@ -261,11 +287,19 @@ def test_simulate_malformed_env_seed(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [["decode", "--y", "y.txt"],
                                   ["simulate", "--N", "300", "--K", "10"]])
 def test_method_flag_is_gone(argv, capsys):
-    # decode picks its root finder itself; the old flag is a usage error
+    # decode has one root finder; the old flag is a usage error
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--method", "chien"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_trial(trials, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--N", "100", "--K", "5",
+                           "--grid", "10", "--trials", trials)
+    assert code == 2
+    assert "trials must be at least 1" in err
 
 
 def test_simulate_validates_k(capsys):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from qgt.bch import _chien_roots, _direct_roots, find_error_locator, syndrome_from_bits
+from qgt.bch import find_error_locator, find_roots, syndrome_from_bits
 from qgt.codec import (
     DEFAULT_BETA,
     DecodeOutcome,
@@ -20,7 +20,6 @@ from qgt.codec import (
     load_test_vector,
     measurement_matrix,
     resolve_node,
-    save_dense_matrix,
     save_support,
     save_test_vector,
 )
@@ -122,12 +121,11 @@ def test_resolve_node_t2():
     cols = sig.matrix.astype(np.int64)
     z = cols[:, 3] + cols[:, 11]
     assert resolve_node(z, sig) == frozenset({3, 11})
-    # the closed form agrees with both root finders on the pair's locator
+    # the closed form agrees with the Chien scan on the pair's locator
     syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
     locator, _ = find_error_locator(sig.bch, syndrome)
     f = sig.bch.field
-    want = {f.alpha_pow(-3), f.alpha_pow(-11)}
-    assert _chien_roots(f, locator) == _direct_roots(f, locator) == want
+    assert find_roots(sig.bch, locator) == {f.alpha_pow(-3), f.alpha_pow(-11)}
 
 
 def test_decode_worked_example_two_rounds():
@@ -260,6 +258,14 @@ def test_derive_params_explicit_ell_and_beta():
         derive_params(100, 100, 2)
 
 
+def test_derive_params_names_its_largest_n():
+    # (2^16 - 1) M / ell = 65535 * 81 / 2 at K = 100, t = 2
+    p = derive_params(2_654_167, 100, 2)
+    assert (p.m_groups, p.ell, p.r_max, p.b) == (81, 2, 65535, 16)
+    with pytest.raises(ValueError, match="largest N this design can size is 2654167"):
+        derive_params(2_654_168, 100, 2)
+
+
 def test_derive_params_tiny_instance_clamps():
     # toy sizes force the field-degree floor and the M >= ell floor
     p = derive_params(20, 2, 1, beta=1.01)
@@ -299,12 +305,6 @@ def test_file_round_trips(tmp_path):
     assert text[0].startswith("#")
     assert [int(x) for x in text[1:]] == [0, 3, 9]
     assert load_support(str(ps)) == {0, 3, 9}
-
-    pa = tmp_path / "a.txt"
-    save_dense_matrix(str(pa), measurement_matrix(graph_14(), build_signature(1, 7)))
-    rows = pa.read_text().splitlines()
-    assert len(rows) == 16
-    assert rows[0].split() == ["1", "0", "1", "0", "1", "0", "1", "0", "1", "0", "1", "0", "0", "1"]
 
 
 def test_reference_module_agrees():

@@ -1,10 +1,11 @@
 """The batched peeling round against the per-group loop it replaced.
 
 sequential_decode below is that loop, kept as the oracle: it resolves one
-group at a time with Berlekamp-Massey and find_roots, peeling into the
-residual as it goes, optionally in a shuffled order.  On genuine input the batched decoder must match it
-round by round; on corrupted input it must keep its own invariant, which
-the loop did not (it could peel an item twice).
+group at a time with Berlekamp-Massey and the Chien scan (find_roots),
+peeling into the residual as it goes, optionally in a shuffled order.  On
+genuine input the batched decoder must match it round by round; on
+corrupted input it must keep its own invariant, which the loop did not (it
+could peel an item twice).
 """
 
 import itertools
@@ -200,9 +201,9 @@ def test_closed_form_failure_cases():
         "S1 = 0, count 1": slice_with_syndrome(sig, 1, [0, 5]),
         "S1 = 0, count 2": slice_with_syndrome(sig, 2, [0, 5]),
     }
-    # S1 = 1 and S3 = 1 + u make u the quadratic's constant, trace(u) = 1
-    u = next(a for a in range(1, f.order + 1) if f.trace(a) == 1)
-    cases["trace(u) = 1"] = slice_with_syndrome(sig, 2, [1, 1 ^ u])
+    # S1 = 1 and S3 = 1 + u make u the quadratic's constant, z^2 + z = u unsolvable
+    u = next(a for a in range(1, f.order + 1) if f.quadratic_table()[a] < 0)
+    cases["z^2 + z = u unsolvable"] = slice_with_syndrome(sig, 2, [1, 1 ^ u])
     cases["sigma2 = 0"] = slice_with_syndrome(sig, 2, [f.alpha_pow(3), f.alpha_pow(9)])
     # a genuine pair of the unshortened code with one position past r
     p, q = 7, r + 5
@@ -214,6 +215,82 @@ def test_closed_form_failure_cases():
     for name, z, got in zip(cases, stack, resolve_node(stack, sig)):
         assert got is None, name
         assert oracle_resolve(z, sig) is None, name
+
+    sig = build_signature(4, 40)
+    f = sig.bch.field
+    a = f.alpha_pow(5)
+    cases = {
+        "S1^3 + S3 = 0, count 3": slice_with_syndrome(sig, 3, [a, f.pow(a, 3), 7, 9]),
+        "determinant 0, count 4": slice_with_syndrome(sig, 4, [0, 0, 7, 9]),
+        "one column's syndrome, count 4": slice_with_syndrome(
+            sig, 4, [a, f.pow(a, 3), f.pow(a, 5), f.pow(a, 7)]),
+    }
+    stack = np.array(list(cases.values()))
+    for name, z, got in zip(cases, stack, resolve_node(stack, sig)):
+        assert got is None, name
+        assert oracle_resolve(z, sig) is None, name
+
+
+def test_counts_up_to_four_exhaustive_small_field():
+    # every pattern of 0..4 of the 15 columns at b = 4, t = 4
+    sig = build_signature(4, 15)
+    assert sig.bch.field.degree == 4 and sig.r == sig.bch.n
+    patterns = [p for w in range(5) for p in itertools.combinations(range(sig.r), w)]
+    assert len(patterns) == 1941
+    stack = pair_slices(sig, patterns)
+    got = resolve_node(stack, sig)
+    assert got == [frozenset(p) for p in patterns]
+    assert got == [oracle_resolve(z, sig) for z in stack]
+    # S1 = 0 sends a count-3 row's extra root to 0 and leaves a count-4 row
+    # the determinant S3^2
+    f = sig.bch.field
+    s1_zero = set()
+    for p in patterns:
+        s1 = 0
+        for j in p:
+            s1 ^= f.alpha_pow(j)
+        if s1 == 0:
+            s1_zero.add(len(p))
+    assert {3, 4} <= s1_zero
+
+
+def corrupt(z, sig, rng):
+    """A slice after one of four edits, most of which leave no genuine pattern."""
+    z = z.copy()
+    kind = int(rng.integers(4))
+    if kind == 0:  # flip parity bits
+        z[1:] ^= rng.integers(0, 2, size=sig.s - 1)
+    elif kind == 1:  # +2 keeps every bit and breaks the sum
+        z[int(rng.integers(1, sig.s))] += 2
+    elif kind == 2:  # one more column, perhaps one already in the slice
+        z += sig.columns[int(rng.integers(0, sig.r))]
+    else:
+        z[0] += 1
+    return z
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_counts_three_and_four_match_oracle_across_fields(t):
+    # seeded genuine and corrupted stacks at every field degree: the batch
+    # resolves exactly the slices the oracle does, to the same positions
+    rng = np.random.default_rng(40 + t)
+    degrees = [b for b in range(3, 17) if t < 1 << (b - 1)]
+    for b in degrees:
+        sig = build_signature(t, int(rng.integers(2 ** (b - 1), 2 ** b)))
+        assert sig.bch.field.degree == b
+        rows, corrupted = [], 0
+        for _ in range(200 if b < 12 else 80):
+            count = int(rng.integers(0, t + 2))
+            z = sig.columns[rng.choice(sig.r, size=min(count, t), replace=False)].sum(axis=0)
+            z[0] = count
+            if rng.random() < 0.25:
+                z = corrupt(z, sig, rng)
+                corrupted += 1
+            rows.append(z)
+        stack = np.array(rows)
+        got = resolve_node(stack, sig)
+        assert got == [oracle_resolve(z, sig) for z in stack], b
+        assert corrupted and any(g is not None and len(g) >= 3 for g in got), b
 
 
 def test_padding_column_is_never_peeled():
