@@ -35,7 +35,7 @@ from .density import (
     tests_needed,
 )
 from .gf2m import GF2m, make_field
-from .graphs import BiRegularGraph, sample_graph
+from .graphs import BiRegularGraph, DefectiveView, sample_defectives, sample_graph
 from .simulate import SweepPoint, TrialConfig, groups_within_budget, run_sweep, run_trial, sweep_csv
 
 __version__ = "0.1.0"
@@ -49,6 +49,7 @@ __all__ = [
     "DeResult",
     "DecodeFailure",
     "DecodeOutcome",
+    "DefectiveView",
     "DesignParams",
     "GF2m",
     "Signature",
@@ -73,6 +74,7 @@ __all__ = [
     "measurement_matrix",
     "run_sweep",
     "run_trial",
+    "sample_defectives",
     "sample_graph",
     "save_support",
     "save_test_vector",

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .bch import BchSpec, build_parity_columns, decode_syndromes, make_bch, syndrome_from_bits
 from .density import design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE
-from .graphs import BiRegularGraph
+from .graphs import BiRegularGraph, DefectiveView
 
 DEFAULT_BETA = 1.35
 
@@ -113,6 +113,7 @@ class Signature:
         self.bch = bch
         parity = build_parity_columns(bch)
         self.matrix = np.vstack([np.ones((1, bch.r), dtype=np.uint8), parity])
+        self.matrix.setflags(write=False)
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -123,6 +124,7 @@ class Signature:
         """
         columns = np.zeros((self.r + 1, self.s), dtype=np.int64)
         columns[:-1] = self.matrix.T
+        columns.setflags(write=False)
         return columns
 
     @property
@@ -134,8 +136,13 @@ class Signature:
         return self.bch.r
 
 
+@lru_cache(maxsize=8)
 def build_signature(t: int, r_max: int) -> Signature:
-    """Signature for groups of at most r_max items at decoding radius t."""
+    """Signature for groups of at most r_max items at decoding radius t.
+
+    Cached: every trial of a sweep point asks for the same one.  Its arrays
+    are read-only, since every caller shares them.
+    """
     return Signature(make_bch(field_degree_for(r_max, t), t, r_max))
 
 
@@ -147,10 +154,13 @@ class DecodeOutcome:
     success: bool
 
 
-def encode(graph: BiRegularGraph, sig: Signature, support) -> np.ndarray:
+def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np.ndarray:
     """Test vector for a defective set: y[0] counts all, then M blocks of s.
 
     Cost is O(K * ell * s); only the columns of defective items are touched.
+    encode and decode reach the graph only through n_left, n_right,
+    max_right_degree, incidence and items_at, so a DefectiveView holding the
+    support serves as well as the whole graph.
     """
     items = sorted(set(int(v) for v in support))
     if items and (items[0] < 0 or items[-1] >= graph.n_left):
@@ -169,16 +179,17 @@ def encode(graph: BiRegularGraph, sig: Signature, support) -> np.ndarray:
     return y
 
 
-def _scatter(op, blocks: np.ndarray, graph: BiRegularGraph, sig: Signature,
-             items: np.ndarray) -> np.ndarray:
+def _scatter(op, blocks: np.ndarray, graph: BiRegularGraph | DefectiveView,
+             sig: Signature, items: np.ndarray) -> np.ndarray:
     """Add (op=np.add) or subtract (np.subtract) items' columns, in place.
 
     blocks is the M x s view of a test vector.  Each item's signature column
     goes into every group it belongs to; two items sharing a group are both
     applied, which op.at guarantees.  Returns the groups touched, with repeats.
     """
-    rights = graph._left_rights[items].ravel()
-    op.at(blocks, rights, sig.columns[graph._left_positions[items].ravel()])
+    rights, positions = graph.incidence(items)
+    rights = rights.ravel()
+    op.at(blocks, rights, sig.columns[positions.ravel()])
     return rights
 
 
@@ -205,7 +216,7 @@ def resolve_node(z: np.ndarray, sig: Signature):
     return out if z.ndim == 2 else out[0]
 
 
-def decode(graph: BiRegularGraph, sig: Signature, y: np.ndarray,
+def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
            trace=None) -> DecodeOutcome:
     """Peel the test vector back to the defective set.
 
@@ -236,12 +247,13 @@ def decode(graph: BiRegularGraph, sig: Signature, y: np.ndarray,
             if positions is None:
                 # inconsistent slice; retried only if a later peel changes it
                 continue
-            adj = graph.right_adj[i]
-            if positions and max(positions) >= len(adj):
-                # decoded a padding column; cannot happen on genuine input
+            items = graph.items_at(i, sorted(positions))
+            if -1 in items:
+                # a padding column, or a position a view does not hold;
+                # neither happens on genuine input
                 continue
             resolved[i] = True
-            found.extend(adj[sorted(positions)].tolist())
+            found.extend(items)
         new = np.array(sorted(set(found) - recovered), dtype=np.int64)
         recovered.update(new.tolist())
         touched = np.unique(_scatter(np.subtract, residual, graph, sig, new))

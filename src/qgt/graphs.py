@@ -84,10 +84,14 @@ class BiRegularGraph:
     def max_right_degree(self) -> int:
         return int(self.degrees().max())
 
-    def left_edges(self, left: int) -> list[tuple[int, int]]:
-        """The ell (right node, position) pairs incident to a left node."""
-        return list(zip(self._left_rights[left].tolist(),
-                        self._left_positions[left].tolist()))
+    def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Right nodes and positions of the given left nodes, ell per row."""
+        return self._left_rights[items], self._left_positions[items]
+
+    def items_at(self, group: int, positions) -> list[int]:
+        """The left nodes at these positions of a group; -1 past its end."""
+        adj = self.right_adj[group]
+        return [int(adj[p]) if p < len(adj) else -1 for p in positions]
 
     # -- text serialization --------------------------------------------------
     # line 1: "N M ell seed"; then one line per right node with its ascending
@@ -113,34 +117,23 @@ class BiRegularGraph:
             raise ValueError(
                 f"{path}: expected {n_right} adjacency lines, got {len(lines) - 1}"
             )
-        right_adj = [np.array([int(x) for x in ln.split()], dtype=np.int64)
-                     for ln in lines[1:]]
+        try:
+            right_adj = [np.array([int(x) for x in ln.split()], dtype=np.int64)
+                         for ln in lines[1:]]
+        except OverflowError:
+            raise ValueError(f"{path}: a left index does not fit in 64 bits") from None
         return cls(n_left, ell, right_adj, seed=seed)
 
 
 def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGraph:
     """Draw a simple left-regular graph; deterministic for a given seed.
 
-    Raises ValueError for infeasible shapes (a right degree above N forces a
-    parallel edge) and RuntimeError if repair fails across MAX_RESAMPLES
-    resamples, which is astronomically unlikely for feasible shapes.
+    Raises ValueError for infeasible shapes (see _right_degrees) and
+    RuntimeError if repair fails across MAX_RESAMPLES resamples, which is
+    astronomically unlikely for feasible shapes.
     """
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    if ell > n_right:
-        raise ValueError(f"ell={ell} > M={n_right}: a left node cannot reach "
-                         "ell distinct right nodes")
-    if n_left < 1 or n_right > n_left * ell:
-        raise ValueError("need 1 <= M <= N*ell")
+    degrees = _right_degrees(n_left, n_right, ell)
     n_edges = n_left * ell
-    base = n_edges // n_right
-    extra = n_edges % n_right
-    degrees = np.full(n_right, base, dtype=np.int64)
-    degrees[:extra] += 1
-    if degrees.max() > n_left:
-        raise ValueError(
-            f"right degree {degrees.max()} > N={n_left}: no simple graph exists"
-        )
     if int(degrees.min()) == n_left:
         # every group must hold every item exactly once, so the simple graph
         # is forced; build it directly rather than repairing collisions
@@ -172,6 +165,103 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGra
         f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
         f"(N={n_left}, M={n_right}, ell={ell}, seed={seed})"
     )
+
+
+def sample_defectives(n_left: int, n_right: int, ell: int, items,
+                      seed: int) -> DefectiveView:
+    """The rows of `items` alone in a graph drawn like sample_graph's.
+
+    The items' ell-stub rows are a uniform draw of len(items)*ell of the
+    N*ell stub positions, cut into the same blocks; a stub's offset in its
+    block is its position.  An item with two stubs in one block is repaired
+    by _repair, which moves the stub to a free position or swaps it with
+    another item's.  This is the configuration model's marginal on the
+    items, up to the repairs that the other N - K items would have made;
+    cost and memory grow with len(items)*ell, not N.  Shapes, errors and
+    the forced complete graph are as in sample_graph.
+    """
+    degrees = _right_degrees(n_left, n_right, ell)
+    items = np.sort(np.asarray(items, dtype=np.int64))
+    k = len(items)
+    if k and (items[0] < 0 or items[-1] >= n_left or np.any(items[1:] == items[:-1])):
+        raise ValueError(f"items must be distinct and in [0, {n_left})")
+    if int(degrees.min()) == n_left:
+        # every group holds every item, item x at position x (M = ell here)
+        rights = np.tile(np.arange(n_right, dtype=np.int64), (k, 1))
+        return DefectiveView(n_left, degrees, items, rights, np.repeat(items[:, None], ell, 1))
+    blocks = _Blocks(degrees)
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_RESAMPLES):
+        loc = rng.choice(n_left * ell, size=k * ell, replace=False).reshape(k, ell)
+        loc.sort(axis=1)
+        held = _Held(zip(loc.ravel().tolist(), np.repeat(np.arange(k), ell).tolist()))
+        if _repair(held, loc, blocks, rng):
+            rights = blocks.of_all(loc)
+            starts = np.asarray(blocks.bounds[:-1], dtype=np.int64)
+            return DefectiveView(n_left, degrees, items, rights, loc - starts[rights])
+    raise RuntimeError(
+        f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
+        f"(N={n_left}, M={n_right}, ell={ell}, K={k}, seed={seed})"
+    )
+
+
+class DefectiveView:
+    """A few left nodes of a left-regular graph: their rows and the group sizes.
+
+    It answers what encode and decode ask of a graph (n_left, n_right,
+    max_right_degree, incidence, items_at) for supports inside `items`.
+    incidence rejects any other item; items_at maps a position the view does
+    not hold to -1, so decode leaves that group unresolved.
+    """
+
+    def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray,
+                 rights: np.ndarray, positions: np.ndarray):
+        self.n_left = n_left
+        self.n_right = len(degrees)
+        self.max_right_degree = int(np.max(degrees))
+        order = np.argsort(items)
+        self.items = np.asarray(items, dtype=np.int64)[order]
+        self._rights = np.asarray(rights, dtype=np.int64)[order]
+        self._positions = np.asarray(positions, dtype=np.int64)[order]
+        self._at = dict(zip(zip(self._rights.ravel().tolist(), self._positions.ravel().tolist()),
+                            np.repeat(self.items, self._rights.shape[1]).tolist()))
+
+    def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.searchsorted(self.items, items)
+        held = rows < len(self.items)
+        held[held] = self.items[rows[held]] == items[held]
+        if not held.all():
+            raise ValueError(f"item {int(items[~held][0])} is not in the view")
+        return self._rights[rows], self._positions[rows]
+
+    def items_at(self, group: int, positions) -> list[int]:
+        return [self._at.get((group, p), -1) for p in positions]
+
+
+def _right_degrees(n_left: int, n_right: int, ell: int) -> np.ndarray:
+    """Right degrees of N*ell stubs dealt to M right nodes, or ValueError.
+
+    The first N*ell % M right nodes take one stub more.  With ell <= M no
+    degree exceeds N, so every accepted shape has a simple graph.
+    """
+    if ell < 2:
+        raise ValueError(f"ell must be >= 2, got {ell}")
+    if ell > n_right:
+        raise ValueError(f"ell={ell} > M={n_right}: a left node cannot reach "
+                         "ell distinct right nodes")
+    if n_left < 1 or n_right > n_left * ell:
+        raise ValueError("need 1 <= M <= N*ell")
+    base, extra = divmod(n_left * ell, n_right)
+    degrees = np.full(n_right, base, dtype=np.int64)
+    degrees[:extra] += 1
+    return degrees
+
+
+class _Held(dict):
+    """Stub position -> row of the item holding it; -1 for a free stub."""
+
+    def __missing__(self, pos):
+        return -1
 
 
 class _Blocks:
@@ -224,27 +314,32 @@ def _duplicates(loc: np.ndarray, blocks: _Blocks):
     return dup_pos[order].tolist(), dup_block[order].tolist()
 
 
-def _repair(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng) -> bool:
+def _repair(stubs, loc: np.ndarray, blocks: _Blocks, rng) -> bool:
     """Swap duplicate in-block stubs with other stubs until simple.
 
-    A swap is accepted when it fixes the duplicate without creating a new one
-    (incoming value absent from this block, outgoing value absent from the
-    target block).  Whether item x sits in block i is read exactly from x's
-    ell stub positions in loc, which every swap keeps current.  Random probes
-    find such a target quickly in sparse blocks; a linear scan backs them up
-    in dense ones, and a blind swap breaks ties when no clean target exists
-    at all.  A pass of clean swaps alone leaves the graph simple, so only a
-    blind swap calls for another look.
+    stubs[p] is the row of loc that holds position p: an array over every
+    position (sample_graph), or a _Held over the rows' positions alone, where
+    -1 marks a free stub (sample_defectives).  A swap is accepted when it
+    fixes the duplicate without creating a new one (incoming row absent from
+    this block, outgoing row absent from the target block); a free stub has
+    no row and fits wherever the outgoing row does.  Whether row x sits in
+    block i is read exactly from x's ell stub positions in loc, which every
+    swap keeps current.  Random probes find such a target quickly in sparse
+    blocks; a linear scan backs them up in dense ones, and a blind swap
+    breaks ties when no clean target exists at all.  A pass of clean swaps
+    alone leaves the graph simple, so only a blind swap calls for another
+    look.
     """
-    n = len(stubs)
     bnd = blocks.bounds
+    n = bnd[-1]
 
     def fits(q, i, row_x):
         j = blocks.of(q)
         if j == i:
             return False
         lo, hi = bnd[i], bnd[i + 1]
-        if any(lo <= s < hi for s in loc[stubs[q]].tolist()):
+        y = stubs[q]
+        if y >= 0 and any(lo <= s < hi for s in loc[y].tolist()):
             return False
         lo, hi = bnd[j], bnd[j + 1]
         return not any(lo <= s < hi for s in row_x)
@@ -285,8 +380,9 @@ def _repair(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng) -> bool:
                 row_x[row_x.index(p)] = q_found
                 row_x.sort()
                 loc[x] = row_x
-                row_y = loc[y].tolist()
-                row_y[row_y.index(q_found)] = p
-                row_y.sort()
-                loc[y] = row_y
+                if y >= 0:
+                    row_y = loc[y].tolist()
+                    row_y[row_y.index(q_found)] = p
+                    row_y.sort()
+                    loc[y] = row_y
     return False

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import build_signature, decode, derive_params, encode, group_shape
-from .graphs import sample_graph
+from .graphs import sample_defectives, sample_graph
 
 CSV_COLUMNS = ["m_over_K", "t", "ell", "N", "K", "trials",
                "success_rate", "mean_unidentified", "stderr", "seed"]
@@ -50,13 +50,18 @@ class SweepPoint:
 def run_trial(cfg: TrialConfig, trial_seed, graph=None) -> tuple[bool, float]:
     """One trial: sample support (and graph unless given), encode, decode.
 
+    Without a graph only the defectives' edges are sampled
+    (graphs.sample_defectives): on genuine input every group with count <= t
+    resolves, so which groups the defectives sit in decides the decode.
     Returns (exact recovery?, fraction of defectives left unidentified).
     """
     rng = np.random.default_rng(trial_seed)
+    graph_seed = int(rng.integers(1 << 62)) if graph is None else None
+    items = rng.choice(cfg.n_items, size=cfg.k, replace=False)
     if graph is None:
-        graph = sample_graph(cfg.n_items, cfg.m_groups, cfg.ell,
-                             seed=int(rng.integers(1 << 62)))
-    support = set(rng.choice(cfg.n_items, size=cfg.k, replace=False).tolist())
+        graph = sample_defectives(cfg.n_items, cfg.m_groups, cfg.ell, items,
+                                  seed=graph_seed)
+    support = set(items.tolist())
     sig = build_signature(cfg.t, graph.max_right_degree)
     y = encode(graph, sig, support)
     outcome = decode(graph, sig, y)

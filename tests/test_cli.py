@@ -185,6 +185,20 @@ def test_encode_item_beyond_int64(tmp_path, capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_graph_index_beyond_int64(command, tmp_path, capsys):
+    g_path = tmp_path / "graph.txt"
+    g_path.write_text("4 2 2 0\n0 1 2 99999999999999999999\n0 1 2 3\n")
+    data = tmp_path / "data.txt"
+    data.write_text("1\n")
+    files = (["--support", str(data), "--out", str(tmp_path / "y.txt")]
+             if command == "encode" else ["--y", str(data)])
+    code, _, err = run_cli(capsys, command, *files, "--graph", str(g_path), "--t", "2")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "64 bits" in err
+
+
 def test_decode_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decode", "--y", str(tmp_path / "no.txt"))
     assert code == 2 and "error:" in err

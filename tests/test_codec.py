@@ -65,6 +65,16 @@ def test_signature_shapes():
     assert np.all(sig.matrix[0] == 1)
 
 
+def test_signature_is_cached_and_read_only():
+    sig = build_signature(2, 100)
+    assert build_signature(2, 100) is sig
+    assert build_signature(2, 101) is not sig
+    for array in (sig.matrix, sig.columns):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 7
+    assert sig.matrix[0, 0] == 1 and sig.columns[0, 0] == 1
+
+
 def test_field_degree_for():
     assert field_degree_for(7, 1) == 3
     assert field_degree_for(8, 1) == 4

@@ -1,0 +1,88 @@
+"""Mutated graph, support and test-vector files through the qgt command.
+
+Every input file is outside input: whatever it holds, `qgt encode` and
+`qgt decode` must exit 0 (recovered), 1 (incomplete) or 2 (rejected with a
+one-line error), never with an uncaught exception.
+"""
+
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qgt import codec, graphs
+from qgt.cli import main
+
+GRAPH = graphs.sample_graph(30, 6, 2, seed=3)
+SUPPORT = {1, 7, 20}
+
+
+def _text(write, *args) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.txt")
+        write(path, *args)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+
+
+BASE = {
+    "graph": _text(lambda path: GRAPH.save(path)),
+    "support": _text(codec.save_support, SUPPORT),
+    "y": _text(codec.save_test_vector,
+               codec.encode(GRAPH, codec.build_signature(2, GRAPH.max_right_degree), SUPPORT)),
+}
+
+numbers = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([2 ** 31, 2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 10 ** 20,
+                     -10 ** 20, 10 ** 9]),
+)
+tokens = st.sampled_from(["", "x", "1.5", "0x10", "nan", "-", "+", "1e3", "1_0", "١",
+                          "\x00", "#", "3 4", "é"])
+edits = st.tuples(
+    st.sampled_from(list(BASE)),
+    st.sampled_from(["number", "token", "drop", "repeat", "insert", "header"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+    st.one_of(numbers.map(str), tokens),
+)
+
+
+def mutate(lines: list[str], kind: str, where: int, at: int, value: str) -> list[str]:
+    lines = list(lines)
+    row = where % len(lines) if lines else 0
+    if kind == "header":  # a field of the first line (the graph file's N M ell seed)
+        row = 0
+        kind = "number"
+    if kind in ("number", "token"):
+        if not lines:
+            return [value]
+        fields = lines[row].split() or [""]
+        fields[at % len(fields)] = value
+        lines[row] = " ".join(fields)
+    elif kind == "drop":
+        del lines[row:row + 1]
+    elif kind == "repeat":
+        lines[row:row] = lines[row:row + 1]
+    else:
+        lines.insert(row, value)
+    return lines
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(edits, min_size=1, max_size=4))
+def test_mutated_files_exit_cleanly(edit_list):
+    files = dict(BASE)
+    for name, kind, where, at, value in edit_list:
+        files[name] = mutate(files[name], kind, where, at, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, lines in files.items():
+            paths[name] = os.path.join(tmp, name + ".txt")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+        design = ["--graph", paths["graph"], "--t", "2"]
+        code = main(["encode", "--support", paths["support"],
+                     "--out", os.path.join(tmp, "out.txt"), *design])
+        assert code in (0, 2)
+        assert main(["decode", "--y", paths["y"], *design]) in (0, 1, 2)

@@ -68,10 +68,12 @@ def test_random_shapes_invariants():
 
 def test_left_adj_consistency():
     g = sample_graph(25, 5, 3, seed=4)
+    rights, positions = g.incidence(np.arange(25))
+    assert rights.shape == positions.shape == (25, 3)
     for v in range(25):
-        assert len(g.left_edges(v)) == 3
-        for i, pos in g.left_edges(v):
+        for i, pos in zip(rights[v].tolist(), positions[v].tolist()):
             assert int(g.right_adj[i][pos]) == v
+            assert g.items_at(i, [pos]) == [v]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -123,7 +125,9 @@ def test_explicit_lists_validate(tmp_path):
     _write_graph(path, 4, 2, [[0, 2], [1, 3], [0, 1], [3, 2]])
     g = BiRegularGraph.load(str(path))  # file order is kept
     assert g.right_adj[3].tolist() == [3, 2]
-    assert g.left_edges(3) == [(1, 1), (3, 0)]
+    rights, positions = g.incidence(np.array([3]))
+    assert rights.tolist() == [[1, 3]] and positions.tolist() == [[1, 0]]
+    assert g.items_at(3, [0, 1, 2]) == [3, 2, -1]  # position 2 is past the end
     for n, ell, adj, message in INVALID_GRAPHS:
         with pytest.raises(ValueError, match=message):
             BiRegularGraph(n, ell, [np.array(a, dtype=np.int64) for a in adj])

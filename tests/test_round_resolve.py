@@ -64,7 +64,8 @@ def sequential_decode(graph, sig, y, order_rng=None, trace=None):
             for p in sorted(positions):
                 v = int(adj[p])
                 recovered.add(v)
-                for i2, p2 in graph.left_edges(v):
+                rights, places = graph.incidence(np.array([v]))
+                for i2, p2 in zip(rights[0].tolist(), places[0].tolist()):
                     residual[i2, :] -= sig.matrix[:, p2].astype(np.int64)
                     if not resolved[i2] and residual[i2, 0] <= t:
                         next_frontier.append(i2)
@@ -334,7 +335,8 @@ def test_perturbed_y_keeps_the_invariant(support, edits):
         elif kind == "parity":  # +-2 keeps every bit and breaks the sum
             y[slot_of_parity(where)] += 2 if delta >= 0 else -2
         else:  # one more copy of an item's column in one of its groups
-            group, pos = GRAPH.left_edges(where % GRAPH.n_left)[delta % GRAPH.ell]
+            rights, positions = GRAPH.incidence(np.array([where % GRAPH.n_left]))
+            group, pos = rights[0, delta % GRAPH.ell], positions[0, delta % GRAPH.ell]
             y[1 + group * SIG.s: 1 + (group + 1) * SIG.s] += SIG.columns[pos]
 
     def invariant(_round, residual, recovered):
@@ -359,7 +361,8 @@ def test_an_item_decoded_twice_is_peeled_once():
     graph = sample_graph(40, 6, 2, seed=1)
     sig = build_signature(2, graph.max_right_degree)
     v = 7
-    (a, _), (b, pos_b) = graph.left_edges(v)
+    rights, positions = graph.incidence(np.array([v]))
+    (a, b), pos_b = rights[0].tolist(), int(positions[0, 1])
     w = next(int(x) for x in graph.right_adj[b] if x != v and x not in graph.right_adj[a])
     y = encode(graph, sig, {v, w})
     y[1 + b * sig.s: 1 + (b + 1) * sig.s] += sig.columns[pos_b]
