@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 import tempfile
@@ -32,21 +33,28 @@ def _default_seed() -> int:
         raise ValueError(f"QGT_SEED must be an integer, got {raw!r}") from None
 
 
+def _grid_value(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"grid values must be finite, got {raw!r}")
+    return value
+
+
 def parse_grid(text: str) -> list[float]:
     """Grid syntax: '8,12,20' explicit, '8:20' unit steps, '8:20:2' stepped."""
     if "," in text:
-        return [float(x) for x in text.split(",")]
+        return [_grid_value(x) for x in text.split(",")]
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad grid {text!r}, want lo:hi or lo:hi:step")
-        lo, hi = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
+        lo, hi = _grid_value(parts[0]), _grid_value(parts[1])
+        step = _grid_value(parts[2]) if len(parts) == 3 else 1.0
         if step <= 0 or hi < lo:
             raise ValueError(f"bad grid {text!r}: need lo <= hi and step > 0")
         n_steps = int((hi - lo) / step + 1e-9)
         return [lo + i * step for i in range(n_steps + 1)]
-    return [float(text)]
+    return [_grid_value(text)]
 
 
 def _parse_ell(raw: str) -> int | str:
@@ -89,9 +97,8 @@ def cmd_table(args) -> int:
 
 def cmd_design(args) -> int:
     params = codec.derive_params(args.N, args.K, args.t, ell=_parse_ell(args.ell),
-                                 beta=args.beta, constants=args.constants)
-    m_real, m_ceil = density.tests_needed(args.N, args.K, args.t,
-                                          constants=args.constants)
+                                 beta=args.beta)
+    m_real, m_ceil = density.tests_needed(args.N, args.K, args.t)
     print(f"design for N={params.n_items} K={params.k} t={params.t} "
           f"(ell={params.ell}, beta={params.beta:g}):")
     print(f"  groups                M = {params.m_groups}")
@@ -104,8 +111,8 @@ def cmd_design(args) -> int:
     print("  analytic test count across t (minimum marked *):")
     sweep = []
     for t in range(1, 9):
-        mr, mc = density.tests_needed(args.N, args.K, t, constants=args.constants)
-        c, ell_star = density.design_constant(t, args.constants)
+        mr, mc = density.tests_needed(args.N, args.K, t)
+        c, ell_star = density.design_constant(t)
         sweep.append((t, mr, mc, c, ell_star))
     t_best = min(sweep, key=lambda row: row[1])[0]
     for t, mr, mc, c, ell_star in sweep:
@@ -355,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--ell", default="auto")
     p.add_argument("--beta", type=float, default=codec.DEFAULT_BETA)
-    p.add_argument("--constants", choices=("table", "solve"), default="table")
     p.add_argument("--out", metavar="CSV", help="write the per-t sweep as CSV")
     p.set_defaults(func=cmd_design)
 
@@ -404,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, bch.DecodeFailure) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

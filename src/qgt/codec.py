@@ -73,14 +73,15 @@ def group_shape(n_items: int, ell: int, m_groups: int, t: int) -> tuple[int, int
 
 
 def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
-                  beta: float = DEFAULT_BETA,
-                  constants: str = "table") -> DesignParams:
+                  beta: float = DEFAULT_BETA) -> DesignParams:
     """Size a design for N items with K defectives at decoding radius t."""
     if not 1 <= k < n_items:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")
     if not beta > 1.0:
         raise ValueError(f"beta must exceed 1, got {beta}")
-    c, ell_star = design_constant(t, constants)
+    c, ell_star = design_constant(t)
+    if not math.isfinite(c * k * beta):
+        raise ValueError(f"beta={beta:g} gives an infinite group count c*K*beta")
     if ell == "auto":
         ell = ell_star
     if not isinstance(ell, int) or ell < 2:

@@ -24,6 +24,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+# The fixed point is reached once a round moves p by less than FIXED_POINT_TOL,
+# counts as zero below P_ZERO, and is given up after MAX_ITERS rounds.
+FIXED_POINT_TOL = 1e-10
+P_ZERO = 1e-6
+MAX_ITERS = 10_000
+# lambda_threshold's bracket width at t >= 2, and the ell that c_of_t scans
+THRESHOLD_TOL = 1e-4
+ELL_RANGE = range(2, 13)
+
+
 @dataclass(frozen=True)
 class DeConfig:
     """Parameters of one density-evolution run."""
@@ -31,9 +41,6 @@ class DeConfig:
     t: int
     ell: int
     lam: float
-    fixed_point_tol: float = 1e-10
-    max_iters: int = 10_000
-    p_zero: float = 1e-6
 
     def __post_init__(self):
         if self.t < 1:
@@ -42,11 +49,6 @@ class DeConfig:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        for name in ("fixed_point_tol", "p_zero"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,24 +78,22 @@ def de_fixed_point(cfg: DeConfig) -> DeResult:
     """Iterate from p = 1 until the state stalls, collapses, or iters run out.
 
     The trajectory must be nonincreasing (checked; a violation beyond float
-    tolerance raises).  Once p drops below p_zero the limit is below p_zero
+    tolerance raises).  Once p drops below P_ZERO the limit is below P_ZERO
     too, so the run stops early and counts as converged to zero.
     """
     p = 1.0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         p_next = de_step(p, cfg)
         if p_next > p + 1e-12:
             raise RuntimeError(
                 f"density evolution increased: p={p} -> {p_next} at {cfg}"
             )
-        if p_next < cfg.p_zero:
+        if p_next < P_ZERO:
             return DeResult(p_star=p_next, iterations=it, converged_to_zero=True)
-        if abs(p - p_next) < cfg.fixed_point_tol:
-            return DeResult(p_star=p_next, iterations=it,
-                            converged_to_zero=p_next < cfg.p_zero)
+        if abs(p - p_next) < FIXED_POINT_TOL:
+            return DeResult(p_star=p_next, iterations=it, converged_to_zero=False)
         p = p_next
-    return DeResult(p_star=p, iterations=cfg.max_iters,
-                    converged_to_zero=p < cfg.p_zero)
+    return DeResult(p_star=p, iterations=MAX_ITERS, converged_to_zero=False)
 
 
 def _collapses(t: int, ell: int, lam: float) -> bool:
@@ -101,19 +101,17 @@ def _collapses(t: int, ell: int, lam: float) -> bool:
 
 
 @lru_cache(maxsize=None)
-def lambda_threshold(t: int, ell: int, tol: float = 1e-4) -> float:
+def lambda_threshold(t: int, ell: int) -> float:
     """Largest density lambda at which the recursion still collapses to zero.
 
     t = 1 has the closed form inf_x -log(1 - x^(1/(ell-1)))/x on (0, 1),
     found by golden-section (the objective is unimodal; for ell = 2 the
     infimum sits at the left edge).  t >= 2 bisects the collapse indicator,
     growing the upper bracket until it straddles, down to a bracket of width
-    tol (or of adjacent floats, if tol is finer than that).
+    THRESHOLD_TOL.
     """
     if t < 1 or ell < 2:
         raise ValueError(f"need t >= 1 and ell >= 2, got t={t}, ell={ell}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if t == 1:
         return _lambda_threshold_t1(ell)
     lo, hi = 0.01, 5.0 * ell
@@ -125,10 +123,8 @@ def lambda_threshold(t: int, ell: int, tol: float = 1e-4) -> float:
         grow += 1
         if grow > 10:
             raise RuntimeError(f"threshold above {hi} for t={t}, ell={ell}?")
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
         if _collapses(t, ell, mid):
             lo = mid
         else:
@@ -159,15 +155,13 @@ def _lambda_threshold_t1(ell: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def c_of_t(t: int, ell_min: int = 2, ell_max: int = 12) -> tuple[float, int]:
-    """Design constant c(t) = min over ell of ell / lambda_T(t, ell).
+def c_of_t(t: int) -> tuple[float, int]:
+    """Design constant c(t) = min over ell in ELL_RANGE of ell / lambda_T(t, ell).
 
     Returns (c, ell_star); ties break toward the smaller ell.
     """
-    if not 2 <= ell_min <= ell_max:
-        raise ValueError(f"need 2 <= ell_min <= ell_max, got {ell_min}..{ell_max}")
     best = None
-    for ell in range(ell_min, ell_max + 1):
+    for ell in ELL_RANGE:
         ratio = ell / lambda_threshold(t, ell)
         if best is None or ratio < best[0] - 1e-12:
             best = (ratio, ell)
@@ -189,16 +183,12 @@ DESIGN_TABLE = {
 }
 
 
-def design_constant(t: int, constants: str = "table") -> tuple[float, int]:
-    """(c(t), ell_star) from the frozen table or the live solver."""
-    if constants == "table":
-        if t not in DESIGN_TABLE:
-            raise ValueError(f"no tabulated constant for t={t}")
-        c, ell_star, _ = DESIGN_TABLE[t]
-        return c, ell_star
-    if constants == "solve":
-        return c_of_t(t)
-    raise ValueError(f"constants must be 'table' or 'solve', got {constants!r}")
+def design_constant(t: int) -> tuple[float, int]:
+    """(c(t), ell_star) from the frozen table."""
+    if t not in DESIGN_TABLE:
+        raise ValueError(f"no tabulated constant for t={t}")
+    c, ell_star, _ = DESIGN_TABLE[t]
+    return c, ell_star
 
 
 def paper_test_count(n_items: int, k: int, t: int, c: float, ell: int) -> float:
@@ -206,8 +196,7 @@ def paper_test_count(n_items: int, k: int, t: int, c: float, ell: int) -> float:
     return c * k * (t * math.log2(ell * n_items / (c * k) + 1.0) + 1.0) + 1.0
 
 
-def tests_needed(n_items: int, k: int, t: int,
-                 constants: str = "table") -> tuple[float, int]:
+def tests_needed(n_items: int, k: int, t: int) -> tuple[float, int]:
     """Test count m(N, K, t) from paper_test_count at c(t) and ell_star.
 
     Returns (real value, ceiling).  This is the information-order bound the
@@ -216,6 +205,6 @@ def tests_needed(n_items: int, k: int, t: int,
     """
     if not 1 <= k < n_items:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")
-    c, ell_star = design_constant(t, constants)
+    c, ell_star = design_constant(t)
     m = paper_test_count(n_items, k, t, c, ell_star)
     return m, math.ceil(m)

@@ -42,19 +42,14 @@ class GF2m:
     Parameters
     ----------
     degree : int
-        Extension degree b, 3 <= b <= 16.
-    primitive_poly : int, optional
-        Bitmask of the defining polynomial.  Defaults to the canonical entry
-        in PRIMITIVE_POLY for the degree.
+        Extension degree b, 3 <= b <= 16.  The defining polynomial is
+        PRIMITIVE_POLY[degree].
     """
 
-    def __init__(self, degree: int, primitive_poly: int | None = None):
+    def __init__(self, degree: int):
         if not MIN_DEGREE <= degree <= MAX_DEGREE:
             raise ValueError(f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}")
-        if primitive_poly is None:
-            primitive_poly = PRIMITIVE_POLY[degree]
-        if primitive_poly >> degree != 1:
-            raise ValueError(f"polynomial 0b{primitive_poly:b} does not have degree {degree}")
+        primitive_poly = PRIMITIVE_POLY[degree]
         self.degree = degree
         self.primitive_poly = primitive_poly
         self.order = (1 << degree) - 1

@@ -10,11 +10,11 @@ The sampler lays the N*ell stubs out in consecutive blocks, one per right
 node, and keeps two views of that layout: stubs[p], the item at position p,
 and loc[x], the positions of item x's ell stubs in ascending order.  loc is
 the inverse of the permutation, so it costs no sort.  It answers "how many
-stubs of x sit in block i" in O(ell), lists a pass's duplicates without a
-sort per block, and finally hands each item's right nodes and positions to
-the graph directly.  Every graph, sampled, loaded or built by hand, passes
-the same vectorised O(N*ell) checks; loaded and hand-built graphs first pay
-one stable sort to group their edges by left node.
+stubs of x sit in block i" in O(ell) and lists a pass's duplicates without a
+sort per block.  Once the layout is simple, each block is sorted once into
+its right list.  Every graph, sampled, loaded or built by hand, then groups
+its edges by left node with one sort and passes the same vectorised
+O(N*ell) checks.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class BiRegularGraph:
     """
 
     def __init__(self, n_left: int, ell: int, right_adj: list[np.ndarray],
-                 seed: int = -1, retries: int = 0, *, _incidence=None):
+                 seed: int = -1, retries: int = 0):
         self.n_left = n_left
         self.n_right = len(right_adj)
         self.ell = ell
@@ -60,18 +60,15 @@ class BiRegularGraph:
         if np.any(np.bincount(vals, minlength=n_left) != ell):
             raise ValueError("left degrees are not all equal to ell")
         starts = np.concatenate([[0], np.cumsum(degrees)[:-1]])
-        if _incidence is None:
-            # group the edges by left node; a stable sort keeps each node's
-            # right nodes in ascending order
-            order = np.argsort(vals, kind="stable")
-            owners = np.repeat(np.arange(self.n_right, dtype=np.int64), degrees)[order]
-            rights = owners.reshape(n_left, ell)
-            positions = (order - starts[owners]).reshape(n_left, ell)
-        else:
-            # the sampler's incidence must point back at each left node
-            rights, positions = _incidence
-            if np.any(vals[starts[rights] + positions] != np.arange(n_left)[:, None]):
-                raise ValueError("left incidence disagrees with the right lists")
+        # group the edges by left node, each node's right nodes ascending.  The
+        # key (left node, right node) is distinct unless an edge repeats, which
+        # the check below rejects, so a plain sort gives the stable order
+        # (N*M < 2^63 for any graph whose N*ell edges fit in memory).
+        owners = np.repeat(np.arange(self.n_right, dtype=np.int64), degrees)
+        order = np.argsort(vals * self.n_right + owners)
+        owners = owners[order]
+        rights = owners.reshape(n_left, ell)
+        positions = (order - starts[owners]).reshape(n_left, ell)
         if np.any(rights[:, 1:] <= rights[:, :-1]):
             raise ValueError("parallel edge: left node repeated in a right list")
         self._left_rights = rights
@@ -160,7 +157,7 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGra
         else:
             loc.sort(axis=1)
         if _repair(stubs, loc, blocks, rng):
-            return _assemble(n_left, ell, stubs, loc, blocks, seed, attempt)
+            return _assemble(n_left, ell, stubs, blocks, seed, attempt)
     raise RuntimeError(
         f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
         f"(N={n_left}, M={n_right}, ell={ell}, seed={seed})"
@@ -288,17 +285,11 @@ class _Blocks:
         return head // (self.base + 1) + (pos - head) // self.base
 
 
-def _assemble(n_left, ell, stubs, loc, blocks, seed, retries):
-    """Sorted right lists plus the left incidence, read off the stub layout."""
-    right_adj = []
-    rank = np.empty(len(stubs), dtype=np.int64)
-    for lo, hi in zip(blocks.bounds[:-1], blocks.bounds[1:]):
-        seg = stubs[lo:hi]
-        order = np.argsort(seg)
-        right_adj.append(seg[order])
-        rank[lo + order] = np.arange(hi - lo)
-    return BiRegularGraph(n_left, ell, right_adj, seed=seed, retries=retries,
-                          _incidence=(blocks.of_all(loc), rank[loc]))
+def _assemble(n_left, ell, stubs, blocks, seed, retries):
+    """The graph whose right lists are the stub layout's blocks, each sorted."""
+    bounds = blocks.bounds
+    right_adj = [np.sort(stubs[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return BiRegularGraph(n_left, ell, right_adj, seed=seed, retries=retries)
 
 
 def _duplicates(loc: np.ndarray, blocks: _Blocks):

@@ -98,10 +98,14 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    grid = list(m_over_k_grid)
+    for m_over_k in grid:
+        if not math.isfinite(m_over_k * k):
+            raise ValueError(f"m/K = {m_over_k:g} gives no finite test budget at K={k}")
     if ell == "auto":
         ell = derive_params(n_items, max(k, 1), t).ell
     points = []
-    for g_idx, m_over_k in enumerate(m_over_k_grid):
+    for g_idx, m_over_k in enumerate(grid):
         m_budget = int(round(m_over_k * k))
         m_groups = groups_within_budget(n_items, t, ell, m_budget)
         _, _, s = group_shape(n_items, ell, m_groups, t)

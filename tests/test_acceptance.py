@@ -15,7 +15,7 @@ from qgt.bch import (build_parity_columns, decode_syndrome, decode_syndromes, ma
                      syndrome_from_bits)
 from qgt.codec import build_signature, decode, derive_params, encode, measurement_matrix
 from qgt.density import (DESIGN_TABLE, DeConfig, c_of_t, de_fixed_point,
-                         de_step, lambda_threshold)
+                         de_step, lambda_threshold, paper_test_count)
 from qgt.density import tests_needed as analytic_test_count
 from qgt.graphs import BiRegularGraph, sample_graph
 from qgt.simulate import TrialConfig, run_trial
@@ -202,9 +202,12 @@ def test_desk_scale_success_rate():
 def test_test_count_minimized_at_t_two():
     # Across t in 1..8 at N = 2^16, K = 100, the analytic test count is
     # smallest at t = 2, under both the frozen and recomputed constants.
-    for constants in ("table", "solve"):
-        counts = {t: analytic_test_count(1 << 16, 100, t, constants)[0]
-                  for t in range(1, 9)}
+    sources = {
+        "table": lambda t: analytic_test_count(1 << 16, 100, t)[0],
+        "solve": lambda t: paper_test_count(1 << 16, 100, t, *c_of_t(t)),
+    }
+    for constants, count in sources.items():
+        counts = {t: count(t) for t in range(1, 9)}
         best = min(counts, key=counts.get)
         assert best == 2, f"minimum at t={best} with {constants} constants"
     print("PASS: analytic test count minimized at t=2 (both constant sources)")

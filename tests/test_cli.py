@@ -30,7 +30,8 @@ def test_parse_grid_forms():
 
 
 def test_parse_grid_rejects():
-    for bad in ("20:8", "8:20:0", "8:20:-1", "8:20:1:2"):
+    for bad in ("20:8", "8:20:0", "8:20:-1", "8:20:1:2", "inf", "nan", "8:inf",
+                "-inf:8", "8:20:inf", "8,nan", "1e400"):
         with pytest.raises(ValueError):
             cli.parse_grid(bad)
 
@@ -298,14 +299,32 @@ def test_simulate_malformed_env_seed(capsys, monkeypatch):
     assert code == 2 and "QGT_SEED" in err
 
 
-@pytest.mark.parametrize("argv", [["decode", "--y", "y.txt"],
-                                  ["simulate", "--N", "300", "--K", "10"]])
+@pytest.mark.parametrize("argv", [
+    ["decode", "--y", "y.txt", "--method", "chien"],
+    ["simulate", "--N", "300", "--K", "10", "--method", "chien"],
+    ["design", "--N", "300", "--K", "10", "--constants", "solve"],
+])
 def test_method_flag_is_gone(argv, capsys):
-    # decode has one root finder; the old flag is a usage error
+    # decode has one root finder and designs one table of constants; the old
+    # flags are usage errors
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--method", "chien"])
+        cli.main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --method" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--N", "300", "--K", "10", "--beta", "inf"], "infinite group count"),
+    (["design", "--N", "300", "--K", "10", "--beta", "1e308"], "infinite group count"),
+    (["simulate", "--N", "200", "--K", "5", "--trials", "1", "--grid", "inf"], "finite"),
+    (["simulate", "--N", "200", "--K", "5", "--trials", "1", "--grid", "8:inf"], "finite"),
+    (["simulate", "--N", "200", "--K", "5", "--trials", "1", "--grid", "nan"], "finite"),
+], ids=["beta-inf", "beta-1e308", "grid-inf", "grid-8:inf", "grid-nan"])
+def test_non_finite_numbers_are_rejected(argv, message, capsys):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -80,7 +80,6 @@ def test_trajectory_monotone_on_random_grid():
             t=int(rng.integers(1, 9)),
             ell=int(rng.integers(2, 13)),
             lam=float(rng.uniform(0.05, 40.0)),
-            max_iters=2000,
         )
         p = 1.0
         for _ in range(200):
@@ -156,11 +155,9 @@ def test_solver_output_pinned(t):
 
 def test_design_constant_paths():
     assert design_constant(1) == (1.221793, 3)
-    assert design_constant(2, constants="table")[1] == 2
+    assert design_constant(2)[1] == 2
     with pytest.raises(ValueError):
         design_constant(9)
-    with pytest.raises(ValueError):
-        design_constant(2, constants="guess")
 
 
 def test_tests_needed_reference_value():
@@ -193,30 +190,9 @@ def test_config_validation():
     for lam in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             DeConfig(t=1, ell=2, lam=lam)
-    with pytest.raises(ValueError):
-        DeConfig(t=1, ell=2, lam=1.0, p_zero=0.0)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan"), float("inf")])
-def test_threshold_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        lambda_threshold(2, 2, tol=tol)
 
 
 def test_threshold_rejects_bad_degrees():
     for t, ell in ((0, 2), (1, 1), (2, 1)):
         with pytest.raises(ValueError, match="ell >= 2"):
             lambda_threshold(t, ell)
-
-
-def test_threshold_tol_below_float_spacing_terminates():
-    # the bracket stops at adjacent floats instead of spinning forever
-    assert lambda_threshold(2, 2, tol=1e-300) == pytest.approx(
-        lambda_threshold(2, 2), abs=1e-4)
-
-
-def test_c_of_t_rejects_bad_ell_range():
-    with pytest.raises(ValueError, match="ell_min <= ell_max"):
-        c_of_t(2, ell_min=5, ell_max=4)
-    with pytest.raises(ValueError, match="ell_min <= ell_max"):
-        c_of_t(2, ell_min=1, ell_max=4)

@@ -1,8 +1,9 @@
-"""Mutated graph, support and test-vector files through the qgt command.
+"""Mutated input files and numbers through the qgt command.
 
 Every input file is outside input: whatever it holds, `qgt encode` and
 `qgt decode` must exit 0 (recovered), 1 (incomplete) or 2 (rejected with a
-one-line error), never with an uncaught exception.
+one-line error), never with an uncaught exception.  So is every number: any
+float given to `qgt design --beta` or `qgt simulate --grid` exits 0 or 2.
 """
 
 import os
@@ -86,3 +87,24 @@ def test_mutated_files_exit_cleanly(edit_list):
                      "--out", os.path.join(tmp, "out.txt"), *design])
         assert code in (0, 2)
         assert main(["decode", "--y", paths["y"], *design]) in (0, 1, 2)
+
+
+# every float, with the ones that break integer arithmetic drawn often
+floats = st.one_of(
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308, -1e308,
+                     1.7976931348623157e308, 5e-324, -5e-324, 0.0, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(floats)
+def test_design_beta_exits_cleanly(beta):
+    assert main(["design", "--N", "300", "--K", "10", f"--beta={beta!r}"]) in (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(floats)
+def test_simulate_grid_value_exits_cleanly(m_over_k):
+    argv = ["simulate", "--N", "200", "--K", "5", "--trials", "1", f"--grid={m_over_k!r}"]
+    assert main(argv) in (0, 2)

@@ -142,6 +142,13 @@ def test_run_sweep_budget_dichotomy():
         assert p.stderr >= 0.0
 
 
+def test_run_sweep_rejects_non_finite_budgets():
+    # 1e308 is finite, but its budget m = 1e308 * K is not
+    for bad in (math.inf, -math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="finite test budget"):
+            run_sweep(200, 5, 2, [20.0, bad], trials=1, master_seed=1)
+
+
 def test_run_sweep_auto_ell():
     pts = run_sweep(400, 10, 1, [20.0], trials=5, master_seed=1, ell="auto")
     assert len(pts) == 1 and pts[0].trials == 5
