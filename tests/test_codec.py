@@ -1,5 +1,6 @@
 """Design sizing, encoder, peeling decoder, and file formats."""
 
+import hashlib
 import math
 import random
 
@@ -23,8 +24,9 @@ from qgt.codec import (
     save_support,
     save_test_vector,
 )
+from qgt.density import lambda_threshold
 from qgt.density import tests_needed as analytic_test_count
-from qgt.graphs import BiRegularGraph, sample_graph
+from qgt.graphs import BiRegularGraph, sample_defectives, sample_graph
 
 # independent transcription of the 14-item worked instance (the library has
 # its own copy in qgt.reference; the two must stay in agreement)
@@ -179,6 +181,50 @@ def test_decode_conservation_invariant():
 
     outcome = decode(g, sig, y, trace=check)
     assert outcome.recovered == support
+
+
+def pinned_outcomes():
+    """(sorted recovered, iterations, unresolved_right, success) of 40 decodes.
+
+    t cycles through 1..4, blocks of four alternate a whole graph with a
+    defectives-only view, and the last 16 have one entry of y moved by
+    +-1 or +-2.  Loads straddle the threshold, so clean decodes both stall
+    and complete.
+    """
+    rng = np.random.default_rng(20261018)
+    rows = []
+    for idx in range(40):
+        t = 1 + idx % 4
+        on_view = (idx // 4) % 2 == 1
+        ell = int(rng.integers(2, 4))
+        n = int(rng.integers(150, 900))
+        lam = lambda_threshold(t, ell) * rng.uniform(0.4, 1.4)
+        m = int(rng.integers(max(ell, n // 40), max(ell + 1, n // 8)))
+        k = min(n // 4, max(1, round(lam * m / ell)))
+        support = rng.choice(n, size=k, replace=False)
+        seed = int(rng.integers(1 << 32))
+        if on_view:
+            graph = sample_defectives(n, m, ell, support, seed=seed)
+        else:
+            graph = sample_graph(n, m, ell, seed=seed)
+        sig = build_signature(t, graph.max_right_degree)
+        y = encode(graph, sig, support)
+        if idx >= 24:
+            y[int(rng.integers(len(y)))] += int(rng.choice([-2, -1, 1, 2]))
+        out = decode(graph, sig, y)
+        rows.append((sorted(out.recovered), out.iterations, out.unresolved_right, out.success))
+    return rows
+
+
+def test_decode_outcomes_pinned():
+    # any change to what decode returns, on genuine or corrupted input,
+    # changes this digest; a change that means to must say why
+    rows = pinned_outcomes()
+    clean, corrupted = rows[:24], rows[24:]
+    assert 0 < sum(r[3] for r in clean) < len(clean)
+    assert not any(r[3] for r in corrupted) and any(r[0] for r in corrupted)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "ce63782ec74ee4f316a9b6b8d91d5eff6a021bf038ad5e9e08d3534cb26d2d12"
 
 
 def test_decode_rejects_wrong_length():
