@@ -278,22 +278,26 @@ def _locators_3_4(f: GF2m, cubic, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarra
     double root, whose power sums are those of a quadratic, and those make
     the determinant 0.  One batched _solve_affine then serves every row.
     """
-    den = s3 ^ _pow(f, s1, 3)
-    num = _mul(f, _pow(f, s1, 2), s3) ^ s5
+    s1_2 = _mul(f, s1, s1)
+    s1_4 = _mul(f, s1_2, s1_2)
+    den = s3 ^ _mul(f, s1_2, s1)
+    num = _mul(f, s1_2, s3) ^ s5
     sigma2 = _mul(f, num, _pow(f, den, -1))
     sigma3 = den ^ _mul(f, s1, sigma2)
-    d2 = s5 ^ _pow(f, s1, 5)
-    r2 = s7 ^ _mul(f, s1, _pow(f, s3, 2)) ^ _mul(f, _pow(f, s1, 4), s3) ^ _pow(f, s1, 7)
+    d2 = s5 ^ _mul(f, s1_4, s1)
+    r2 = s7 ^ _mul(f, s1, _mul(f, s3, s3)) ^ _mul(f, s1_4, den)  # S1^4 S3 + S1^7 = S1^4 den
     det = _mul(f, s3, den) ^ _mul(f, s1, d2)
-    tau2 = _mul(f, _mul(f, num, s3) ^ _mul(f, s1, r2), _pow(f, det, -1))
-    tau4 = _mul(f, _mul(f, den, r2) ^ _mul(f, d2, num), _pow(f, det, -1))
+    inv_det = _pow(f, det, -1)
+    tau2 = _mul(f, _mul(f, num, s3) ^ _mul(f, s1, r2), inv_det)
+    tau4 = _mul(f, _mul(f, den, r2) ^ _mul(f, d2, num), inv_det)
     a = np.where(cubic, 0, s1)
-    b = np.where(cubic, _pow(f, s1, 2) ^ sigma2, tau2)
+    b = np.where(cubic, s1_2 ^ sigma2, tau2)
     c = np.where(cubic, _mul(f, s1, sigma2) ^ sigma3, den ^ _mul(f, s1, tau2))
     d = np.where(cubic, _mul(f, s1, sigma3), tau4)
 
     h = _pow(f, _mul(f, c, _pow(f, a, -1)), 1 << (f.degree - 1))
-    inv_at_h = _pow(f, _pow(f, h, 4) ^ _mul(f, b, _pow(f, h, 2)) ^ d, -1)
+    h_2 = _mul(f, h, h)
+    inv_at_h = _pow(f, _mul(f, h_2, h_2) ^ _mul(f, b, h_2) ^ d, -1)
     linear = a == 0
     u, solved = _solve_affine(
         f,
@@ -311,41 +315,42 @@ def _solve_affine(f: GF2m, a2, a1, rhs) -> tuple[np.ndarray, np.ndarray]:
 
     u -> u^4 + a2 u^2 + a1 u is GF(2)-linear, so each row is a b x b system
     over GF(2) whose column j is the image of 2^j.  Gauss-Jordan elimination
-    runs on every row at once; rhs rides along as one more column that never
-    pivots, and tags record which columns each column now sums.  Returns
-    (solutions, solved), solutions of shape (rows, 4); solved marks the
-    consistent rows whose kernel has dimension 2, i.e. four solutions.
+    runs on every row at once, column by column: a nonzero column pivots on
+    its lowest set bit, which is cleared from every other column, and a
+    column that is zero at its turn is free.  rhs rides along as one more
+    column that never pivots.  Bits b and up of a column are its tag, which
+    records the columns it now sums, so one XOR updates both; a free
+    column's tag is a kernel vector.  Returns (solutions, solved), solutions
+    of shape (rows, 4); solved marks the consistent rows whose kernel has
+    dimension 2, i.e. four solutions.
     """
     b = f.degree
-    at = np.arange(len(rhs))
+    low = (1 << b) - 1
     basis = np.int64(1) << np.arange(b + 1, dtype=np.int64)
     vecs = np.empty((len(rhs), b + 1), dtype=np.int64)
     vecs[:, :b] = (_pow(f, basis[:b], 4) ^ _mul(f, a2[:, None], _pow(f, basis[:b], 2))
                    ^ _mul(f, a1[:, None], basis[:b]))
     vecs[:, b] = rhs
-    tags = np.tile(basis, (len(rhs), 1))
-    free = np.ones(vecs.shape, dtype=bool)
-    free[:, b] = False
-    for bit in range(b):
-        has = (vecs >> bit) & 1 == 1
-        pick = has & free
-        found = pick.any(axis=1)
-        p = pick.argmax(axis=1)
-        has[at, p] = False
-        has &= found[:, None]
-        vecs ^= np.where(has, vecs[at, p][:, None], 0)
-        tags ^= np.where(has, tags[at, p][:, None], 0)
-        free[at, p] &= ~found
-    kernel = free[:, :b]
-    solved = (vecs[:, b] == 0) & (kernel.sum(axis=1) == 2)
-    k1, k2 = np.sort(np.where(kernel, tags[:, :b], 0), axis=1)[:, -2:].T
+    vecs |= basis << b
+    for j in range(b):
+        column = vecs[:, j] & low
+        pivot = column & -column  # 0 for a free column
+        has = (vecs & pivot[:, None]) != 0
+        has[:, j] = False
+        vecs ^= np.where(has, vecs[:, j : j + 1], 0)
+    # a free column is zero at its turn, and no later pivot touches it
+    free = (vecs[:, :b] & low) == 0
+    tags = vecs >> b
+    solved = ((vecs[:, b] & low) == 0) & (free.sum(axis=1) == 2)
+    k1, k2 = np.sort(np.where(free, tags[:, :b], 0), axis=1)[:, -2:].T
     particular = tags[:, b] ^ basis[b]
     return particular[:, None] ^ np.stack([np.zeros_like(k1), k1, k2, k1 ^ k2], axis=1), solved
 
 
 def _mul(f: GF2m, a, b):
     """Elementwise product of arrays of field elements."""
-    return np.where((a == 0) | (b == 0), 0, f.alog_np[(f.log_np[a] + f.log_np[b]) % f.order])
+    zlog, zalog = f.product_tables
+    return zalog[zlog[a] + zlog[b]]
 
 
 def _pow(f: GF2m, a, e: int):

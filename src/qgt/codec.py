@@ -87,6 +87,11 @@ def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
     if not isinstance(ell, int) or ell < 2:
         raise ValueError(f"ell must be an int >= 2 or 'auto', got {ell!r}")
     m_groups = max(ell, math.ceil(c * k * beta))
+    if m_groups > n_items * ell:
+        raise ValueError(
+            f"beta={beta:g} gives M={m_groups} groups, more than the "
+            f"N*ell = {n_items * ell} edges of any graph on N={n_items} items"
+        )
     n_max = ((1 << MAX_DEGREE) - 1) * m_groups // ell  # r_max fits GF(2^MAX_DEGREE)
     if n_items > n_max:
         raise ValueError(
@@ -163,7 +168,7 @@ def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np
     max_right_degree, incidence and items_at, so a DefectiveView holding the
     support serves as well as the whole graph.
     """
-    items = sorted(set(int(v) for v in support))
+    items = sorted(set(map(int, support)))
     if items and (items[0] < 0 or items[-1] >= graph.n_left):
         bad = items[0] if items[0] < 0 else items[-1]
         raise ValueError(f"item {bad} out of range [0, {graph.n_left})")
@@ -173,25 +178,42 @@ def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np
             f"signature covers {sig.r} columns but a group has "
             f"{graph.max_right_degree} items"
         )
-    s = sig.s
-    y = np.zeros(graph.n_right * s + 1, dtype=np.int64)
+    y = np.zeros(graph.n_right * sig.s + 1, dtype=np.int64)
     y[0] = len(items)
-    _scatter(np.add, y[1:].reshape(graph.n_right, s), graph, sig, items)
+    _scatter(np.add, y[1:], graph, sig, items)
     return y
 
 
-def _scatter(op, blocks: np.ndarray, graph: BiRegularGraph | DefectiveView,
+def _scatter(op, tests: np.ndarray, graph: BiRegularGraph | DefectiveView,
              sig: Signature, items: np.ndarray) -> np.ndarray:
     """Add (op=np.add) or subtract (np.subtract) items' columns, in place.
 
-    blocks is the M x s view of a test vector.  Each item's signature column
-    goes into every group it belongs to; two items sharing a group are both
-    applied, which op.at guarantees.  Returns the groups touched, with repeats.
+    tests is the flat M*s view of a test vector, group i in slots
+    i*s..i*s+s-1.  Each item's signature column goes into every group it
+    belongs to; two items sharing a group are both applied, which op.at
+    guarantees.  Returns the groups touched, with repeats.
     """
+    s = sig.s
     rights, positions = graph.incidence(items)
     rights = rights.ravel()
-    op.at(blocks, rights, sig.columns[positions.ravel()])
+    slots = (rights * s)[:, None] + np.arange(s)
+    op.at(tests, slots.ravel(), sig.columns[positions.ravel()].ravel())
     return rights
+
+
+def _resolve_stack(stack: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, ok) for a stack of group slices, shape (f, s).
+
+    positions has shape (f, t), -1 marking an empty slot, as
+    bch.decode_syndromes gives them; ok marks the rows it resolves whose
+    decoded columns also integer-sum back to the whole slice.
+    """
+    syndromes = syndrome_from_bits(sig.bch, stack[:, 1:] & 1)
+    positions, ok = decode_syndromes(sig.bch, syndromes, stack[:, 0])
+    # integer re-check of the whole slice; an empty slot reads the zero column
+    look = np.where(ok[:, None] & (positions >= 0), positions, sig.r)
+    ok &= (sig.columns[look].sum(axis=1) == stack).all(axis=1)
+    return positions, ok
 
 
 def resolve_node(z: np.ndarray, sig: Signature):
@@ -206,12 +228,7 @@ def resolve_node(z: np.ndarray, sig: Signature):
     z = np.asarray(z, dtype=np.int64)
     if z.ndim not in (1, 2) or z.shape[-1] != sig.s:
         raise ValueError(f"expected slices of length {sig.s}, got shape {z.shape}")
-    stack = np.atleast_2d(z)
-    syndromes = syndrome_from_bits(sig.bch, stack[:, 1:] & 1)
-    positions, ok = decode_syndromes(sig.bch, syndromes, stack[:, 0])
-    # integer re-check of the whole slice; an empty slot reads the zero column
-    look = np.where(ok[:, None] & (positions >= 0), positions, sig.r)
-    ok &= (sig.columns[look].sum(axis=1) == stack).all(axis=1)
+    positions, ok = _resolve_stack(np.atleast_2d(z), sig)
     out = [frozenset(p for p in pos if p >= 0) if good else None
            for pos, good in zip(positions.tolist(), ok.tolist())]
     return out if z.ndim == 2 else out[0]
@@ -223,13 +240,15 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
 
     Rounds are synchronous: every group in the round's frontier (unresolved,
     count at most t) is resolved from the residual as it stood when the round
-    began, in one resolve_node call.  The items recovered are deduplicated,
-    so each item is peeled exactly once, and their columns are subtracted in
-    one scatter; the next frontier is the touched groups still unresolved
-    with count at most t.  After every round the residual equals
-    y - encode(recovered), so success means exactly that the recovered set
-    re-encodes to y.  trace(round_idx, residual, recovered) is called after
-    each round when provided.
+    began, in one batched resolve, and their items are read in one items_at
+    gather.  A group resolves only when every position it decodes names an
+    item.  The items recovered are deduplicated, so each item is peeled
+    exactly once, and their columns are subtracted in one scatter; the next
+    frontier is the touched groups still unresolved with count at most t.
+    After every round the residual equals y - encode(recovered), so success
+    means exactly that the recovered set re-encodes to y.
+    trace(round_idx, residual, recovered) is called after each round when
+    provided.
     """
     m, s = graph.n_right, sig.s
     if y.shape != (m * s + 1,):
@@ -237,33 +256,30 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
     t = sig.bch.t
     residual = y[1:].reshape(m, s).astype(np.int64)
     resolved = np.zeros(m, dtype=bool)
-    recovered: set[int] = set()
+    recovered = np.zeros(0, dtype=np.int64)
     frontier = np.flatnonzero(residual[:, 0] <= t)
     iterations = 0
     while frontier.size:
         iterations += 1
-        found: list[int] = []
-        results = resolve_node(residual[frontier], sig)
-        for i, positions in zip(frontier.tolist(), results):
-            if positions is None:
-                # inconsistent slice; retried only if a later peel changes it
-                continue
-            items = graph.items_at(i, sorted(positions))
-            if -1 in items:
-                # a padding column, or a position a view does not hold;
-                # neither happens on genuine input
-                continue
-            resolved[i] = True
-            found.extend(items)
-        new = np.array(sorted(set(found) - recovered), dtype=np.int64)
-        recovered.update(new.tolist())
-        touched = np.unique(_scatter(np.subtract, residual, graph, sig, new))
-        frontier = touched[~resolved[touched] & (residual[touched, 0] <= t)]
+        positions, ok = _resolve_stack(residual[frontier], sig)
+        items = graph.items_at(np.repeat(frontier, t), positions.ravel()).reshape(positions.shape)
+        # a padding column, or a position a view does not hold, leaves the
+        # group unresolved; neither happens on genuine input
+        ok &= ((items >= 0) | (positions < 0)).all(axis=1)
+        resolved[frontier[ok]] = True
+        # the distinct items, -1 slots dropped, that no earlier round recovered
+        found = np.sort(items[ok], axis=None)
+        new = found[np.diff(found, prepend=-1) > 0]
+        new = new[np.searchsorted(recovered, new) == np.searchsorted(recovered, new, "right")]
+        recovered = np.sort(np.concatenate([recovered, new]))
+        touched = np.zeros(m, dtype=bool)
+        touched[_scatter(np.subtract, residual.reshape(-1), graph, sig, new)] = True
+        frontier = np.flatnonzero(touched & ~resolved & (residual[:, 0] <= t))
         if trace is not None:
-            trace(iterations, residual.copy(), set(recovered))
+            trace(iterations, residual.copy(), set(recovered.tolist()))
     unresolved = int((~resolved).sum())
     success = len(recovered) == int(y[0]) and not residual.any()
-    return DecodeOutcome(recovered=recovered, iterations=iterations,
+    return DecodeOutcome(recovered=set(recovered.tolist()), iterations=iterations,
                          unresolved_right=unresolved, success=success)
 
 

@@ -8,7 +8,7 @@ therefore share one canonical representation.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -148,6 +148,23 @@ class GF2m:
             raise ValueError(f"expected {self.degree} bits in the last axis, got shape {bits.shape}")
         values = bits.astype(np.int64) @ self._bit_weights
         return int(values) if bits.ndim == 1 else values
+
+    @cached_property
+    def product_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(zlog, zalog): products of arrays by one add and table reads.
+
+        zlog[a] is the log of a, and zlog[0] = 2*order, a sentinel.  zalog
+        holds alpha^i for i < 2*order and 0 from 2*order to 4*order, so
+        zalog[zlog[a] + zlog[b]] is a*b: two logs sum below 2*order, and a
+        sum with a sentinel in it lands at 2*order or above.
+        """
+        zlog = self.log_np.copy()
+        zlog[0] = 2 * self.order
+        zalog = np.zeros(4 * self.order + 1, dtype=np.int64)
+        zalog[: 2 * self.order] = np.tile(self.alog_np, 2)
+        for table in (zlog, zalog):
+            table.setflags(write=False)
+        return zlog, zalog
 
     # -- the quadratic table ------------------------------------------------
 

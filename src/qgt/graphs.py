@@ -32,7 +32,8 @@ class BiRegularGraph:
     right_adj[i] is the neighbor list of right node i, ascending left
     indices for sampled graphs (file order for loaded ones).  The index of v
     inside right_adj[i] is the "position" of edge (i, v); signature columns
-    are assigned by position.
+    are assigned by position.  The lists are read-only views of one flat
+    edge array, right node by right node.
     """
 
     def __init__(self, n_left: int, ell: int, right_adj: list[np.ndarray],
@@ -42,17 +43,16 @@ class BiRegularGraph:
         self.ell = ell
         self.seed = seed
         self.retries = retries
-        self.right_adj = [np.asarray(a, dtype=np.int64) for a in right_adj]
         if ell < 2:
             raise ValueError(f"ell must be >= 2, got {ell}")
         if self.n_right < 1 or n_left < 1:
             raise ValueError("graph must have at least one node on each side")
-        degrees = self.degrees()
+        degrees = np.array([len(a) for a in right_adj], dtype=np.int64)
         if degrees.min() < 1:
             raise ValueError("every right node needs at least one edge")
         if degrees.max() - degrees.min() > 1:
             raise ValueError("right degrees must take at most two adjacent values")
-        vals = np.concatenate(self.right_adj)
+        vals = np.concatenate(right_adj).astype(np.int64, copy=False)
         if len(vals) != n_left * ell:
             raise ValueError(f"edge count {len(vals)} != N*ell = {n_left * ell}")
         if vals.min() < 0 or vals.max() >= n_left:
@@ -71,24 +71,32 @@ class BiRegularGraph:
         positions = (order - starts[owners]).reshape(n_left, ell)
         if np.any(rights[:, 1:] <= rights[:, :-1]):
             raise ValueError("parallel edge: left node repeated in a right list")
+        for array in (vals, degrees, starts):
+            array.setflags(write=False)
+        self._edges = vals
+        self._degrees = degrees
+        self._starts = starts
+        self.max_right_degree = int(degrees.max())
+        self.right_adj = np.split(vals, starts[1:])
         self._left_rights = rights
         self._left_positions = positions
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.right_adj], dtype=np.int64)
-
-    @property
-    def max_right_degree(self) -> int:
-        return int(self.degrees().max())
+        """Right degrees, read-only."""
+        return self._degrees
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Right nodes and positions of the given left nodes, ell per row."""
         return self._left_rights[items], self._left_positions[items]
 
-    def items_at(self, group: int, positions) -> list[int]:
-        """The left nodes at these positions of a group; -1 past its end."""
-        adj = self.right_adj[group]
-        return [int(adj[p]) if p < len(adj) else -1 for p in positions]
+    def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The left node at each (group, position) pair; -1 past the group's end."""
+        groups = np.asarray(groups, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
+        inside = (positions >= 0) & (positions < self._degrees[groups])
+        out = np.full(groups.shape, -1, dtype=np.int64)
+        out[inside] = self._edges[self._starts[groups[inside]] + positions[inside]]
+        return out
 
     # -- text serialization --------------------------------------------------
     # line 1: "N M ell seed"; then one line per right node with its ascending
@@ -208,7 +216,9 @@ class DefectiveView:
     It answers what encode and decode ask of a graph (n_left, n_right,
     max_right_degree, incidence, items_at) for supports inside `items`.
     incidence rejects any other item; items_at maps a position the view does
-    not hold to -1, so decode leaves that group unresolved.
+    not hold to -1, so decode leaves that group unresolved.  An edge is
+    found by its key group * max_right_degree + position among the held
+    edges' sorted keys.
     """
 
     def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray,
@@ -220,8 +230,10 @@ class DefectiveView:
         self.items = np.asarray(items, dtype=np.int64)[order]
         self._rights = np.asarray(rights, dtype=np.int64)[order]
         self._positions = np.asarray(positions, dtype=np.int64)[order]
-        self._at = dict(zip(zip(self._rights.ravel().tolist(), self._positions.ravel().tolist()),
-                            np.repeat(self.items, self._rights.shape[1]).tolist()))
+        keys = (self._rights * self.max_right_degree + self._positions).ravel()
+        by_key = np.argsort(keys)
+        self._keys = keys[by_key]
+        self._key_items = np.repeat(self.items, self._rights.shape[1])[by_key]
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.searchsorted(self.items, items)
@@ -231,8 +243,18 @@ class DefectiveView:
             raise ValueError(f"item {int(items[~held][0])} is not in the view")
         return self._rights[rows], self._positions[rows]
 
-    def items_at(self, group: int, positions) -> list[int]:
-        return [self._at.get((group, p), -1) for p in positions]
+    def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The held item at each (group, position) pair; -1 where none is held."""
+        groups = np.asarray(groups, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
+        keys = groups * self.max_right_degree + positions
+        rows = np.searchsorted(self._keys, keys)
+        # a position past max_right_degree would read as the next group's key
+        held = (positions >= 0) & (positions < self.max_right_degree) & (rows < len(self._keys))
+        held[held] = self._keys[rows[held]] == keys[held]
+        out = np.full(groups.shape, -1, dtype=np.int64)
+        out[held] = self._key_items[rows[held]]
+        return out
 
 
 def _right_degrees(n_left: int, n_right: int, ell: int) -> np.ndarray:
@@ -288,8 +310,9 @@ class _Blocks:
 def _assemble(n_left, ell, stubs, blocks, seed, retries):
     """The graph whose right lists are the stub layout's blocks, each sorted."""
     bounds = blocks.bounds
-    right_adj = [np.sort(stubs[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return BiRegularGraph(n_left, ell, right_adj, seed=seed, retries=retries)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        stubs[lo:hi].sort()
+    return BiRegularGraph(n_left, ell, np.split(stubs, bounds[1:-1]), seed=seed, retries=retries)
 
 
 def _duplicates(loc: np.ndarray, blocks: _Blocks):

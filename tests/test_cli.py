@@ -120,6 +120,13 @@ def test_design_beyond_the_largest_n(capsys):
     assert "increase M" not in err
 
 
+def test_design_rejects_more_groups_than_edges(capsys):
+    code, out, err = run_cli(capsys, "design", "--N", "300", "--K", "10", "--beta", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "M=5969 groups" in err
+
+
 # -- encode / decode ----------------------------------------------------------
 
 

@@ -322,6 +322,14 @@ def test_derive_params_names_its_largest_n():
         derive_params(2_654_168, 100, 2)
 
 
+def test_derive_params_rejects_more_groups_than_edges():
+    # c(2) * 10 * 1000 gives M = 5969 groups; 300 items at ell = 2 have 600 edges
+    with pytest.raises(ValueError, match="M=5969 groups, more than the N\\*ell = 600"):
+        derive_params(300, 10, 2, beta=1000.0)
+    p = derive_params(300, 10, 2, beta=100.0)  # M = 597 <= 600 still sizes
+    assert p.m_groups == 597
+
+
 def test_derive_params_tiny_instance_clamps():
     # toy sizes force the field-degree floor and the M >= ell floor
     p = derive_params(20, 2, 1, beta=1.01)

@@ -49,6 +49,26 @@ def test_view_of_a_graph_encodes_and_decodes_as_the_graph():
     assert stalled > 20 and exact > 20
 
 
+def test_view_items_at_agrees_with_its_graph():
+    rng = np.random.default_rng(5)
+    graph = sample_graph(300, 47, 2, seed=8)
+    held = set(rng.choice(300, size=60, replace=False).tolist())
+    view = view_of(graph, held)
+    top = graph.max_right_degree
+    # every group at every position from -1 to past the largest group
+    groups, positions = (a.ravel() for a in np.meshgrid(np.arange(47), np.arange(-1, top + 3)))
+    whole = graph.items_at(groups, positions)
+    want = np.where(np.isin(whole, list(held)), whole, -1)
+    assert view.items_at(groups, positions).tolist() == want.tolist()
+    # group i at position max_right_degree has the key of group i + 1 at 0
+    nxt = view.items_at(np.arange(1, 47), np.zeros(46, dtype=np.int64))
+    assert (nxt >= 0).any()
+    assert (view.items_at(np.arange(46), np.full(46, top)) == -1).all()
+    empty = np.zeros(0, dtype=np.int64)
+    assert view.items_at(empty, empty).shape == (0,)
+    assert view_of(graph, set()).items_at(groups, positions).tolist() == [-1] * len(groups)
+
+
 @pytest.mark.parametrize("shape", [
     (10, 2, 3),   # ell > M
     (3, 1, 2),    # ell > M, where the one right degree (6) would exceed N

@@ -73,7 +73,34 @@ def test_left_adj_consistency():
     for v in range(25):
         for i, pos in zip(rights[v].tolist(), positions[v].tolist()):
             assert int(g.right_adj[i][pos]) == v
-            assert g.items_at(i, [pos]) == [v]
+            assert g.items_at(np.array([i]), np.array([pos])).tolist() == [v]
+
+
+def test_items_at_reads_the_right_lists():
+    rng = np.random.default_rng(77)
+    for n, m, ell in [(25, 5, 3), (11, 4, 2), (300, 47, 2)]:
+        g = sample_graph(n, m, ell, seed=int(rng.integers(1 << 32)))
+        groups = rng.integers(0, m, size=500)
+        positions = rng.integers(-1, g.max_right_degree + 3, size=500)
+        want = [int(g.right_adj[i][p]) if 0 <= p < len(g.right_adj[i]) else -1
+                for i, p in zip(groups.tolist(), positions.tolist())]
+        got = g.items_at(groups, positions)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert -1 in want and len(set(want)) > 2
+    empty = np.zeros(0, dtype=np.int64)
+    assert g.items_at(empty, empty).shape == (0,)
+
+
+def test_degrees_are_computed_once_and_read_only():
+    g = sample_graph(11, 4, 2, seed=3)
+    assert g.degrees() is g.degrees()
+    assert g.max_right_degree == 6
+    for array in (g.degrees(), g.right_adj[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # the right lists share one edge array rather than each holding a copy
+    edges = g.right_adj[0].base
+    assert edges is not None and all(a.base is edges for a in g.right_adj)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -127,7 +154,8 @@ def test_explicit_lists_validate(tmp_path):
     assert g.right_adj[3].tolist() == [3, 2]
     rights, positions = g.incidence(np.array([3]))
     assert rights.tolist() == [[1, 3]] and positions.tolist() == [[1, 0]]
-    assert g.items_at(3, [0, 1, 2]) == [3, 2, -1]  # position 2 is past the end
+    # position 2 is past the end
+    assert g.items_at(np.full(3, 3), np.arange(3)).tolist() == [3, 2, -1]
     for n, ell, adj, message in INVALID_GRAPHS:
         with pytest.raises(ValueError, match=message):
             BiRegularGraph(n, ell, [np.array(a, dtype=np.int64) for a in adj])
