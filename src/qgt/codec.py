@@ -269,7 +269,8 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
         resolved[frontier[ok]] = True
         # the distinct items, -1 slots dropped, that no earlier round recovered
         found = np.sort(items[ok], axis=None)
-        new = found[np.diff(found, prepend=-1) > 0]
+        found = found[found >= 0]
+        new = np.concatenate([found[:1], found[1:][found[1:] != found[:-1]]])
         new = new[np.searchsorted(recovered, new) == np.searchsorted(recovered, new, "right")]
         recovered = np.sort(np.concatenate([recovered, new]))
         touched = np.zeros(m, dtype=bool)

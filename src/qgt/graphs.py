@@ -77,7 +77,7 @@ class BiRegularGraph:
         self._degrees = degrees
         self._starts = starts
         self.max_right_degree = int(degrees.max())
-        self.right_adj = np.split(vals, starts[1:])
+        self.right_adj = [vals[lo:lo + d] for lo, d in zip(starts.tolist(), degrees.tolist())]
         self._left_rights = rights
         self._left_positions = positions
 
@@ -94,9 +94,8 @@ class BiRegularGraph:
         groups = np.asarray(groups, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
         inside = (positions >= 0) & (positions < self._degrees[groups])
-        out = np.full(groups.shape, -1, dtype=np.int64)
-        out[inside] = self._edges[self._starts[groups[inside]] + positions[inside]]
-        return out
+        edges = np.where(inside, self._starts[groups] + positions, 0)
+        return np.where(inside, self._edges[edges], -1)
 
     # -- text serialization --------------------------------------------------
     # line 1: "N M ell seed"; then one line per right node with its ascending
@@ -232,8 +231,9 @@ class DefectiveView:
         self._positions = np.asarray(positions, dtype=np.int64)[order]
         keys = (self._rights * self.max_right_degree + self._positions).ravel()
         by_key = np.argsort(keys)
-        self._keys = keys[by_key]
-        self._key_items = np.repeat(self.items, self._rights.shape[1])[by_key]
+        # a last key above every other lets each lookup read a real entry
+        self._keys = np.append(keys[by_key], np.iinfo(np.int64).max)
+        self._key_items = np.append(np.repeat(self.items, self._rights.shape[1])[by_key], -1)
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.searchsorted(self.items, items)
@@ -247,14 +247,12 @@ class DefectiveView:
         """The held item at each (group, position) pair; -1 where none is held."""
         groups = np.asarray(groups, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
-        keys = groups * self.max_right_degree + positions
+        # a position past max_right_degree would read as the next group's
+        # key, so it looks up -1, which is no key
+        inside = (positions >= 0) & (positions < self.max_right_degree)
+        keys = np.where(inside, groups * self.max_right_degree + positions, -1)
         rows = np.searchsorted(self._keys, keys)
-        # a position past max_right_degree would read as the next group's key
-        held = (positions >= 0) & (positions < self.max_right_degree) & (rows < len(self._keys))
-        held[held] = self._keys[rows[held]] == keys[held]
-        out = np.full(groups.shape, -1, dtype=np.int64)
-        out[held] = self._key_items[rows[held]]
-        return out
+        return np.where(self._keys[rows] == keys, self._key_items[rows], -1)
 
 
 def _right_degrees(n_left: int, n_right: int, ell: int) -> np.ndarray:
@@ -310,9 +308,10 @@ class _Blocks:
 def _assemble(n_left, ell, stubs, blocks, seed, retries):
     """The graph whose right lists are the stub layout's blocks, each sorted."""
     bounds = blocks.bounds
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        stubs[lo:hi].sort()
-    return BiRegularGraph(n_left, ell, np.split(stubs, bounds[1:-1]), seed=seed, retries=retries)
+    right_adj = [stubs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for adj in right_adj:
+        adj.sort()
+    return BiRegularGraph(n_left, ell, right_adj, seed=seed, retries=retries)
 
 
 def _duplicates(loc: np.ndarray, blocks: _Blocks):
