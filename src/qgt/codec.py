@@ -201,22 +201,7 @@ def _scatter(op, tests: np.ndarray, graph: BiRegularGraph | DefectiveView,
     return rights
 
 
-def _resolve_stack(stack: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, ok) for a stack of group slices, shape (f, s).
-
-    positions has shape (f, t), -1 marking an empty slot, as
-    bch.decode_syndromes gives them; ok marks the rows it resolves whose
-    decoded columns also integer-sum back to the whole slice.
-    """
-    syndromes = syndrome_from_bits(sig.bch, stack[:, 1:] & 1)
-    positions, ok = decode_syndromes(sig.bch, syndromes, stack[:, 0])
-    # integer re-check of the whole slice; an empty slot reads the zero column
-    look = np.where(ok[:, None] & (positions >= 0), positions, sig.r)
-    ok &= (sig.columns[look].sum(axis=1) == stack).all(axis=1)
-    return positions, ok
-
-
-def resolve_node(z: np.ndarray, sig: Signature):
+def resolve_node(z: np.ndarray, sig: Signature, arrays: bool = False):
     """Positions of the defectives inside group slices, or None.
 
     z is the length-s residual of one group (count in slot 0), or a stack of
@@ -224,11 +209,23 @@ def resolve_node(z: np.ndarray, sig: Signature):
     result is the set of column positions when bch.decode_syndromes resolves
     the slice's parity bits at its count and the decoded columns integer-sum
     back to the slice exactly; otherwise None.
+
+    With arrays=True the result is the pair (positions, ok) instead, for the
+    stack the 1-D z makes too: positions has shape (f, t), -1 marking an
+    empty slot, as bch.decode_syndromes gives them, and ok marks the rows
+    that resolve.  decode takes this form, one call per peeling round.
     """
     z = np.asarray(z, dtype=np.int64)
     if z.ndim not in (1, 2) or z.shape[-1] != sig.s:
         raise ValueError(f"expected slices of length {sig.s}, got shape {z.shape}")
-    positions, ok = _resolve_stack(np.atleast_2d(z), sig)
+    stack = np.atleast_2d(z)
+    syndromes = syndrome_from_bits(sig.bch, stack[:, 1:] & 1)
+    positions, ok = decode_syndromes(sig.bch, syndromes, stack[:, 0])
+    # integer re-check of the whole slice; an empty slot reads the zero column
+    look = np.where(ok[:, None] & (positions >= 0), positions, sig.r)
+    ok &= (sig.columns[look].sum(axis=1) == stack).all(axis=1)
+    if arrays:
+        return positions, ok
     out = [frozenset(p for p in pos if p >= 0) if good else None
            for pos, good in zip(positions.tolist(), ok.tolist())]
     return out if z.ndim == 2 else out[0]
@@ -240,7 +237,7 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
 
     Rounds are synchronous: every group in the round's frontier (unresolved,
     count at most t) is resolved from the residual as it stood when the round
-    began, in one batched resolve, and their items are read in one items_at
+    began, in one resolve_node call, and their items are read in one items_at
     gather.  A group resolves only when every position it decodes names an
     item.  The items recovered are deduplicated, so each item is peeled
     exactly once, and their columns are subtracted in one scatter; the next
@@ -261,7 +258,7 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
     iterations = 0
     while frontier.size:
         iterations += 1
-        positions, ok = _resolve_stack(residual[frontier], sig)
+        positions, ok = resolve_node(residual[frontier], sig, arrays=True)
         items = graph.items_at(np.repeat(frontier, t), positions.ravel()).reshape(positions.shape)
         # a padding column, or a position a view does not hold, leaves the
         # group unresolved; neither happens on genuine input

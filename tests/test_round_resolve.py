@@ -184,6 +184,11 @@ def test_stack_matches_oracle_on_arbitrary_slices(t):
     assert got == [oracle_resolve(z, sig) for z in stack]
     assert got == [resolve_node(z, sig) for z in stack]
     assert any(g is not None for g in got) and any(g is None for g in got)
+    # the array form decode takes says the same, row for row
+    positions, ok = resolve_node(stack, sig, arrays=True)
+    assert positions.shape == (len(stack), t)
+    assert [frozenset(p for p in pos if p >= 0) if good else None
+            for pos, good in zip(positions.tolist(), ok.tolist())] == got
 
 
 def slice_with_syndrome(sig, count, sums):
