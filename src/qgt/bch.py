@@ -210,14 +210,15 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
     x^w + sigma1 x^(w-1) + ... + sigma_w, with sigma1 = S1.  Count 1 has
     X = S1.  For count 2, x = S1 z turns the quadratic into
     z^2 + z = (S3 + S1^3)/S1^3, read from the field's quadratic table.
-    Counts 3 and 4 share one batched GF(2) solve (see _locators_3_4).
-    Counts 5..t go row by row through decode_syndrome.
+    Counts 3 and 4 reduce to table reads too (see _locators_3 and
+    _locators_4), each on its own rows.  Counts 5..t go row by row through
+    decode_syndrome.
     """
     f, t = spec.field, spec.t
     n = f.order
     syn = np.asarray(syndromes, dtype=np.int64).reshape(-1, t)
     counts = np.asarray(counts, dtype=np.int64)
-    roots = np.zeros((len(counts), max(t, 4)), dtype=np.int64)  # 0: empty slot
+    roots = np.zeros((len(counts), t), dtype=np.int64)  # 0: empty slot
     ok = (counts >= 0) & (counts <= t) & ((counts != 0) | ~syn.any(axis=1))
     s1 = syn[:, 0]
     one = counts == 1
@@ -233,15 +234,12 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
         roots[two, 1] = f.alog_np[(l1 + f.log_np[z ^ 1]) % n]
 
     if t > 2:
-        many = np.flatnonzero(ok & (counts > 2))
-        closed = many[counts[many] <= 4]
-        if closed.size:
-            sums = np.zeros((closed.size, 4), dtype=np.int64)
-            sums[:, : min(t, 4)] = syn[closed, :4]  # t = 3 has no S7, and no count 4
-            x, solved = _locators_3_4(f, counts[closed] == 3, *sums.T)
-            roots[closed, :4] = x
-            ok[closed] &= solved
-        for row in many[counts[many] > 4].tolist():
+        for count, locators in ((3, _locators_3), (4, _locators_4)):
+            rows = np.flatnonzero(ok & (counts == count))
+            if rows.size:
+                roots[rows, :count], solved = locators(f, *syn[rows, :count].T)
+                ok[rows] &= solved
+        for row in np.flatnonzero(ok & (counts > 4)).tolist():
             try:
                 found = decode_syndrome(spec, syn[row].tolist(), int(counts[row]))
             except DecodeFailure:
@@ -249,7 +247,6 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
                 continue
             roots[row, : len(found)] = f.alog_np[sorted(found)]
 
-    roots = roots[:, :t]
     filled = roots != 0
     ok &= filled.sum(axis=1) == counts
     positions = np.where(filled, f.log_np[roots], -1)
@@ -257,94 +254,94 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
     return positions, ok
 
 
-def _locators_3_4(f: GF2m, cubic, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
-    """Locators of count-3 (where cubic) and count-4 rows from their sums.
+def _cubic_roots(f: GF2m, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of w^3 + p w + q, row by row, when three distinct.
 
-    Returns (roots, solved), roots of shape (rows, 4) with a count-3 row's
-    unused slot last, holding 0; solved marks the rows whose locator has
-    count distinct roots.  Each locator becomes a quartic
-    x^4 + a x^3 + b x^2 + c x + d:
+    Returns (roots, three), roots of shape (rows, 3); three marks the rows
+    whose cubic has three distinct roots in the field.  With p != 0,
+    w = sqrt(p) y gives y^3 + y = q / p^(3/2), whose root y1 the field's
+    cubic table holds.  The other two solve y^2 + y1 y + y1^2 + 1 = 0, and
+    y = y1 z turns that into z^2 + z = 1 + 1/y1^2, a quadratic-table read.
+    With p = 0, w^3 = q has three cube roots exactly when 3 divides both the
+    group order (the degree is even) and log q.
+    """
+    n, half = f.order, 1 << (f.degree - 1)  # a^half is the square root of a
+    y1 = f.cubic_table()[_mul(f, q, _pow(f, p, -3 * half))]  # -1 at p = 0
+    y2 = _mul(f, y1, f.quadratic_table()[_pow(f, y1, -2) ^ 1])
+    w1, w2 = _mul(f, _pow(f, p, half)[:, None], np.stack([y1, y2], axis=1)).T
+    roots, three = np.stack([w1, w2, w1 ^ w2], axis=1), y1 >= 0
+    cube = p == 0
+    if n % 3 == 0 and cube.any():
+        cube &= (q != 0) & (f.log_np[q] % 3 == 0)
+        roots[cube] = f.alog_np[f.log_np[q[cube], None] // 3 + np.arange(3) * (n // 3)]
+        three |= cube
+    return roots, three
 
-    - count 3: Peterson's sigma2 = (S1^2 S3 + S5)/(S1^3 + S3) and
-      sigma3 = S1^3 + S3 + S1 sigma2; the cubic times (x + S1) is a quartic
-      with a = 0, and its extra root S1 is dropped;
-    - count 4: Newton's identities leave a 2 x 2 system in sigma2 and sigma4
-      with determinant S3 (S3 + S1^3) + S1 (S5 + S1^5), solved by Cramer's
-      rule, and sigma3 = S3 + S1^3 + S1 sigma2.
 
-    With a = 0 the quartic is already affine in x.  Otherwise x = h + 1/u,
-    where h^2 = c/a, makes it u^4 + (a h + b)/P(h) u^2 + a/P(h) u = 1/P(h).
-    h is never a root there: with the linear term gone, a root at h is a
-    double root, whose power sums are those of a quadratic, and those make
-    the determinant 0.  One batched _solve_affine then serves every row.
+def _locators_3(f: GF2m, s1, s3, s5) -> tuple[np.ndarray, np.ndarray]:
+    """The three locators of count-3 rows, and which rows have them.
+
+    Peterson's sigma2 = (S1^2 S3 + S5)/den with den = S1^3 + S3, and
+    sigma3 = den + S1 sigma2, so x = S1 + w turns the locator into
+    w^3 + (S1^2 + sigma2) w + den.  A zero den leaves w = 0 a root, so
+    _cubic_roots refuses the row, as a true syndrome never has den = 0.
+    """
+    s1_2 = _mul(f, s1, s1)
+    den = s3 ^ _mul(f, s1_2, s1)
+    sigma2 = _mul(f, _mul(f, s1_2, s3) ^ s5, _pow(f, den, -1))
+    w, three = _cubic_roots(f, s1_2 ^ sigma2, den)
+    return w ^ s1[:, None], three
+
+
+def _locators_4(f: GF2m, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
+    """The four locators of count-4 rows, and which rows have them.
+
+    Newton's identities leave a 2 x 2 system in sigma2 and sigma4 with
+    determinant S3 (S3 + S1^3) + S1 (S5 + S1^5), solved by Cramer's rule,
+    and sigma3 = S3 + S1^3 + S1 sigma2.  The locator is the quartic
+    x^4 + S1 x^3 + sigma2 x^2 + sigma3 x + sigma4.  With S1 = 0 it is
+    already affine in x.  Otherwise x = h + 1/u, where h^2 = sigma3/S1,
+    makes it u^4 + (S1 h + sigma2)/P(h) u^2 + S1/P(h) u = 1/P(h).  h is never
+    a root there: with the linear term gone, a root at h is a double root,
+    whose power sums are those of a quadratic, and those make the
+    determinant 0.  On a zero determinant the inverse reads 0, so sigma4 = 0
+    makes 0 a root and the row is refused; a true syndrome never has one.
+
+    Either way the row reads L(u) = u^4 + A2 u^2 + A1 u = R, and L is
+    GF(2)-linear.  Four solutions need its kernel {0, k1, k2, k1 + k2}, whose
+    nonzero elements are the roots of u^3 + A2 u + A1.  With
+    Q(u) = u^2 + k1 u, L(u) = Q(u) (Q(u) + Q(k2)), so v^2 + Q(k2) v = R and
+    then Q(u) = v give one solution u0 by two quadratic-table reads, and the
+    four are u0 plus the kernel.
     """
     s1_2 = _mul(f, s1, s1)
     s1_4 = _mul(f, s1_2, s1_2)
     den = s3 ^ _mul(f, s1_2, s1)
     num = _mul(f, s1_2, s3) ^ s5
-    sigma2 = _mul(f, num, _pow(f, den, -1))
-    sigma3 = den ^ _mul(f, s1, sigma2)
     d2 = s5 ^ _mul(f, s1_4, s1)
     r2 = s7 ^ _mul(f, s1, _mul(f, s3, s3)) ^ _mul(f, s1_4, den)  # S1^4 S3 + S1^7 = S1^4 den
     det = _mul(f, s3, den) ^ _mul(f, s1, d2)
     inv_det = _pow(f, det, -1)
-    tau2 = _mul(f, _mul(f, num, s3) ^ _mul(f, s1, r2), inv_det)
-    tau4 = _mul(f, _mul(f, den, r2) ^ _mul(f, d2, num), inv_det)
-    a = np.where(cubic, 0, s1)
-    b = np.where(cubic, s1_2 ^ sigma2, tau2)
-    c = np.where(cubic, _mul(f, s1, sigma2) ^ sigma3, den ^ _mul(f, s1, tau2))
-    d = np.where(cubic, _mul(f, s1, sigma3), tau4)
+    sigma2 = _mul(f, _mul(f, num, s3) ^ _mul(f, s1, r2), inv_det)
+    sigma3 = den ^ _mul(f, s1, sigma2)
+    sigma4 = _mul(f, _mul(f, den, r2) ^ _mul(f, d2, num), inv_det)
 
-    h = _pow(f, _mul(f, c, _pow(f, a, -1)), 1 << (f.degree - 1))
+    h = _pow(f, _mul(f, sigma3, _pow(f, s1, -1)), 1 << (f.degree - 1))
     h_2 = _mul(f, h, h)
-    inv_at_h = _pow(f, _mul(f, h_2, h_2) ^ _mul(f, b, h_2) ^ d, -1)
-    linear = a == 0
-    u, solved = _solve_affine(
+    inv_at_h = _pow(f, _mul(f, h_2, h_2) ^ _mul(f, sigma2, h_2) ^ sigma4, -1)
+    linear = s1 == 0
+    kernel, four = _cubic_roots(
         f,
-        np.where(linear, b, _mul(f, _mul(f, a, h) ^ b, inv_at_h)),
-        np.where(linear, c, _mul(f, a, inv_at_h)),
-        np.where(linear, d, inv_at_h),
+        np.where(linear, sigma2, _mul(f, _mul(f, s1, h) ^ sigma2, inv_at_h)),
+        np.where(linear, sigma3, _mul(f, s1, inv_at_h)),
     )
+    k1, k2 = kernel[:, 0], kernel[:, 1]
+    q2 = _mul(f, k2, k2 ^ k1)  # Q(k2)
+    z = f.quadratic_table()[_mul(f, np.where(linear, sigma4, inv_at_h), _pow(f, q2, -2))]
+    y = f.quadratic_table()[_mul(f, _mul(f, q2, z), _pow(f, k1, -2))]
+    u = _mul(f, k1, y)[:, None] ^ np.concatenate([np.zeros_like(kernel[:, :1]), kernel], axis=1)
     x = np.where(linear[:, None], u, _pow(f, u, -1) ^ h[:, None])
-    x = -np.sort(-np.where(cubic[:, None] & (x == s1[:, None]), 0, x), axis=1)
-    return x, solved & (np.where(cubic, den, det) != 0)
-
-
-def _solve_affine(f: GF2m, a2, a1, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """The solutions of u^4 + a2 u^2 + a1 u = rhs, row by row, when four.
-
-    u -> u^4 + a2 u^2 + a1 u is GF(2)-linear, so each row is a b x b system
-    over GF(2) whose column j is the image of 2^j.  Gauss-Jordan elimination
-    runs on every row at once, column by column: a nonzero column pivots on
-    its lowest set bit, which is cleared from every other column, and a
-    column that is zero at its turn is free.  rhs rides along as one more
-    column that never pivots.  Bits b and up of a column are its tag, which
-    records the columns it now sums, so one XOR updates both; a free
-    column's tag is a kernel vector.  Returns (solutions, solved), solutions
-    of shape (rows, 4); solved marks the consistent rows whose kernel has
-    dimension 2, i.e. four solutions.
-    """
-    b = f.degree
-    low = (1 << b) - 1
-    basis = np.int64(1) << np.arange(b + 1, dtype=np.int64)
-    vecs = np.empty((len(rhs), b + 1), dtype=np.int64)
-    vecs[:, :b] = (_pow(f, basis[:b], 4) ^ _mul(f, a2[:, None], _pow(f, basis[:b], 2))
-                   ^ _mul(f, a1[:, None], basis[:b]))
-    vecs[:, b] = rhs
-    vecs |= basis << b
-    for j in range(b):
-        column = vecs[:, j] & low
-        pivot = column & -column  # 0 for a free column
-        has = (vecs & pivot[:, None]) != 0
-        has[:, j] = False
-        vecs ^= np.where(has, vecs[:, j : j + 1], 0)
-    # a free column is zero at its turn, and no later pivot touches it
-    free = (vecs[:, :b] & low) == 0
-    tags = vecs >> b
-    solved = ((vecs[:, b] & low) == 0) & (free.sum(axis=1) == 2)
-    k1, k2 = np.sort(np.where(free, tags[:, :b], 0), axis=1)[:, -2:].T
-    particular = tags[:, b] ^ basis[b]
-    return particular[:, None] ^ np.stack([np.zeros_like(k1), k1, k2, k1 ^ k2], axis=1), solved
+    return x, four & (z >= 0) & (y >= 0)
 
 
 def _mul(f: GF2m, a, b):

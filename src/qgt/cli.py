@@ -269,25 +269,27 @@ def _check_graph_round_trip():
 
 def _check_random_decode():
     # Berlekamp-Massey with a Chien scan, one syndrome at a time, and the
-    # batched closed form must both recover every planted pattern
-    spec = bch.make_bch(6, 3, 63)
-    cols = bch.build_parity_columns(spec)
+    # batched closed form must both recover every planted pattern, at an even
+    # and an odd degree (where w^3 = q has three cube roots, or one)
     rng = np.random.default_rng(0)
-    patterns, syndromes = [], []
-    for _ in range(50):
-        w = int(rng.integers(0, 4))
-        pos = set(rng.choice(63, size=w, replace=False).tolist())
-        bits = np.zeros(spec.syndrome_bits, dtype=np.int64)
-        for j in pos:
-            bits ^= cols[:, j].astype(np.int64)
-        syndrome = bch.syndrome_from_bits(spec, bits.astype(np.uint8))
-        got = bch.decode_syndrome(spec, syndrome, w)
-        _expect(got == pos, (pos, got))
-        patterns.append(pos)
-        syndromes.append(syndrome)
-    positions, ok = bch.decode_syndromes(spec, syndromes, [len(p) for p in patterns])
-    for pos, row, good in zip(patterns, positions.tolist(), ok.tolist()):
-        _expect(good and {j for j in row if j >= 0} == pos, (pos, row))
+    for degree in (6, 7):
+        spec = bch.make_bch(degree, 3, (1 << degree) - 1)
+        cols = bch.build_parity_columns(spec)
+        patterns, syndromes = [], []
+        for _ in range(50):
+            w = int(rng.integers(0, 4))
+            pos = set(rng.choice(spec.r, size=w, replace=False).tolist())
+            bits = np.zeros(spec.syndrome_bits, dtype=np.int64)
+            for j in pos:
+                bits ^= cols[:, j].astype(np.int64)
+            syndrome = bch.syndrome_from_bits(spec, bits.astype(np.uint8))
+            got = bch.decode_syndrome(spec, syndrome, w)
+            _expect(got == pos, (pos, got))
+            patterns.append(pos)
+            syndromes.append(syndrome)
+        positions, ok = bch.decode_syndromes(spec, syndromes, [len(p) for p in patterns])
+        for pos, row, good in zip(patterns, positions.tolist(), ok.tolist()):
+            _expect(good and {j for j in row if j >= 0} == pos, (pos, row))
 
 
 def _check_round_resolve():

@@ -74,6 +74,7 @@ class GF2m:
         # weight of each bit position, most significant first
         self._bit_weights = np.int64(1) << np.arange(degree - 1, -1, -1, dtype=np.int64)
         self._quad_table: np.ndarray | None = None
+        self._cubic_table: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"GF2m(degree={self.degree}, primitive_poly=0b{self.primitive_poly:b})"
@@ -183,6 +184,25 @@ class GF2m:
             table[u] = z
             self._quad_table = table
         return self._quad_table
+
+    def cubic_table(self) -> np.ndarray:
+        """Table of the smallest y with y^3 + y = c, indexed by c; -1 unless three.
+
+        An entry is set only when y^3 + y = c has three distinct roots in the
+        field; the other two solve y'^2 + y y' + y^2 + 1 = 0.  Built on first
+        use by cubing every element at once.  For c != 0 the cubic is
+        separable, so 0, 1 or 3 elements reach c; c = 0 has the roots 0 and a
+        double root 1, and two elements reach it.
+        """
+        if self._cubic_table is None:
+            y = np.arange(self.order + 1, dtype=np.int64)
+            c = self.alog_np[(3 * self.log_np[y]) % self.order] ^ y
+            c[0] = 0  # log_np[0] is a placeholder; 0^3 + 0 = 0
+            values, first, hits = np.unique(c, return_index=True, return_counts=True)
+            table = np.full(self.order + 1, -1, dtype=np.int64)
+            table[values[hits == 3]] = first[hits == 3]
+            self._cubic_table = table
+        return self._cubic_table
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from qgt import bch
 from qgt.bch import (
     BchSpec,
     DecodeFailure,
-    _solve_affine,
+    _cubic_roots,
     build_parity_columns,
     decode_syndrome,
     decode_syndromes,
@@ -277,7 +277,7 @@ def test_decode_rejects_wrong_weight():
         decode_syndrome(spec, syn, 3)  # beyond t
 
 
-@pytest.mark.parametrize("degree", [4, 6, 8, 9, 12, 15])
+@pytest.mark.parametrize("degree", [4, 5, 6, 8, 9, 12, 15, 16])
 def test_chien_direct_agree_on_random_locators(degree):
     # random locators of degree <= 4, split or not: the closed form resolves
     # their power sums exactly when the Chien scan finds degree-many roots,
@@ -322,17 +322,19 @@ def test_direct_repeated_root_quadratic():
     assert batch_decode(spec, [power_sums(f, locator[1:], 2)], [2]) == [None]
 
 
-@pytest.mark.parametrize("t", [3, 4])
-def test_every_syndrome_of_count_t_small_field(t):
-    # all 16^t syndromes of the b = 4 code, each claiming t columns: the
-    # closed form resolves exactly the syndromes of the t-subsets, among them
-    # every S1 = 0 and every zero determinant or denominator
-    spec = make_bch(4, t, 15)
+@pytest.mark.parametrize("t, degree", [(3, 4), (4, 4), (3, 5)], ids=["3", "4", "3-b5"])
+def test_every_syndrome_of_count_t_small_field(t, degree):
+    # all 2^(b t) syndromes of the full-length code, each claiming t columns:
+    # the closed form resolves exactly the syndromes of the t-subsets, among
+    # them every S1 = 0 and every zero determinant or denominator; b = 5 is
+    # odd, where w^3 = q has a single cube root
+    spec = make_bch(degree, t, (1 << degree) - 1)
     f = spec.field
-    sums = np.stack(np.meshgrid(*[np.arange(16)] * t, indexing="ij"), axis=-1).reshape(-1, t)
+    size = f.order + 1
+    sums = np.stack(np.meshgrid(*[np.arange(size)] * t, indexing="ij"), axis=-1).reshape(-1, t)
     got = batch_decode(spec, sums, np.full(len(sums), t))
     want = {}
-    for subset in itertools.combinations(range(15), t):
+    for subset in itertools.combinations(range(f.order), t):
         key = [0] * t
         for j in subset:
             key = [v ^ f.alpha_pow((2 * k + 1) * j) for k, v in enumerate(key)]
@@ -340,22 +342,25 @@ def test_every_syndrome_of_count_t_small_field(t):
     assert {tuple(row): pos for row, pos in zip(sums.tolist(), got) if pos is not None} == want
 
 
-def test_affine_solve_matches_brute_force():
-    # every u^4 + a2 u^2 + a1 u = rhs over GF(2^4): solved exactly when four
-    # field elements solve it, and then those four
-    f = make_field(4)
-    a2, a1, rhs = (v.ravel() for v in np.meshgrid(*[np.arange(16)] * 3, indexing="ij"))
-    solutions, solved = _solve_affine(f, a2, a1, rhs)
-    counts = {0: 0, 1: 0, 2: 0, 4: 0}
-    for row in range(len(rhs)):
-        want = {u for u in range(16)
-                if f.pow(u, 4) ^ f.mul(int(a2[row]), f.sqr(u)) ^ f.mul(int(a1[row]), u)
-                == rhs[row]}
-        counts[len(want)] += 1
-        assert solved[row] == (len(want) == 4)
-        if solved[row]:
-            assert set(solutions[row].tolist()) == want
-    assert all(counts.values())
+@pytest.mark.parametrize("degree", [4, 5])
+def test_cubic_roots_match_brute_force(degree):
+    # every w^3 + p w + q over GF(2^4), where w^3 = q has three cube roots for
+    # some q, and over GF(2^5), where it has one: the three roots exactly when
+    # three distinct field elements solve it
+    f = make_field(degree)
+    size = f.order + 1
+    p, q = (v.ravel() for v in np.meshgrid(np.arange(size), np.arange(size), indexing="ij"))
+    roots, three = _cubic_roots(f, p, q)
+    sizes = set()
+    for row in range(len(p)):
+        want = {w for w in range(size)
+                if f.pow(w, 3) ^ f.mul(int(p[row]), w) == q[row]}
+        sizes.add(len(want))
+        assert three[row] == (len(want) == 3), (p[row], q[row], want)
+        if three[row]:
+            assert sorted(roots[row].tolist()) == sorted(want)
+    assert {1, 3} <= sizes
+    assert three[p == 0].any() == (degree % 2 == 0)
 
 
 # -- counts 3 and 4 never reach a root search ---------------------------------

@@ -156,3 +156,36 @@ def test_quadratic_table_agrees_with_solver(degree):
             assert z % 2 == 0
             assert f.sqr(z) ^ z == u and f.sqr(z ^ 1) ^ (z ^ 1) == u
     assert (table >= 0).sum() == (f.order + 1) // 2
+
+
+def brute_cubic_roots(f):
+    """{c: the y with y^3 + y = c}, by field arithmetic over every y."""
+    roots = {}
+    for y in range(f.order + 1):
+        roots.setdefault(f.pow(y, 3) ^ y, []).append(y)
+    return roots
+
+
+@pytest.mark.parametrize("degree", range(3, 11))
+def test_cubic_table_matches_brute_force(degree):
+    # entry c is the smallest root of y^3 + y = c when there are three
+    # distinct roots, and -1 otherwise (c = 0 has 0 and the double root 1)
+    f = make_field(degree)
+    table = f.cubic_table()
+    assert table.shape == (f.order + 1,)
+    roots = brute_cubic_roots(f)
+    assert len(roots[0]) == 2
+    want = [min(roots[c]) if len(roots.get(c, ())) == 3 else -1 for c in range(f.order + 1)]
+    assert table.tolist() == want
+    assert 0 < (table >= 0).sum() < f.order + 1
+
+
+def test_cubic_table_is_built_once():
+    f = make_field(16)
+    table = f.cubic_table()
+    assert table is f.cubic_table()
+    rng = random.Random(16)
+    for c in rng.sample(range(f.order + 1), 300):
+        y = int(table[c])
+        if y >= 0:
+            assert f.pow(y, 3) ^ y == c
