@@ -266,7 +266,9 @@ def _cubic_roots(f: GF2m, p, q) -> tuple[np.ndarray, np.ndarray]:
     group order (the degree is even) and log q.
     """
     n, half = f.order, 1 << (f.degree - 1)  # a^half is the square root of a
-    y1 = f.cubic_table()[_mul(f, q, _pow(f, p, -3 * half))]  # -1 at p = 0
+    # -1 where there are not three roots, p = 0 among them: such a row reads
+    # table entries from the end below, and three leaves it out
+    y1 = f.cubic_table()[_mul(f, q, _pow(f, p, -3 * half))]
     y2 = _mul(f, y1, f.quadratic_table()[_pow(f, y1, -2) ^ 1])
     w1, w2 = _mul(f, _pow(f, p, half)[:, None], np.stack([y1, y2], axis=1)).T
     roots, three = np.stack([w1, w2, w1 ^ w2], axis=1), y1 >= 0
