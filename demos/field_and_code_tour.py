@@ -36,10 +36,11 @@ print()
 # For t errors the columns stack t field elements (odd powers alpha^j,
 # alpha^3j, ...).  decode_syndrome recovers the error locator polynomial
 # from the power sums by Berlekamp-Massey, then finds its roots with a full
-# (Chien) scan over the positions.  The peeling decoder instead hands a
-# whole stack of syndromes to decode_syndromes, which solves counts up to 4
-# in closed form by table reads: a count-3 locator becomes y^3 + y = c,
-# whose root the field's cubic table holds.  Both must agree.
+# (Chien) scan over the positions; the tests keep it as the oracle.  The
+# peeling decoder hands a whole stack of syndromes to decode_syndromes,
+# which solves every count up to the largest radius, t = 4, in closed form
+# by table reads: a count-3 locator becomes y^3 + y = c, whose root the
+# field's cubic table holds.  Both must agree.
 
 spec3 = make_bch(6, 3, 63)
 cols = build_parity_columns(spec3)

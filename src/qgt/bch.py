@@ -5,6 +5,8 @@ of alpha^j, alpha^(3j), ..., alpha^((2t-1)j), stacked most significant bit
 first.  Any two distinct integer sums of at most t columns differ, which is
 what lets a column subset of size <= t be recovered from its binary syndrome.
 Codes are shortened by keeping the first r columns only.
+decode_syndromes decodes in closed form at every radius 1..MAX_T.
+Berlekamp-Massey and the Chien scan (decode_syndrome) are the test oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .gf2m import GF2m, make_field
 
-MAX_T = 8
+MAX_T = 4  # the paper's decoding radii; analysis in density goes to 8
 
 
 class DecodeFailure(Exception):
@@ -32,7 +34,7 @@ class BchSpec:
     field : GF2m
         Symbol field; n = field.order is the unshortened length.
     t : int
-        Guaranteed decoding radius, 1 <= t <= 8 and t < 2^(b-1).
+        Guaranteed decoding radius, 1 <= t <= MAX_T = 4 and t < 2^(b-1).
     r : int
         Number of columns kept, 1 <= r <= n.
     """
@@ -42,8 +44,7 @@ class BchSpec:
     r: int
 
     def __post_init__(self):
-        if not 1 <= self.t <= MAX_T:
-            raise ValueError(f"t must be in [1, {MAX_T}], got {self.t}")
+        check_radius(self.t)
         if self.t >= 1 << (self.field.degree - 1):
             raise ValueError(
                 f"t={self.t} too large for GF(2^{self.field.degree}); need t < 2^(b-1)"
@@ -58,6 +59,12 @@ class BchSpec:
     @property
     def syndrome_bits(self) -> int:
         return self.t * self.field.degree
+
+
+def check_radius(t: int) -> None:
+    """Raise ValueError unless t is a decoding radius, 1 <= t <= MAX_T."""
+    if not 1 <= t <= MAX_T:
+        raise ValueError(f"t must be in 1..{MAX_T} to decode, got t={t}")
 
 
 @lru_cache(maxsize=None)
@@ -195,24 +202,24 @@ def decode_syndrome(spec: BchSpec, syndrome: list[int], weight: int) -> set[int]
 
 
 def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.ndarray]:
-    """decode_syndrome over a stack: row i claims counts[i] columns.
+    """Decode a stack of syndromes in closed form: row i claims counts[i] columns.
 
     syndromes has shape (f, t), the odd power sums as syndrome_from_bits
     packs a stack, and counts has shape (f,).  Returns (positions, ok):
     positions has shape (f, t), -1 marking an empty slot, and ok marks the
     rows whose locator of degree counts[i] has that many distinct nonzero
     roots, all inside the shortened range.  On the syndrome of a pattern of
-    that weight these are its positions.  A row that is no such syndrome may
-    pass too, so callers check the positions against what they hold.
+    that weight these are its positions, as decode_syndrome finds them one
+    row at a time.  A row that is no such syndrome may pass too, so callers
+    check the positions against what they hold.
 
-    Counts 0..4 are solved in closed form over the whole stack.  The
-    locators X = alpha^j of a weight-w pattern are the roots of
+    Every count 0..t is solved over the whole stack.  The locators
+    X = alpha^j of a weight-w pattern are the roots of
     x^w + sigma1 x^(w-1) + ... + sigma_w, with sigma1 = S1.  Count 1 has
     X = S1.  For count 2, x = S1 z turns the quadratic into
     z^2 + z = (S3 + S1^3)/S1^3, read from the field's quadratic table.
     Counts 3 and 4 reduce to table reads too (see _locators_3 and
-    _locators_4), each on its own rows.  Counts 5..t go row by row through
-    decode_syndrome.
+    _locators_4), each on its own rows.
     """
     f, t = spec.field, spec.t
     n = f.order
@@ -233,19 +240,11 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
         roots[two, 0] = f.alog_np[(l1 + f.log_np[z]) % n]
         roots[two, 1] = f.alog_np[(l1 + f.log_np[z ^ 1]) % n]
 
-    if t > 2:
-        for count, locators in ((3, _locators_3), (4, _locators_4)):
-            rows = np.flatnonzero(ok & (counts == count))
-            if rows.size:
-                roots[rows, :count], solved = locators(f, *syn[rows, :count].T)
-                ok[rows] &= solved
-        for row in np.flatnonzero(ok & (counts > 4)).tolist():
-            try:
-                found = decode_syndrome(spec, syn[row].tolist(), int(counts[row]))
-            except DecodeFailure:
-                ok[row] = False
-                continue
-            roots[row, : len(found)] = f.alog_np[sorted(found)]
+    for count, locators in zip(range(3, t + 1), (_locators_3, _locators_4)):
+        rows = np.flatnonzero(ok & (counts == count))
+        if rows.size:
+            roots[rows, :count], solved = locators(f, *syn[rows, :count].T)
+            ok[rows] &= solved
 
     filled = roots != 0
     ok &= filled.sum(axis=1) == counts

@@ -189,11 +189,12 @@ def cmd_simulate(args) -> int:
     ell = _parse_ell(args.ell)
     if ell == "auto":
         ell = codec.derive_params(args.N, args.K, args.t).ell
+    # the sweep runs first, so a design it rejects leaves stdout empty
+    points = simulate.run_sweep(args.N, args.K, args.t, grid, args.trials,
+                                seed, ell=ell, fixed_graph=args.fixed_graph)
     print(f"# simulate N={args.N} K={args.K} t={args.t} ell={ell} "
           f"trials={args.trials} seed={seed} "
           f"fixed_graph={args.fixed_graph}")
-    points = simulate.run_sweep(args.N, args.K, args.t, grid, args.trials,
-                                seed, ell=ell, fixed_graph=args.fixed_graph)
     text = simulate.sweep_csv(points, args.N, args.K, args.t, ell, seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -301,16 +302,17 @@ def _check_round_resolve():
         spec = sig.bch
         patterns = [p for w in range(t + 1) for p in itertools.combinations(range(sig.r), w)]
         slices = np.array([sig.columns[list(p)].sum(axis=0) for p in patterns])
-        got = codec.resolve_node(slices, sig)
-        for p, z, positions in zip(patterns, slices, got):
+        positions, ok = codec.resolve_node(slices, sig)
+        for p, z, row, good in zip(patterns, slices, positions.tolist(), ok.tolist()):
             syndrome = bch.syndrome_from_bits(spec, z[1:] & 1)
             want = bch.decode_syndrome(spec, syndrome, len(p))
-            _expect(positions == frozenset(p) and want == set(p), (p, positions, want))
+            got = {j for j in row if j >= 0}
+            _expect(good and got == set(p) and want == set(p), (p, row, want))
         first = {len(p): i for i, p in reversed(list(enumerate(patterns)))}
         tampered = slices[[first[w] for w in range(2, t + 1)]].copy()
         tampered[:, 3] += 2  # bits intact, integer sums broken
-        got = codec.resolve_node(tampered, sig)
-        _expect(got == [None] * (t - 1), got)
+        _, ok = codec.resolve_node(tampered, sig)
+        _expect(not ok.any(), ok)
 
 
 def cmd_selftest(args) -> int:

@@ -17,7 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bch import BchSpec, build_parity_columns, decode_syndromes, make_bch, syndrome_from_bits
+from .bch import (BchSpec, build_parity_columns, check_radius, decode_syndromes, make_bch,
+                  syndrome_from_bits)
 from .density import design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE
 from .graphs import BiRegularGraph, DefectiveView
@@ -75,6 +76,7 @@ def group_shape(n_items: int, ell: int, m_groups: int, t: int) -> tuple[int, int
 def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
                   beta: float = DEFAULT_BETA) -> DesignParams:
     """Size a design for N items with K defectives at decoding radius t."""
+    check_radius(t)
     if not 1 <= k < n_items:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")
     if not beta > 1.0:
@@ -201,34 +203,24 @@ def _scatter(op, tests: np.ndarray, graph: BiRegularGraph | DefectiveView,
     return rights
 
 
-def resolve_node(z: np.ndarray, sig: Signature, arrays: bool = False):
-    """Positions of the defectives inside group slices, or None.
+def resolve_node(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the defectives inside a stack of group slices.
 
-    z is the length-s residual of one group (count in slot 0), or a stack of
-    them with shape (f, s), which gives a list with one result per row.  A
-    result is the set of column positions when bch.decode_syndromes resolves
-    the slice's parity bits at its count and the decoded columns integer-sum
-    back to the slice exactly; otherwise None.
-
-    With arrays=True the result is the pair (positions, ok) instead, for the
-    stack the 1-D z makes too: positions has shape (f, t), -1 marking an
+    z has shape (f, s), one group's residual per row (count in slot 0).
+    Returns (positions, ok): positions has shape (f, t), -1 marking an
     empty slot, as bch.decode_syndromes gives them, and ok marks the rows
-    that resolve.  decode takes this form, one call per peeling round.
+    that resolve: those whose parity bits decode at their count and whose
+    decoded columns integer-sum back to the slice exactly.
     """
     z = np.asarray(z, dtype=np.int64)
-    if z.ndim not in (1, 2) or z.shape[-1] != sig.s:
-        raise ValueError(f"expected slices of length {sig.s}, got shape {z.shape}")
-    stack = np.atleast_2d(z)
-    syndromes = syndrome_from_bits(sig.bch, stack[:, 1:] & 1)
-    positions, ok = decode_syndromes(sig.bch, syndromes, stack[:, 0])
+    if z.ndim != 2 or z.shape[1] != sig.s:
+        raise ValueError(f"expected a stack of slices of length {sig.s}, got shape {z.shape}")
+    syndromes = syndrome_from_bits(sig.bch, z[:, 1:] & 1)
+    positions, ok = decode_syndromes(sig.bch, syndromes, z[:, 0])
     # integer re-check of the whole slice; an empty slot reads the zero column
     look = np.where(ok[:, None] & (positions >= 0), positions, sig.r)
-    ok &= (sig.columns[look].sum(axis=1) == stack).all(axis=1)
-    if arrays:
-        return positions, ok
-    out = [frozenset(p for p in pos if p >= 0) if good else None
-           for pos, good in zip(positions.tolist(), ok.tolist())]
-    return out if z.ndim == 2 else out[0]
+    ok &= (sig.columns[look].sum(axis=1) == z).all(axis=1)
+    return positions, ok
 
 
 def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
@@ -258,7 +250,7 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
     iterations = 0
     while frontier.size:
         iterations += 1
-        positions, ok = resolve_node(residual[frontier], sig, arrays=True)
+        positions, ok = resolve_node(residual[frontier], sig)
         items = graph.items_at(np.repeat(frontier, t), positions.ravel()).reshape(positions.shape)
         # a padding column, or a position a view does not hold, leaves the
         # group unresolved; neither happens on genuine input

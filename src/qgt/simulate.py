@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bch import check_radius
 from .codec import build_signature, decode, derive_params, encode, group_shape
 from .graphs import sample_defectives, sample_graph
 
@@ -32,6 +33,7 @@ class TrialConfig:
     m_groups: int
 
     def __post_init__(self):
+        check_radius(self.t)
         if not 0 <= self.k <= self.n_items:
             raise ValueError(f"need 0 <= K <= N, got K={self.k}, N={self.n_items}")
 

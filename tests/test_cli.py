@@ -348,6 +348,46 @@ def test_simulate_validates_k(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("extra", [["--ell", "1"], ["--t", "5"], ["--trials", "0"]],
+                         ids=["ell-1", "t-5", "trials-0"])
+def test_rejected_simulate_writes_nothing_to_stdout(extra, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--N", "1000", "--K", "10",
+                             "--grid", "12", "--trials", "2", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# -- the decoding radius --------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["design", "encode", "decode", "simulate"])
+def test_decoding_commands_reject_t_five(command, tmp_path, capsys):
+    g_path, support, y_path = tmp_path / "graph.txt", tmp_path / "support.txt", tmp_path / "y.txt"
+    graphs.sample_graph(120, 18, 2, seed=3).save(str(g_path))
+    codec.save_support(str(support), {4, 17})
+    codec.save_test_vector(str(y_path), np.zeros(18 * 41 + 1, dtype=np.int64))
+    argv = {
+        "design": ["--N", "65536", "--K", "100"],
+        "encode": ["--support", str(support), "--out", str(tmp_path / "out.txt"),
+                   "--graph", str(g_path)],
+        "decode": ["--y", str(y_path), "--graph", str(g_path)],
+        "simulate": ["--N", "1000", "--K", "10", "--grid", "12", "--trials", "2"],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv, "--t", "5")
+    assert code == 2 and out == ""
+    assert err == "error: t must be in 1..4 to decode, got t=5\n"
+
+
+def test_analysis_still_covers_t_to_eight(capsys):
+    code, out, _ = run_cli(capsys, "table", "--t-max", "8")
+    assert code == 0
+    assert [int(line.split()[0]) for line in out.strip().splitlines()[1:]] == list(range(1, 9))
+    code, out, _ = run_cli(capsys, "design", "--N", "65536", "--K", "100", "--t", "4")
+    assert code == 0
+    sweep = [line.split("t=")[1].split()[0] for line in out.splitlines() if " m = " in line]
+    assert sweep == [str(t) for t in range(1, 9)]
+
+
 # -- selftest -----------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qgt.bch import find_error_locator, find_roots, syndrome_from_bits
+from qgt.bch import find_error_locator, find_roots, make_bch, syndrome_from_bits
 from qgt.codec import (
     DEFAULT_BETA,
     DecodeOutcome,
@@ -24,9 +24,10 @@ from qgt.codec import (
     save_support,
     save_test_vector,
 )
-from qgt.density import lambda_threshold
+from qgt.density import design_constant, lambda_threshold, paper_test_count
 from qgt.density import tests_needed as analytic_test_count
 from qgt.graphs import BiRegularGraph, sample_defectives, sample_graph
+from qgt.simulate import TrialConfig
 
 # independent transcription of the 14-item worked instance (the library has
 # its own copy in qgt.reference; the two must stay in agreement)
@@ -113,26 +114,36 @@ def test_encode_rejects_undersized_signature():
         encode(g, build_signature(1, 5), {0})
 
 
+def resolved(stack, sig):
+    """resolve_node as one frozenset of positions per row, or None."""
+    positions, ok = resolve_node(stack, sig)
+    return [frozenset(j for j in row if j >= 0) if good else None
+            for row, good in zip(positions.tolist(), ok.tolist())]
+
+
 def test_resolve_node_cases():
     sig = build_signature(1, 7)
     cols = sig.matrix.astype(np.int64)
-    assert resolve_node(np.zeros(4, dtype=np.int64), sig) == frozenset()
-    assert resolve_node(cols[:, 4].copy(), sig) == frozenset({4})
-    two = cols[:, 1] + cols[:, 5]
-    assert resolve_node(two, sig) is None  # count 2 > t = 1
+    two = cols[:, 1] + cols[:, 5]  # count 2 > t = 1
     bad = cols[:, 4].copy()
     bad[0] = 0  # count says empty but bits remain
-    assert resolve_node(bad, sig) is None
     tampered = cols[:, 4].copy()
     tampered[2] += 2  # parity intact, integer sum broken
-    assert resolve_node(tampered, sig) is None
+    stack = np.array([np.zeros(4, dtype=np.int64), cols[:, 4], two, bad, tampered])
+    assert resolve_node(stack, sig)[0].shape == (5, 1)
+    assert resolved(stack, sig) == [frozenset(), frozenset({4}), None, None, None]
+    # one slice is a stack of one; a bare slice or a wrong length is refused
+    assert resolved(cols[None, :, 4], sig) == [frozenset({4})]
+    for z in (cols[:, 4], cols[None, 1:, 4]):
+        with pytest.raises(ValueError):
+            resolve_node(z, sig)
 
 
 def test_resolve_node_t2():
     sig = build_signature(2, 15)
     cols = sig.matrix.astype(np.int64)
     z = cols[:, 3] + cols[:, 11]
-    assert resolve_node(z, sig) == frozenset({3, 11})
+    assert resolved(z[None], sig) == [frozenset({3, 11})]
     # the closed form agrees with the Chien scan on the pair's locator
     syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
     locator, _ = find_error_locator(sig.bch, syndrome)
@@ -294,12 +305,24 @@ def test_derive_params_reference_scale():
 
 def test_m_bound_is_the_paper_test_count():
     # derive_params and tests_needed share one formula; with auto ell they
-    # must agree to the last bit
+    # must agree to the last bit.  Designs stop at the decoding radius 4, and
+    # the analysis for t 5..8 is the same formula at c(t) and ell*
     for n_items in (2 ** 8, 2 ** 12, 2 ** 16):
         for k in (10, 100):
-            for t in range(1, 9):
+            for t in range(1, 5):
                 p = derive_params(n_items, k, t)
                 assert p.m_bound == analytic_test_count(n_items, k, t)[0], (n_items, k, t)
+            for t in range(5, 9):
+                want = paper_test_count(n_items, k, t, *design_constant(t))
+                assert analytic_test_count(n_items, k, t)[0] == want, (n_items, k, t)
+
+
+@pytest.mark.parametrize("t", [0, 5])
+def test_decoding_radius_outside_one_to_four_is_rejected(t):
+    for make in (lambda: derive_params(2 ** 16, 100, t), lambda: make_bch(8, t, 255),
+                 lambda: TrialConfig(n_items=2 ** 16, k=100, t=t, ell=2, m_groups=60)):
+        with pytest.raises(ValueError, match=f"t must be in 1..4 to decode, got t={t}"):
+            make()
 
 
 def test_derive_params_explicit_ell_and_beta():

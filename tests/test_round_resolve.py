@@ -38,6 +38,13 @@ def oracle_resolve(z, sig):
     return frozenset(positions)
 
 
+def resolved(stack, sig):
+    """resolve_node as one frozenset of positions per row, or None."""
+    positions, ok = resolve_node(stack, sig)
+    return [frozenset(j for j in row if j >= 0) if good else None
+            for row, good in zip(positions.tolist(), ok.tolist())]
+
+
 def sequential_decode(graph, sig, y, order_rng=None, trace=None):
     m, s = graph.n_right, sig.s
     t = sig.bch.t
@@ -143,7 +150,7 @@ def test_count_two_closed_form_all_pairs_small_field():
     sig = build_signature(2, 15)  # b = 4, every column of the full code
     assert sig.bch.field.degree == 4 and sig.r == sig.bch.n
     pairs = list(itertools.combinations(range(sig.r), 2))
-    got = resolve_node(pair_slices(sig, pairs), sig)
+    got = resolved(pair_slices(sig, pairs), sig)
     for pair, z, positions in zip(pairs, pair_slices(sig, pairs), got):
         syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
         assert decode_syndrome(sig.bch, syndrome, 2) == set(pair)
@@ -157,7 +164,7 @@ def test_count_two_closed_form_random_pairs_wide_field(b):
     rng = np.random.default_rng(b)
     pairs = [tuple(rng.choice(sig.r, size=2, replace=False).tolist()) for _ in range(40)]
     slices = pair_slices(sig, pairs)
-    for pair, z, positions in zip(pairs, slices, resolve_node(slices, sig)):
+    for pair, z, positions in zip(pairs, slices, resolved(slices, sig)):
         syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
         assert decode_syndrome(sig.bch, syndrome, 2) == set(pair)
         assert positions == frozenset(pair)
@@ -180,15 +187,11 @@ def test_stack_matches_oracle_on_arbitrary_slices(t):
             z[int(rng.integers(1, sig.s))] += 2
         rows.append(z)
     stack = np.array(rows)
-    got = resolve_node(stack, sig)
+    got = resolved(stack, sig)
     assert got == [oracle_resolve(z, sig) for z in stack]
-    assert got == [resolve_node(z, sig) for z in stack]
+    assert got == [resolved(z[None], sig)[0] for z in stack]
     assert any(g is not None for g in got) and any(g is None for g in got)
-    # the array form decode takes says the same, row for row
-    positions, ok = resolve_node(stack, sig, arrays=True)
-    assert positions.shape == (len(stack), t)
-    assert [frozenset(p for p in pos if p >= 0) if good else None
-            for pos, good in zip(positions.tolist(), ok.tolist())] == got
+    assert resolve_node(stack, sig)[0].shape == (len(stack), t)
 
 
 def slice_with_syndrome(sig, count, sums):
@@ -218,7 +221,7 @@ def test_closed_form_failure_cases():
     cases["position >= r, count 1"] = slice_with_syndrome(
         sig, 1, [f.alpha_pow(q), f.alpha_pow(3 * q)])
     stack = np.array(list(cases.values()))
-    for name, z, got in zip(cases, stack, resolve_node(stack, sig)):
+    for name, z, got in zip(cases, stack, resolved(stack, sig)):
         assert got is None, name
         assert oracle_resolve(z, sig) is None, name
 
@@ -232,7 +235,7 @@ def test_closed_form_failure_cases():
             sig, 4, [a, f.pow(a, 3), f.pow(a, 5), f.pow(a, 7)]),
     }
     stack = np.array(list(cases.values()))
-    for name, z, got in zip(cases, stack, resolve_node(stack, sig)):
+    for name, z, got in zip(cases, stack, resolved(stack, sig)):
         assert got is None, name
         assert oracle_resolve(z, sig) is None, name
 
@@ -244,7 +247,7 @@ def test_counts_up_to_four_exhaustive_small_field():
     patterns = [p for w in range(5) for p in itertools.combinations(range(sig.r), w)]
     assert len(patterns) == 1941
     stack = pair_slices(sig, patterns)
-    got = resolve_node(stack, sig)
+    got = resolved(stack, sig)
     assert got == [frozenset(p) for p in patterns]
     assert got == [oracle_resolve(z, sig) for z in stack]
     # S1 = 0 sends a count-3 row's extra root to 0 and leaves a count-4 row
@@ -294,7 +297,7 @@ def test_counts_three_and_four_match_oracle_across_fields(t):
                 corrupted += 1
             rows.append(z)
         stack = np.array(rows)
-        got = resolve_node(stack, sig)
+        got = resolved(stack, sig)
         assert got == [oracle_resolve(z, sig) for z in stack], b
         assert corrupted and any(g is not None and len(g) >= 3 for g in got), b
 
@@ -309,7 +312,7 @@ def test_padding_column_is_never_peeled():
     y[0] = 1
     y[1:1 + sig.s] = sig.columns[5]
     out = decode(graph, sig, y)
-    assert resolve_node(y[1:1 + sig.s], sig) == frozenset({5})
+    assert resolved(y[None, 1:1 + sig.s], sig) == [frozenset({5})]
     assert out.recovered == set() and not out.success
     assert out.unresolved_right == 1
     assert run_with_trace(decode, graph, sig, y) == \
