@@ -246,7 +246,7 @@ def _check_design_constants():
         c, ell, _ = density.DESIGN_TABLE[t]
         _expect(abs(c - c_ref) < 0.01, (t, c))
         _expect(ell == ell_ref, (t, ell))
-    for t, c_ref, ell_ref in [(1, 1.221793, 3), (2, 0.596857, 2)]:
+    for t, c_ref, ell_ref in [(1, 1.221793, 3), (2, 0.596851, 2)]:
         c, ell = density.c_of_t(t)
         _expect(abs(c - c_ref) < 1e-3, (t, c))
         _expect(ell == ell_ref, (t, ell))

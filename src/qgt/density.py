@@ -13,8 +13,10 @@ thinning that count is Poisson(lambda p_j), and the recursion is
 one t-term sum per round.  At t = 1 this is p_{j+1} = (1 - e^(-lambda p_j))^(ell-1).
 
 The decoder succeeds (asymptotically) iff the iteration from p=1 collapses to
-zero, which happens exactly below a sharp threshold lambda_T(t, ell).  The
-design constant is c(t) = min over ell of ell / lambda_T(t, ell).
+zero.  With x = lambda p, a fixed point p in (0, 1] is a root of
+lambda = x / P[Poisson(x) >= t]^(ell-1), so the sharp threshold lambda_T(t, ell)
+is the infimum of that ratio over x > 0.  The design constant is
+c(t) = min over ell of ell / lambda_T(t, ell).
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from functools import lru_cache
 FIXED_POINT_TOL = 1e-10
 P_ZERO = 1e-6
 MAX_ITERS = 10_000
-# lambda_threshold's bracket width at t >= 2, and the ell that c_of_t scans
-THRESHOLD_TOL = 1e-4
+# the ell that c_of_t scans
 ELL_RANGE = range(2, 13)
 
 
@@ -96,62 +97,59 @@ def de_fixed_point(cfg: DeConfig) -> DeResult:
     return DeResult(p_star=p, iterations=MAX_ITERS, converged_to_zero=False)
 
 
-def _collapses(t: int, ell: int, lam: float) -> bool:
-    return de_fixed_point(DeConfig(t=t, ell=ell, lam=lam)).converged_to_zero
+def _log_poisson_tail(t: int, x: float) -> float:
+    """log P[Poisson(x) >= t] for x > 0, without cancellation at small x.
+
+    Below x = t + 10 the tail is e^-x x^t / t! sum_j x^j / ((t+1)...(t+j)),
+    summed from k = t upward; above it 1 - head loses nothing.
+    """
+    if x < t + 10.0:
+        term, total, k = 1.0, 1.0, t
+        while term > 1e-17 * total:
+            k += 1
+            term *= x / k
+            total += term
+        return t * math.log(x) - x - math.lgamma(t + 1) + math.log(total)
+    term = head = math.exp(-x)
+    for k in range(1, t):
+        term *= x / k
+        head += term
+    return math.log1p(-head)
 
 
 @lru_cache(maxsize=None)
 def lambda_threshold(t: int, ell: int) -> float:
     """Largest density lambda at which the recursion still collapses to zero.
 
-    t = 1 has the closed form inf_x -log(1 - x^(1/(ell-1)))/x on (0, 1),
-    found by golden-section (the objective is unimodal; for ell = 2 the
-    infimum sits at the left edge).  t >= 2 bisects the collapse indicator,
-    growing the upper bracket until it straddles, down to a bracket of width
-    THRESHOLD_TOL.
+    A fixed point p in (0, 1] solves lambda = x / P[Poisson(x) >= t]^(ell-1)
+    at x = lambda p, so lambda_T is the infimum of that ratio over x > 0.
+    Its log h(u) at x = e^u is convex (the Gamma(t) CDF is log-concave in
+    log x), and golden-section in u finds it to a bracket of 1e-10.  Every
+    h(u) bounds log lambda_T >= log x* from above, which gives the right
+    edge; at (t, ell) = (1, 2) the infimum sits at the left edge, x = 1e-8,
+    where x / (1 - e^-x) = 1 + 5e-9.
     """
     if t < 1 or ell < 2:
         raise ValueError(f"need t >= 1 and ell >= 2, got t={t}, ell={ell}")
-    if t == 1:
-        return _lambda_threshold_t1(ell)
-    lo, hi = 0.01, 5.0 * ell
-    if not _collapses(t, ell, lo):
-        raise RuntimeError(f"no collapse even at lambda={lo} for t={t}, ell={ell}")
-    grow = 0
-    while _collapses(t, ell, hi):
-        hi *= 2.0
-        grow += 1
-        if grow > 10:
-            raise RuntimeError(f"threshold above {hi} for t={t}, ell={ell}?")
-    while hi - lo > THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        if _collapses(t, ell, mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
+    def h(u: float) -> float:
+        return u - (ell - 1) * _log_poisson_tail(t, math.exp(u))
 
-def _lambda_threshold_t1(ell: int) -> float:
-    def objective(x: float) -> float:
-        return -math.log1p(-(x ** (1.0 / (ell - 1)))) / x
-
-    lo, hi = 1e-9, 1.0 - 1e-9
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = math.log(1e-8), h(math.log(t + 10.0))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > 1e-12:
+    fc, fd = h(c), h(d)
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = objective(c)
+            fc = h(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = objective(d)
-    return objective(0.5 * (a + b))
+            fd = h(d)
+    return math.exp(h(0.5 * (a + b)))
 
 
 @lru_cache(maxsize=None)
@@ -173,13 +171,13 @@ def c_of_t(t: int) -> tuple[float, int]:
 # test checks these against the live c_of_t values.
 DESIGN_TABLE = {
     1: (1.221793, 3, 2.455407),
-    2: (0.596857, 2, 3.350886),
-    3: (0.388395, 2, 5.149394),
-    4: (0.294149, 2, 6.799278),
-    5: (0.239082, 2, 8.365322),
-    6: (0.202526, 2, 9.875270),
-    7: (0.176302, 2, 11.344166),
-    8: (0.156481, 2, 12.781130),
+    2: (0.596851, 2, 3.350919),
+    3: (0.388395, 2, 5.149403),
+    4: (0.294149, 2, 6.799275),
+    5: (0.239082, 2, 8.365341),
+    6: (0.202526, 2, 9.875291),
+    7: (0.176303, 2, 11.344129),
+    8: (0.156481, 2, 12.781100),
 }
 
 

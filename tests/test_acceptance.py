@@ -73,7 +73,7 @@ CONSTANTS_8 = {1: (1.222, 3), 2: (0.597, 2), 3: (0.388, 2), 4: (0.294, 2),
 
 def test_design_constants_recomputed_live():
     # c(t) within 0.01 and the exact minimizing ell for every t in 1..8,
-    # recomputed from the density recursion rather than the frozen table.
+    # recomputed by the threshold solver rather than read from the frozen table.
     t0 = time.time()
     for t, (c_ref, ell_ref) in CONSTANTS_8.items():
         c, ell = c_of_t(t)
@@ -83,7 +83,7 @@ def test_design_constants_recomputed_live():
         assert abs(c - c_frozen) < 5e-4, f"frozen c({t}) drifted: {c_frozen} vs {c}"
         assert ell == ell_frozen
     elapsed = time.time() - t0
-    assert elapsed < 180, f"constant solve took {elapsed:.0f}s"
+    assert elapsed < 10, f"constant solve took {elapsed:.1f}s"
     print(f"PASS: 8 design constants within 0.01, exact ell*, {elapsed:.1f}s")
 
 

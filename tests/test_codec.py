@@ -298,7 +298,7 @@ def test_derive_params_reference_scale():
     assert p.ell == 2
     assert p.m_bound == pytest.approx(1387, abs=2.0)
     # engineered total exceeds the bound only by quantified rounding slack
-    c = 0.596857
+    c = 0.596851
     slack = p.m_groups * p.t + p.s + (p.beta - 1.0) * c * p.k * p.s + 2
     assert p.m_total <= p.m_bound + slack
 
@@ -328,7 +328,7 @@ def test_decoding_radius_outside_one_to_four_is_rejected(t):
 def test_derive_params_explicit_ell_and_beta():
     p = derive_params(1000, 5, 2, ell=4, beta=1.5)
     assert p.ell == 4
-    assert p.m_groups == math.ceil(0.596857 * 5 * 1.5)
+    assert p.m_groups == math.ceil(0.596851 * 5 * 1.5)
     with pytest.raises(ValueError):
         derive_params(1000, 5, 2, ell=1)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from scipy.stats import binom, poisson
 from qgt.density import (
     DESIGN_TABLE,
     DeConfig,
+    _log_poisson_tail,
     c_of_t,
     de_fixed_point,
     de_step,
@@ -112,11 +113,47 @@ def test_threshold_dichotomy_t1():
         assert not de_fixed_point(DeConfig(t=1, ell=ell, lam=lam_t + 0.01)).converged_to_zero
 
 
-def test_threshold_t2_bisect():
+def test_threshold_t2_dichotomy():
     lam_t = lambda_threshold(2, 2)
     assert lam_t == pytest.approx(2.0 / 0.597, abs=0.02)
     assert de_fixed_point(DeConfig(t=2, ell=2, lam=lam_t - 0.01)).converged_to_zero
     assert not de_fixed_point(DeConfig(t=2, ell=2, lam=lam_t + 0.01)).converged_to_zero
+
+
+def test_threshold_dichotomy_all_pairs():
+    # the recursion collapses 0.01% below lambda_T and stalls 0.01% above it;
+    # at (1, 2) the collapse near lambda_T = 1 takes more than MAX_ITERS
+    # rounds, and x / (1 - e^-x) -> 1 as x -> 0 gives the value instead
+    for t in range(1, 9):
+        for ell in range(2, 13):
+            lam_t = lambda_threshold(t, ell)
+            if (t, ell) == (1, 2):
+                assert lam_t == pytest.approx(1.0, abs=1e-6)
+                continue
+            below = de_fixed_point(DeConfig(t=t, ell=ell, lam=lam_t * (1 - 1e-4)))
+            above = de_fixed_point(DeConfig(t=t, ell=ell, lam=lam_t * (1 + 1e-4)))
+            assert below.converged_to_zero, (t, ell, lam_t)
+            assert not above.converged_to_zero, (t, ell, lam_t)
+
+
+def test_poisson_tail_matches_scipy():
+    xs = np.geomspace(1e-8, 300.0, 4001)
+    for t in range(1, 9):
+        ref = poisson.sf(t - 1, xs)
+        got = np.exp([_log_poisson_tail(t, float(x)) for x in xs])
+        assert np.max(np.abs(got - ref) / ref) < 1e-12, t
+
+
+def test_threshold_matches_grid_minimum():
+    # lambda_T is the minimum of x / P[Poisson(x) >= t]^(ell-1); a log grid
+    # with ratio 1 + 5e-4 between points pins that minimum to ~2e-7
+    xs = np.geomspace(1e-8, 100.0, 46053)
+    for t in range(1, 9):
+        tail = poisson.sf(t - 1, xs)
+        for ell in range(2, 13):
+            with np.errstate(divide="ignore", over="ignore"):
+                grid_min = float(np.min(xs / tail ** (ell - 1)))
+            assert lambda_threshold(t, ell) == pytest.approx(grid_min, rel=1e-6), (t, ell)
 
 
 def test_design_table_matches_live_solver():
@@ -131,17 +168,17 @@ def test_design_table_matches_live_solver():
 
 
 # (c(t), ell_star, lambda_T(t, ell_star)) as exact floats, so a change to the
-# DE step or the search cannot move them unnoticed; DESIGN_TABLE is these
+# Poisson tail or the search cannot move them unnoticed; DESIGN_TABLE is these
 # rounded to six decimals.
 SOLVER_FLOATS = {
-    1: (1.221793132767221, 3, 2.4554074822841288),
-    2: (0.5968569950161471, 2, 3.3508864212036134),
-    3: (0.38839519130708555, 2, 5.149394340515136),
-    4: (0.2941488856851628, 2, 6.799277839660646),
-    5: (0.23908225153510573, 2, 8.365321922302247),
-    6: (0.2025261119709644, 2, 9.875269813537596),
-    7: (0.17630207141634457, 2, 11.344166202545164),
-    8: (0.15648068105150614, 2, 12.781130466461182),
+    1: (1.2217931327672213, 3, 2.455407482284128),
+    2: (0.5968512150512785, 2, 3.3509188715116713),
+    3: (0.388394557246555, 2, 5.14940274698646),
+    4: (0.2941489873954924, 2, 6.79927548861808),
+    5: (0.23908171286471014, 2, 8.36534077004771),
+    6: (0.20252568311416577, 2, 9.87529072484392),
+    7: (0.17630265118395294, 2, 11.344128897490112),
+    8: (0.15648105777830656, 2, 12.781099695999536),
 }
 
 
