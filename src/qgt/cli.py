@@ -301,7 +301,7 @@ def _check_round_resolve():
         sig = codec.build_signature(t=t, r_max=15)
         spec = sig.bch
         patterns = [p for w in range(t + 1) for p in itertools.combinations(range(sig.r), w)]
-        slices = np.array([sig.columns[list(p)].sum(axis=0) for p in patterns])
+        slices = np.array([sig.matrix[:, list(p)].sum(axis=1, dtype=np.int64) for p in patterns])
         positions, ok = codec.resolve_node(slices, sig)
         for p, z, row, good in zip(patterns, slices, positions.tolist(), ok.tolist()):
             syndrome = bch.syndrome_from_bits(spec, z[1:] & 1)

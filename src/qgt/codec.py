@@ -12,6 +12,7 @@ recovered columns and repeats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -114,7 +115,8 @@ class Signature:
     matrix has shape (s, r_max) = (t*b + 1, r_max), dtype uint8.  Column p is
     handed to the item at position p of a group's neighbor list; integer sums
     of up to t columns are distinct, and the mod-2 reduction of a sum is the
-    BCH syndrome of its support.
+    BCH syndrome of its support.  slots lists each column's set slots, which
+    is all that encode and decode read.
     """
 
     def __init__(self, bch: BchSpec):
@@ -124,16 +126,32 @@ class Signature:
         self.matrix.setflags(write=False)
 
     @cached_property
-    def columns(self) -> np.ndarray:
-        """Row p is column p of matrix as int64; row r is zero ("no column").
+    def slots(self) -> np.ndarray:
+        """Row p lists, ascending, the slots where column p of matrix is 1.
 
-        These rows are what encode and peeling add and subtract.  Built on
-        first use: a design sweep builds signatures it never encodes with.
+        uint8, of shape (r + 1, w) for the heaviest column's weight w <= s.
+        A lighter column's row ends in copies of the dump slot s, and row r
+        ("no column") holds only that padding.  Counting a group's rows
+        over s + 1 bins and dropping the last gives its column sum.  Built
+        on first use in one pass per slot, through a table one entry wider
+        and one int64 index per column; nothing else grows with r * s.
         """
-        columns = np.zeros((self.r + 1, self.s), dtype=np.int64)
-        columns[:-1] = self.matrix.T
-        columns.setflags(write=False)
-        return columns
+        s, r = self.s, self.r
+        w = int(self.matrix.sum(axis=0).max())
+        # pass j writes j at every column's next free entry; a column whose
+        # slot j is clear has that entry overwritten by its next set slot,
+        # or padded after the last pass.  The spare last entry of each row
+        # keeps a full column from writing into the next row.
+        slots = np.full((r + 1, w + 1), s, dtype=np.uint8)
+        flat = slots.reshape(-1)
+        free = np.arange(0, r * (w + 1), w + 1)
+        for slot, row in enumerate(self.matrix):
+            flat[free] = slot
+            free += row
+        flat[free] = s
+        slots = np.ascontiguousarray(slots[:, :w])
+        slots.setflags(write=False)
+        return slots
 
     @property
     def s(self) -> int:
@@ -165,16 +183,15 @@ class DecodeOutcome:
 def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np.ndarray:
     """Test vector for a defective set: y[0] counts all, then M blocks of s.
 
-    Cost is O(K * ell * s); only the columns of defective items are touched.
+    support is any iterable of integer items (Python or numpy integers);
+    repeats count once, and a bool, a float or an item outside [0, N)
+    raises ValueError.  Cost is O(K * ell * w), w <= s the heaviest
+    signature column: only the set slots of defective items are touched.
     encode and decode reach the graph only through n_left, n_right,
     max_right_degree, incidence and items_at, so a DefectiveView holding the
     support serves as well as the whole graph.
     """
-    items = sorted(set(map(int, support)))
-    if items and (items[0] < 0 or items[-1] >= graph.n_left):
-        bad = items[0] if items[0] < 0 else items[-1]
-        raise ValueError(f"item {bad} out of range [0, {graph.n_left})")
-    items = np.array(items, dtype=np.int64)
+    items = _support_items(support, graph.n_left)
     if graph.max_right_degree > sig.r:
         raise ValueError(
             f"signature covers {sig.r} columns but a group has "
@@ -182,25 +199,57 @@ def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np
         )
     y = np.zeros(graph.n_right * sig.s + 1, dtype=np.int64)
     y[0] = len(items)
-    _scatter(np.add, y[1:], graph, sig, items)
+    _scatter(np.add, y[1:].reshape(graph.n_right, sig.s), graph, sig, items)
     return y
+
+
+def _support_items(support, n_left: int) -> np.ndarray:
+    """The distinct items of a support, ascending, as int64 in [0, n_left)."""
+    values = list(support)
+    if bool in map(type, values):
+        raise ValueError("support items must be integers, got a bool")
+    try:
+        items = np.sort(np.fromiter(map(operator.index, values), np.int64, len(values)))
+    except TypeError as exc:
+        raise ValueError(f"support items must be integers: {exc}") from None
+    except OverflowError:  # an item beyond int64
+        items = None
+    if items is None or len(items) and (items[0] < 0 or items[-1] >= n_left):
+        bad = next(v for v in values if not 0 <= operator.index(v) < n_left)
+        raise ValueError(f"item {bad} out of range [0, {n_left})")
+    return _distinct(items)
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array."""
+    return np.concatenate([ascending[:1], ascending[1:][ascending[1:] != ascending[:-1]]])
 
 
 def _scatter(op, tests: np.ndarray, graph: BiRegularGraph | DefectiveView,
              sig: Signature, items: np.ndarray) -> np.ndarray:
     """Add (op=np.add) or subtract (np.subtract) items' columns, in place.
 
-    tests is the flat M*s view of a test vector, group i in slots
-    i*s..i*s+s-1.  Each item's signature column goes into every group it
-    belongs to; two items sharing a group are both applied, which op.at
-    guarantees.  Returns the groups touched, with repeats.
+    tests is the (M, s) view of a test vector's groups.  Each item's column
+    goes into every group it belongs to, and two items sharing a group both
+    count.  Returns the groups touched, with repeats.
     """
-    s = sig.s
     rights, positions = graph.incidence(items)
-    rights = rights.ravel()
-    slots = (rights * s)[:, None] + np.arange(s)
-    op.at(tests, slots.ravel(), sig.columns[positions.ravel()].ravel())
-    return rights
+    op(tests, _column_sums(sig, rights, positions, len(tests)), out=tests)
+    return rights.ravel()
+
+
+def _column_sums(sig: Signature, rows: np.ndarray, positions: np.ndarray,
+                 n_rows: int) -> np.ndarray:
+    """(n_rows, s) integer sums of the columns at positions, by row.
+
+    rows broadcasts against positions; position r adds nothing.  One
+    bincount counts every (row, set slot) pair over an n_rows x (s + 1)
+    grid whose last column takes the slot table's padding and is dropped.
+    """
+    width = sig.s + 1
+    keys = (rows * width)[..., None] + np.take(sig.slots, positions, axis=0)
+    sums = np.bincount(keys.ravel(), minlength=n_rows * width)
+    return sums.reshape(n_rows, width)[:, :-1]
 
 
 def resolve_node(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
@@ -217,15 +266,18 @@ def resolve_node(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"expected a stack of slices of length {sig.s}, got shape {z.shape}")
     syndromes = syndrome_from_bits(sig.bch, z[:, 1:] & 1)
     positions, ok = decode_syndromes(sig.bch, syndromes, z[:, 0])
-    # integer re-check of the whole slice; an empty slot reads the zero column
+    # integer re-check of the whole slice; an empty slot reads the padding row
     look = np.where(ok[:, None] & (positions >= 0), positions, sig.r)
-    ok &= (sig.columns[look].sum(axis=1) == z).all(axis=1)
+    ok &= (_column_sums(sig, np.arange(len(z))[:, None], look, len(z)) == z).all(axis=1)
     return positions, ok
 
 
-def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
+def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
            trace=None) -> DecodeOutcome:
     """Peel the test vector back to the defective set.
+
+    y is an integer array (or list) of length M*s + 1; a float or other
+    non-integer dtype raises ValueError rather than being truncated.
 
     Rounds are synchronous: every group in the round's frontier (unresolved,
     count at most t) is resolved from the residual as it stood when the round
@@ -240,6 +292,9 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
     provided.
     """
     m, s = graph.n_right, sig.s
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"test vector must hold integers, got dtype {y.dtype}")
     if y.shape != (m * s + 1,):
         raise ValueError(f"test vector has shape {y.shape}, expected ({m * s + 1},)")
     t = sig.bch.t
@@ -258,12 +313,11 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y: np.ndarray,
         resolved[frontier[ok]] = True
         # the distinct items, -1 slots dropped, that no earlier round recovered
         found = np.sort(items[ok], axis=None)
-        found = found[found >= 0]
-        new = np.concatenate([found[:1], found[1:][found[1:] != found[:-1]]])
+        new = _distinct(found[found >= 0])
         new = new[np.searchsorted(recovered, new) == np.searchsorted(recovered, new, "right")]
         recovered = np.sort(np.concatenate([recovered, new]))
         touched = np.zeros(m, dtype=bool)
-        touched[_scatter(np.subtract, residual.reshape(-1), graph, sig, new)] = True
+        touched[_scatter(np.subtract, residual, graph, sig, new)] = True
         frontier = np.flatnonzero(touched & ~resolved & (residual[:, 0] <= t))
         if trace is not None:
             trace(iterations, residual.copy(), set(recovered.tolist()))

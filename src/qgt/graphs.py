@@ -87,7 +87,8 @@ class BiRegularGraph:
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Right nodes and positions of the given left nodes, ell per row."""
-        return self._left_rights[items], self._left_positions[items]
+        return (np.take(self._left_rights, items, axis=0),
+                np.take(self._left_positions, items, axis=0))
 
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The left node at each (group, position) pair; -1 past the group's end."""

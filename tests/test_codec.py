@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from qgt.bch import find_error_locator, find_roots, make_bch, syndrome_from_bits
+from qgt.bch import (decode_syndromes, find_error_locator, find_roots, make_bch,
+                     syndrome_from_bits)
 from qgt.codec import (
     DEFAULT_BETA,
     DecodeOutcome,
@@ -72,10 +73,26 @@ def test_signature_is_cached_and_read_only():
     sig = build_signature(2, 100)
     assert build_signature(2, 100) is sig
     assert build_signature(2, 101) is not sig
-    for array in (sig.matrix, sig.columns):
+    assert sig.slots is sig.slots
+    for array in (sig.matrix, sig.slots):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 7
-    assert sig.matrix[0, 0] == 1 and sig.columns[0, 0] == 1
+    assert sig.matrix[0, 0] == 1 and sig.slots[0, 0] == 0
+
+
+@pytest.mark.parametrize("t, r_max", [(1, 7), (2, 100), (3, 500), (4, 15), (2, 40_000)])
+def test_slots_list_each_columns_set_slots(t, r_max):
+    # row p: the slots where column p is 1, in order, then the dump slot s
+    # to the row's end; row r, "no column", is all dump slots
+    sig = build_signature(t, r_max)
+    slots = sig.slots
+    weights = sig.matrix.sum(axis=0, dtype=np.int64)
+    assert slots.dtype == np.uint8 and slots.shape == (sig.r + 1, weights.max())
+    assert np.all(slots[sig.r] == sig.s)
+    for p in range(sig.r):
+        w = weights[p]
+        assert np.array_equal(slots[p, :w], np.flatnonzero(sig.matrix[:, p])), p
+        assert np.all(slots[p, w:] == sig.s), p
 
 
 def test_field_degree_for():
@@ -108,6 +125,83 @@ def test_encode_rejects_bad_items():
         encode(g, sig, {-1})
 
 
+def pinned_encodes():
+    """(t, b, y) of 32 seeded encodes, field degree b from 3 up to 16.
+
+    t cycles through 1..4, odd cases run on a defectives-only view and even
+    ones on a whole graph, and K runs up to 8 M, so most groups hold several
+    defectives.  Every third support is a Python set, the rest int64 arrays.
+    """
+    rng = np.random.default_rng(20261019)
+    rows = []
+    for idx in range(32):
+        t = 1 + idx % 4
+        on_view = idx % 2 == 1
+        ell = int(rng.integers(2, 4))
+        if on_view:
+            m = int(rng.integers(ell, 6 * ell))
+            n = int(2 ** rng.uniform(1, 16)) * m // ell
+        else:
+            m = int(rng.integers(4 * ell, 12 * ell))
+            n = int(2 ** rng.uniform(1, 10)) * m // ell
+        k = int(rng.integers(1, min(n // 2, 8 * m) + 1))
+        support = rng.choice(n, size=k, replace=False)
+        if idx % 3 == 0:
+            support = set(support.tolist())
+        seed = int(rng.integers(1 << 32))
+        if on_view:
+            graph = sample_defectives(n, m, ell, sorted(support), seed=seed)
+        else:
+            graph = sample_graph(n, m, ell, seed=seed)
+        sig = build_signature(t, graph.max_right_degree)
+        rows.append((t, sig.bch.field.degree, encode(graph, sig, support)))
+    return rows
+
+
+def test_encode_outputs_pinned():
+    # any change to what encode returns changes this digest
+    rows = pinned_encodes()
+    degrees = {b for _, b, _ in rows}
+    assert {3, 16} <= degrees and len(degrees) >= 10
+    digest = hashlib.sha256()
+    for t, b, y in rows:
+        digest.update(repr((t, b, y.shape, str(y.dtype))).encode())
+        digest.update(y.tobytes())
+    assert digest.hexdigest() == "3551813b2df6c3097600e88083017c8abbd3fef88b6680cace60c0344ae67238"
+
+
+def test_encode_rejects_items_that_are_not_integers():
+    g = graph_14()
+    sig = build_signature(1, 7)
+    for support in ({3.7, 10}, [np.float64(3.0)], {True, 10}, [np.True_], ["3"]):
+        with pytest.raises(ValueError, match="integers"):
+            encode(g, sig, support)
+    with pytest.raises(ValueError, match="item 99999999999999999999999 out of range"):
+        encode(g, sig, [3, 99999999999999999999999])
+    # numpy integers of any width, repeats and one-shot iterables are items
+    want = encode(g, sig, DEFECTIVES_14)
+    for support in (np.array([9, 0, 3], dtype=np.uint16), [np.int8(3), 0, 9, 9, 3],
+                    iter([0, 3, 9]), (v for v in (9, 3, 0))):
+        assert np.array_equal(encode(g, sig, support), want)
+
+
+def test_encode_is_the_measurement_matrix_product():
+    rng = np.random.default_rng(20261020)
+    for _ in range(40):
+        t = int(rng.integers(1, 5))
+        ell = int(rng.integers(2, 5))
+        n = int(rng.integers(20, 300))
+        m = int(rng.integers(ell, max(ell + 1, n // 3)))
+        g = sample_graph(n, m, ell, seed=int(rng.integers(1 << 32)))
+        sig = build_signature(t, g.max_right_degree)
+        support = rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)
+        x = np.zeros(n, dtype=np.int64)
+        x[support] = 1
+        y = encode(g, sig, support)
+        assert y[0] == len(support)
+        assert np.array_equal(y[1:], measurement_matrix(g, sig).astype(np.int64) @ x)
+
+
 def test_encode_rejects_undersized_signature():
     g = graph_14()
     with pytest.raises(ValueError):
@@ -137,6 +231,31 @@ def test_resolve_node_cases():
     for z in (cols[:, 4], cols[None, 1:, 4]):
         with pytest.raises(ValueError):
             resolve_node(z, sig)
+
+
+@pytest.mark.parametrize("t, r_max", [(1, 7), (2, 15), (3, 30), (4, 15)])
+def test_slice_one_off_in_any_slot_is_refused(t, r_max):
+    # slices of 1..t columns, each moved by +-1 in one slot: a row that
+    # resolves names columns that sum to the moved slice exactly (a moved
+    # column can be another genuine one).  Some refused rows pass the parity
+    # decode at their count, so the integer re-check is what refuses them.
+    sig = build_signature(t, r_max)
+    rng = np.random.default_rng(t)
+    rows = []
+    for _ in range(120):
+        picked = rng.choice(sig.r, size=int(rng.integers(1, t + 1)), replace=False)
+        z = sig.matrix[:, picked].sum(axis=1, dtype=np.int64)
+        for slot in range(sig.s):
+            for delta in (-1, 1):
+                rows.append(z.copy())
+                rows[-1][slot] += delta
+    stack = np.array(rows)
+    positions, ok = resolve_node(stack, sig)
+    for z, row in zip(stack[ok], positions[ok]):
+        assert np.array_equal(sig.matrix[:, row[row >= 0]].sum(axis=1, dtype=np.int64), z)
+    _, parity_ok = decode_syndromes(sig.bch, syndrome_from_bits(sig.bch, stack[:, 1:] & 1),
+                                    stack[:, 0])
+    assert (parity_ok & ~ok).any()
 
 
 def test_resolve_node_t2():
@@ -243,6 +362,20 @@ def test_decode_rejects_wrong_length():
     sig = build_signature(1, 7)
     with pytest.raises(ValueError):
         decode(g, sig, Y_14[:-1].copy())
+
+
+def test_decode_takes_integer_test_vectors_only():
+    g = graph_14()
+    sig = build_signature(1, 7)
+    y = Y_14.astype(float)
+    y[3] += 0.25  # truncates back to the genuine vector
+    for bad in (y, Y_14.astype(float), Y_14.astype(bool), Y_14.astype(object)):
+        with pytest.raises(ValueError, match="integers"):
+            decode(g, sig, bad)
+    # a list, or any integer dtype, decodes as the int64 vector does
+    want = decode(g, sig, Y_14)
+    for good in (Y_14.tolist(), Y_14.astype(np.int16), Y_14.astype(np.uint32)):
+        assert decode(g, sig, good) == want
 
 
 def test_decode_malformed_count_terminates():

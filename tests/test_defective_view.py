@@ -164,7 +164,7 @@ def test_corrupted_y_on_a_view(support, edits):
         elif kind == "parity":  # +-2 keeps every bit and breaks the sum
             y[1 + group * s + 1 + where % (s - 1)] += 2 if delta >= 0 else -2
         else:  # any column, held by the view at this group or not
-            y[1 + group * s: 1 + (group + 1) * s] += SIG.columns[where % SIG.r]
+            y[1 + group * s: 1 + (group + 1) * s] += SIG.matrix[:, where % SIG.r]
 
     def invariant(_round, residual, recovered):
         assert np.array_equal(residual.ravel(), (y - encode(VIEW, SIG, recovered))[1:])

@@ -143,7 +143,7 @@ def test_batched_rounds_match_sequential_oracle(order_seed):
 
 
 def pair_slices(sig, pairs):
-    return np.array([sig.columns[list(p)].sum(axis=0) for p in pairs])
+    return np.array([sig.matrix[:, list(p)].sum(axis=1, dtype=np.int64) for p in pairs])
 
 
 def test_count_two_closed_form_all_pairs_small_field():
@@ -179,7 +179,8 @@ def test_stack_matches_oracle_on_arbitrary_slices(t):
     rows = []
     for _ in range(300):
         count = int(rng.integers(0, t + 2))
-        z = sig.columns[rng.choice(sig.r, size=min(count, t), replace=False)].sum(axis=0)
+        picked = rng.choice(sig.r, size=min(count, t), replace=False)
+        z = sig.matrix[:, picked].sum(axis=1, dtype=np.int64)
         z[0] = count
         if rng.random() < 0.5:
             z[1:] ^= rng.integers(0, 2, size=sig.s - 1)
@@ -272,7 +273,7 @@ def corrupt(z, sig, rng):
     elif kind == 1:  # +2 keeps every bit and breaks the sum
         z[int(rng.integers(1, sig.s))] += 2
     elif kind == 2:  # one more column, perhaps one already in the slice
-        z += sig.columns[int(rng.integers(0, sig.r))]
+        z += sig.matrix[:, int(rng.integers(0, sig.r))]
     else:
         z[0] += 1
     return z
@@ -290,7 +291,8 @@ def test_counts_three_and_four_match_oracle_across_fields(t):
         rows, corrupted = [], 0
         for _ in range(200 if b < 12 else 80):
             count = int(rng.integers(0, t + 2))
-            z = sig.columns[rng.choice(sig.r, size=min(count, t), replace=False)].sum(axis=0)
+            picked = rng.choice(sig.r, size=min(count, t), replace=False)
+            z = sig.matrix[:, picked].sum(axis=1, dtype=np.int64)
             z[0] = count
             if rng.random() < 0.25:
                 z = corrupt(z, sig, rng)
@@ -310,7 +312,7 @@ def test_padding_column_is_never_peeled():
     sig = build_signature(1, 7)
     y = np.zeros(4 * sig.s + 1, dtype=np.int64)
     y[0] = 1
-    y[1:1 + sig.s] = sig.columns[5]
+    y[1:1 + sig.s] = sig.matrix[:, 5]
     out = decode(graph, sig, y)
     assert resolved(y[None, 1:1 + sig.s], sig) == [frozenset({5})]
     assert out.recovered == set() and not out.success
@@ -345,7 +347,7 @@ def test_perturbed_y_keeps_the_invariant(support, edits):
         else:  # one more copy of an item's column in one of its groups
             rights, positions = GRAPH.incidence(np.array([where % GRAPH.n_left]))
             group, pos = rights[0, delta % GRAPH.ell], positions[0, delta % GRAPH.ell]
-            y[1 + group * SIG.s: 1 + (group + 1) * SIG.s] += SIG.columns[pos]
+            y[1 + group * SIG.s: 1 + (group + 1) * SIG.s] += SIG.matrix[:, pos]
 
     def invariant(_round, residual, recovered):
         assert np.array_equal(residual.ravel(), (y - encode(GRAPH, SIG, recovered))[1:])
@@ -373,7 +375,7 @@ def test_an_item_decoded_twice_is_peeled_once():
     (a, b), pos_b = rights[0].tolist(), int(positions[0, 1])
     w = next(int(x) for x in graph.right_adj[b] if x != v and x not in graph.right_adj[a])
     y = encode(graph, sig, {v, w})
-    y[1 + b * sig.s: 1 + (b + 1) * sig.s] += sig.columns[pos_b]
+    y[1 + b * sig.s: 1 + (b + 1) * sig.s] += sig.matrix[:, pos_b]
 
     def drift(fn):
         last = {}
