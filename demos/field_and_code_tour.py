@@ -12,13 +12,16 @@ from qgt.gf2m import make_field
 
 # ---- the field GF(2^3) ------------------------------------------------------
 # Elements are integers 0..7; alpha = 2 generates the 7 nonzero elements.
+# mul and pow work element-wise on int64 arrays (or single ints), and
+# pow(a, -1) is the inverse of a nonzero a.
 
 f = make_field(3)
-print("powers of alpha in GF(2^3):",
-      [f.alpha_pow(i) for i in range(f.order)])
-print("alpha^3 =", f.alpha_pow(3), " (alpha^3 = alpha + 1 under x^3 + x + 1)")
-print("mul(5, 7) =", f.mul(5, 7), "  inv(3) =", f.inv(3),
-      "  check: mul(3, inv(3)) =", f.mul(3, f.inv(3)))
+print("powers of alpha in GF(2^3):", f.alog_np.tolist())
+print("alpha^3 =", int(f.pow(2, 3)), " (alpha^3 = alpha + 1 under x^3 + x + 1)")
+elements = np.arange(1, 8)
+inverses = f.pow(elements, -1)
+print("inverses of 1..7:", inverses.tolist(),
+      "  check: mul(a, pow(a, -1)) =", f.mul(elements, inverses).tolist())
 print()
 
 # ---- parity columns ---------------------------------------------------------
@@ -52,14 +55,14 @@ bits = np.zeros(spec3.syndrome_bits, dtype=np.int64)
 for j in errors:
     bits ^= cols[:, j].astype(np.int64)
 syndrome = syndrome_from_bits(spec3, bits.astype(np.uint8))
-print(f"power-sum syndrome [S1, S3, S5]: {syndrome}")
+print(f"power-sum syndrome [S1, S3, S5]: {syndrome.tolist()}")
 
 locator, degree = find_error_locator(spec3, syndrome)
 print(f"error locator coefficients (degree {degree}): {locator}")
 
 # a root alpha^-j of the locator marks position j
 n = spec3.n
-positions = sorted((n - spec3.field.dlog(rho)) % n for rho in find_roots(spec3, locator))
+positions = sorted((n - int(spec3.field.log_np[rho])) % n for rho in find_roots(spec3, locator))
 print(f"roots via the Chien scan -> positions {positions}")
 got = decode_syndrome(spec3, syndrome, 3)
 print(f"decode_syndrome: {sorted(got)}")

@@ -75,7 +75,8 @@ def make_bch(degree: int, t: int, r: int) -> BchSpec:
 def build_parity_columns(spec: BchSpec) -> np.ndarray:
     """Binary parity-check matrix, shape (t*b, r), dtype uint8.
 
-    Row block k (0-based) holds bit_column(alpha^((2k+1) j)) for column j.
+    Row block k (0-based) holds the bits of alpha^((2k+1) j) for column j, as
+    GF2m.bit_columns lays them out.
     """
     f = spec.field
     j = np.arange(spec.r, dtype=np.int64)
@@ -86,11 +87,11 @@ def build_parity_columns(spec: BchSpec) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def syndrome_from_bits(spec: BchSpec, bits):
+def syndrome_from_bits(spec: BchSpec, bits) -> np.ndarray:
     """Unpack t*b syndrome bits into the odd power sums [S_1, S_3, ...].
 
-    bits has shape (..., t*b).  A single row gives a list of t ints; a stack
-    gives an int64 array of shape bits.shape[:-1] + (t,).
+    bits has shape (..., t*b); the sums come back as int64 of shape
+    bits.shape[:-1] + (t,).
     """
     bits = np.asarray(bits)
     if bits.ndim == 0 or bits.shape[-1] != spec.syndrome_bits:
@@ -98,12 +99,11 @@ def syndrome_from_bits(spec: BchSpec, bits):
             f"expected {spec.syndrome_bits} syndrome bits in the last axis, "
             f"got shape {bits.shape}"
         )
-    sums = spec.field.element_from_bits(
+    return spec.field.element_from_bits(
         bits.reshape(bits.shape[:-1] + (spec.t, spec.field.degree)))
-    return sums.tolist() if bits.ndim == 1 else sums
 
 
-def find_error_locator(spec: BchSpec, syndrome: list[int]) -> tuple[list[int], int]:
+def find_error_locator(spec: BchSpec, syndrome) -> tuple[list[int], int]:
     """Berlekamp-Massey error locator from the odd power sums.
 
     Even power sums are filled in via S_2k = S_k^2 (Frobenius on binary
@@ -117,9 +117,9 @@ def find_error_locator(spec: BchSpec, syndrome: list[int]) -> tuple[list[int], i
     two_t = 2 * spec.t
     s = [0] * (two_t + 1)  # 1-indexed
     for k in range(spec.t):
-        s[2 * k + 1] = syndrome[k]
+        s[2 * k + 1] = int(syndrome[k])
     for i in range(2, two_t + 1, 2):
-        s[i] = f.sqr(s[i // 2])
+        s[i] = int(f.mul(s[i // 2], s[i // 2]))
 
     c = [1]
     prev = [1]
@@ -130,17 +130,17 @@ def find_error_locator(spec: BchSpec, syndrome: list[int]) -> tuple[list[int], i
         disc = s[i]
         for k in range(1, length + 1):
             if k < len(c) and c[k]:
-                disc ^= f.mul(c[k], s[i - k])
+                disc ^= int(f.mul(c[k], s[i - k]))
         if disc == 0:
             gap += 1
             continue
-        scale = f.div(disc, prev_disc)
+        scale = f.mul(disc, f.pow(prev_disc, -1))
         update = c[:]
         if len(prev) + gap > len(update):
             update.extend([0] * (len(prev) + gap - len(update)))
         for k, pk in enumerate(prev):
             if pk:
-                update[k + gap] ^= f.mul(scale, pk)
+                update[k + gap] ^= int(f.mul(scale, pk))
         if 2 * length <= i - 1:
             prev = c
             prev_disc = disc
@@ -169,12 +169,12 @@ def find_roots(spec: BchSpec, locator: list[int]) -> set[int]:
     for k in range(1, len(locator)):
         if locator[k] == 0:
             continue
-        idx = (f.dlog(locator[k]) + k * i) % n
+        idx = (f.log_np[locator[k]] + k * i) % n
         acc ^= f.alog_np[idx]
     return {int(f.alog_np[e]) for e in np.nonzero(acc == 0)[0]}
 
 
-def decode_syndrome(spec: BchSpec, syndrome: list[int], weight: int) -> set[int]:
+def decode_syndrome(spec: BchSpec, syndrome, weight: int) -> set[int]:
     """Positions of the `weight` columns whose mod-2 sum has this syndrome.
 
     Raises DecodeFailure when no weight-sized error pattern inside the
@@ -195,7 +195,7 @@ def decode_syndrome(spec: BchSpec, syndrome: list[int], weight: int) -> set[int]
     if len(roots) != weight:
         raise DecodeFailure(f"{len(roots)} distinct roots for degree {weight} locator")
     n = spec.n
-    positions = {(n - spec.field.dlog(rho)) % n for rho in roots}
+    positions = {(n - int(spec.field.log_np[rho])) % n for rho in roots}
     if any(j >= spec.r for j in positions):
         raise DecodeFailure("root maps outside the shortened column range")
     return positions
@@ -235,7 +235,7 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
     if two.size:
         l1 = f.log_np[s1[two]]
         cube_term = syn[two, 1] ^ f.alog_np[(3 * l1) % n]  # S1 sigma2
-        z = f.quadratic_table()[f.alog_np[(f.log_np[cube_term] - 3 * l1) % n]]
+        z = f.quadratic_table[f.alog_np[(f.log_np[cube_term] - 3 * l1) % n]]
         ok[two] &= (s1[two] != 0) & (cube_term != 0) & (z >= 0)
         roots[two, 0] = f.alog_np[(l1 + f.log_np[z]) % n]
         roots[two, 1] = f.alog_np[(l1 + f.log_np[z ^ 1]) % n]
@@ -267,9 +267,9 @@ def _cubic_roots(f: GF2m, p, q) -> tuple[np.ndarray, np.ndarray]:
     n, half = f.order, 1 << (f.degree - 1)  # a^half is the square root of a
     # -1 where there are not three roots, p = 0 among them: such a row reads
     # table entries from the end below, and three leaves it out
-    y1 = f.cubic_table()[_mul(f, q, _pow(f, p, -3 * half))]
-    y2 = _mul(f, y1, f.quadratic_table()[_pow(f, y1, -2) ^ 1])
-    w1, w2 = _mul(f, _pow(f, p, half)[:, None], np.stack([y1, y2], axis=1)).T
+    y1 = f.cubic_table[f.mul(q, f.pow(p, -3 * half))]
+    y2 = f.mul(y1, f.quadratic_table[f.pow(y1, -2) ^ 1])
+    w1, w2 = f.mul(f.pow(p, half)[:, None], np.stack([y1, y2], axis=1)).T
     roots, three = np.stack([w1, w2, w1 ^ w2], axis=1), y1 >= 0
     cube = p == 0
     if n % 3 == 0 and cube.any():
@@ -287,9 +287,9 @@ def _locators_3(f: GF2m, s1, s3, s5) -> tuple[np.ndarray, np.ndarray]:
     w^3 + (S1^2 + sigma2) w + den.  A zero den leaves w = 0 a root, so
     _cubic_roots refuses the row, as a true syndrome never has den = 0.
     """
-    s1_2 = _mul(f, s1, s1)
-    den = s3 ^ _mul(f, s1_2, s1)
-    sigma2 = _mul(f, _mul(f, s1_2, s3) ^ s5, _pow(f, den, -1))
+    s1_2 = f.mul(s1, s1)
+    den = s3 ^ f.mul(s1_2, s1)
+    sigma2 = f.mul(f.mul(s1_2, s3) ^ s5, f.pow(den, -1))
     w, three = _cubic_roots(f, s1_2 ^ sigma2, den)
     return w ^ s1[:, None], three
 
@@ -315,42 +315,32 @@ def _locators_4(f: GF2m, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
     then Q(u) = v give one solution u0 by two quadratic-table reads, and the
     four are u0 plus the kernel.
     """
-    s1_2 = _mul(f, s1, s1)
-    s1_4 = _mul(f, s1_2, s1_2)
-    den = s3 ^ _mul(f, s1_2, s1)
-    num = _mul(f, s1_2, s3) ^ s5
-    d2 = s5 ^ _mul(f, s1_4, s1)
-    r2 = s7 ^ _mul(f, s1, _mul(f, s3, s3)) ^ _mul(f, s1_4, den)  # S1^4 S3 + S1^7 = S1^4 den
-    det = _mul(f, s3, den) ^ _mul(f, s1, d2)
-    inv_det = _pow(f, det, -1)
-    sigma2 = _mul(f, _mul(f, num, s3) ^ _mul(f, s1, r2), inv_det)
-    sigma3 = den ^ _mul(f, s1, sigma2)
-    sigma4 = _mul(f, _mul(f, den, r2) ^ _mul(f, d2, num), inv_det)
+    s1_2 = f.mul(s1, s1)
+    s1_4 = f.mul(s1_2, s1_2)
+    den = s3 ^ f.mul(s1_2, s1)
+    num = f.mul(s1_2, s3) ^ s5
+    d2 = s5 ^ f.mul(s1_4, s1)
+    r2 = s7 ^ f.mul(s1, f.mul(s3, s3)) ^ f.mul(s1_4, den)  # S1^4 S3 + S1^7 = S1^4 den
+    det = f.mul(s3, den) ^ f.mul(s1, d2)
+    inv_det = f.pow(det, -1)
+    sigma2 = f.mul(f.mul(num, s3) ^ f.mul(s1, r2), inv_det)
+    sigma3 = den ^ f.mul(s1, sigma2)
+    sigma4 = f.mul(f.mul(den, r2) ^ f.mul(d2, num), inv_det)
 
-    h = _pow(f, _mul(f, sigma3, _pow(f, s1, -1)), 1 << (f.degree - 1))
-    h_2 = _mul(f, h, h)
-    inv_at_h = _pow(f, _mul(f, h_2, h_2) ^ _mul(f, sigma2, h_2) ^ sigma4, -1)
+    h = f.pow(f.mul(sigma3, f.pow(s1, -1)), 1 << (f.degree - 1))
+    h_2 = f.mul(h, h)
+    inv_at_h = f.pow(f.mul(h_2, h_2) ^ f.mul(sigma2, h_2) ^ sigma4, -1)
     linear = s1 == 0
     kernel, four = _cubic_roots(
         f,
-        np.where(linear, sigma2, _mul(f, _mul(f, s1, h) ^ sigma2, inv_at_h)),
-        np.where(linear, sigma3, _mul(f, s1, inv_at_h)),
+        np.where(linear, sigma2, f.mul(f.mul(s1, h) ^ sigma2, inv_at_h)),
+        np.where(linear, sigma3, f.mul(s1, inv_at_h)),
     )
     k1, k2 = kernel[:, 0], kernel[:, 1]
-    q2 = _mul(f, k2, k2 ^ k1)  # Q(k2)
-    z = f.quadratic_table()[_mul(f, np.where(linear, sigma4, inv_at_h), _pow(f, q2, -2))]
-    y = f.quadratic_table()[_mul(f, _mul(f, q2, z), _pow(f, k1, -2))]
-    u = _mul(f, k1, y)[:, None] ^ np.concatenate([np.zeros_like(kernel[:, :1]), kernel], axis=1)
-    x = np.where(linear[:, None], u, _pow(f, u, -1) ^ h[:, None])
+    q2 = f.mul(k2, k2 ^ k1)  # Q(k2)
+    z = f.quadratic_table[f.mul(np.where(linear, sigma4, inv_at_h), f.pow(q2, -2))]
+    y = f.quadratic_table[f.mul(f.mul(q2, z), f.pow(k1, -2))]
+    u = f.mul(k1, y)[:, None] ^ np.concatenate([np.zeros_like(kernel[:, :1]), kernel], axis=1)
+    x = np.where(linear[:, None], u, f.pow(u, -1) ^ h[:, None])
     return x, four & (z >= 0) & (y >= 0)
 
-
-def _mul(f: GF2m, a, b):
-    """Elementwise product of arrays of field elements."""
-    zlog, zalog = f.product_tables
-    return zalog[zlog[a] + zlog[b]]
-
-
-def _pow(f: GF2m, a, e: int):
-    """Elementwise a^e for any integer e; 0 maps to 0, also for e < 0."""
-    return np.where(a == 0, 0, f.alog_np[(e * f.log_np[a]) % f.order])

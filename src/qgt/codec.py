@@ -192,32 +192,48 @@ def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np
     support serves as well as the whole graph.
     """
     items = _support_items(support, graph.n_left)
-    if graph.max_right_degree > sig.r:
-        raise ValueError(
-            f"signature covers {sig.r} columns but a group has "
-            f"{graph.max_right_degree} items"
-        )
+    _check_covers(graph, sig)
     y = np.zeros(graph.n_right * sig.s + 1, dtype=np.int64)
     y[0] = len(items)
     _scatter(np.add, y[1:].reshape(graph.n_right, sig.s), graph, sig, items)
     return y
 
 
+def _check_covers(graph: BiRegularGraph | DefectiveView, sig: Signature) -> None:
+    """Raise ValueError unless sig has a column for every position in a group."""
+    if graph.max_right_degree > sig.r:
+        raise ValueError(
+            f"signature covers {sig.r} columns but a group has "
+            f"{graph.max_right_degree} items"
+        )
+
+
 def _support_items(support, n_left: int) -> np.ndarray:
     """The distinct items of a support, ascending, as int64 in [0, n_left)."""
+    items = _integer_items(support)
+    if len(items) and (items[0] < 0 or items[-1] >= n_left):
+        bad = items[0] if items[0] < 0 else items[-1]
+        raise ValueError(f"item {bad} out of range [0, {n_left})")
+    return items
+
+
+def _integer_items(support) -> np.ndarray:
+    """The distinct items of a support, ascending, as int64.
+
+    A bool, a float or any other non-integer raises ValueError, and so does
+    an item beyond int64.
+    """
     values = list(support)
     if bool in map(type, values):
         raise ValueError("support items must be integers, got a bool")
     try:
-        items = np.sort(np.fromiter(map(operator.index, values), np.int64, len(values)))
+        items = np.fromiter(map(operator.index, values), np.int64, len(values))
     except TypeError as exc:
         raise ValueError(f"support items must be integers: {exc}") from None
-    except OverflowError:  # an item beyond int64
-        items = None
-    if items is None or len(items) and (items[0] < 0 or items[-1] >= n_left):
-        bad = next(v for v in values if not 0 <= operator.index(v) < n_left)
-        raise ValueError(f"item {bad} out of range [0, {n_left})")
-    return _distinct(items)
+    except OverflowError:
+        bad = next(v for v in values if not -(1 << 63) <= operator.index(v) < 1 << 63)
+        raise ValueError(f"item {bad} out of range of int64") from None
+    return _distinct(np.sort(items))
 
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:
@@ -277,7 +293,8 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
     """Peel the test vector back to the defective set.
 
     y is an integer array (or list) of length M*s + 1; a float or other
-    non-integer dtype raises ValueError rather than being truncated.
+    non-integer dtype raises ValueError rather than being truncated, and so
+    does a signature with fewer columns than the largest group, as in encode.
 
     Rounds are synchronous: every group in the round's frontier (unresolved,
     count at most t) is resolved from the residual as it stood when the round
@@ -297,6 +314,7 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
         raise ValueError(f"test vector must hold integers, got dtype {y.dtype}")
     if y.shape != (m * s + 1,):
         raise ValueError(f"test vector has shape {y.shape}, expected ({m * s + 1},)")
+    _check_covers(graph, sig)
     t = sig.bch.t
     residual = y[1:].reshape(m, s).astype(np.int64)
     resolved = np.zeros(m, dtype=bool)
@@ -362,9 +380,11 @@ def load_test_vector(path: str) -> np.ndarray:
 
 
 def save_support(path: str, support) -> None:
+    """Distinct items, ascending; a non-integer item raises ValueError as in encode."""
+    items = _integer_items(support)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# 0-based item indices, one per line\n")
-        for v in sorted(set(int(x) for x in support)):
+        for v in items.tolist():
             fh.write(f"{v}\n")
 
 

@@ -1,6 +1,7 @@
 """Arithmetic in GF(2^b) via log/antilog tables.
 
-Field elements are plain Python ints in [0, 2^b).  Bit i of the integer is
+Field elements are ints in [0, 2^b), held in int64 arrays; GF2m.mul and
+GF2m.pow work element-wise on arrays or single ints.  Bit i of an element is
 the coefficient of alpha^i in the polynomial basis, where alpha is a root of
 the fixed primitive polynomial for that degree.  All fields of a given degree
 therefore share one canonical representation.
@@ -66,89 +67,28 @@ class GF2m:
                 x ^= primitive_poly
         if x != 1 or len(set(alog)) != self.order:
             raise ValueError(f"0b{primitive_poly:b} is not primitive over GF(2^{degree})")
-        self._alog = alog
-        self._log = log
-        # numpy copies for vectorized evaluation (chien search, matrix builds)
+        # log_np[0] is a placeholder 0: callers mask the zero element
         self.alog_np = np.array(alog, dtype=np.int64)
         self.log_np = np.array(log, dtype=np.int64)
         # weight of each bit position, most significant first
         self._bit_weights = np.int64(1) << np.arange(degree - 1, -1, -1, dtype=np.int64)
-        self._quad_table: np.ndarray | None = None
-        self._cubic_table: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"GF2m(degree={self.degree}, primitive_poly=0b{self.primitive_poly:b})"
 
-    # -- basic arithmetic ---------------------------------------------------
+    # -- arithmetic ---------------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._alog[(self._log[a] + self._log[b]) % self.order]
+    def mul(self, a, b):
+        """Element-wise product of ints or int64 arrays of field elements."""
+        zlog, zalog = self.product_tables
+        return zalog[zlog[a] + zlog[b]]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._alog[(self.order - self._log[a]) % self.order]
+    def pow(self, a, e: int):
+        """Element-wise a^e for any integer e; 0 maps to 0 for every e.
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return 0
-        return self._alog[(self._log[a] * e) % self.order]
-
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
-
-    def sqrt(self, a: int) -> int:
-        # squaring is a bijection in characteristic 2
-        if a == 0:
-            return 0
-        return self.pow(a, 1 << (self.degree - 1))
-
-    def alpha_pow(self, e: int) -> int:
-        """alpha^e, exponent taken mod the group order."""
-        return self._alog[e % self.order]
-
-    def dlog(self, a: int) -> int:
-        """Discrete log base alpha; a must be nonzero."""
-        if a == 0:
-            raise ValueError("discrete log of 0 is undefined")
-        return self._log[a]
-
-    # -- bit-vector views ---------------------------------------------------
-
-    def bit_column(self, a: int) -> np.ndarray:
-        """Element as a length-b 0/1 column, most significant bit first.
-
-        Entry j holds the coefficient of alpha^(b-1-j).
+        So pow(a, -1) is the inverse of a nonzero a, and reads 0 at a = 0.
         """
-        b = self.degree
-        return np.array([(a >> (b - 1 - j)) & 1 for j in range(b)], dtype=np.uint8)
-
-    def bit_columns(self, elements: np.ndarray) -> np.ndarray:
-        """Vectorized bit_column: shape (b, len(elements))."""
-        b = self.degree
-        shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-        return ((np.asarray(elements, dtype=np.int64)[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
-
-    def element_from_bits(self, bits):
-        """Inverse of bit_column, over the last axis of a stack of bit rows.
-
-        bits has shape (..., b).  A single row gives a Python int; a stack
-        gives an int64 array of shape bits.shape[:-1].
-        """
-        bits = np.asarray(bits)
-        if bits.ndim == 0 or bits.shape[-1] != self.degree:
-            raise ValueError(f"expected {self.degree} bits in the last axis, got shape {bits.shape}")
-        values = bits.astype(np.int64) @ self._bit_weights
-        return int(values) if bits.ndim == 1 else values
+        return np.where(a == 0, 0, self.alog_np[(e * self.log_np[a]) % self.order])
 
     @cached_property
     def product_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,24 +107,46 @@ class GF2m:
             table.setflags(write=False)
         return zlog, zalog
 
-    # -- the quadratic table ------------------------------------------------
+    # -- bit-vector views ---------------------------------------------------
 
+    def bit_columns(self, elements) -> np.ndarray:
+        """Elements as 0/1 columns, shape (b, len(elements)), uint8.
+
+        Row j holds the coefficient of alpha^(b-1-j): most significant first.
+        """
+        b = self.degree
+        shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
+        return ((np.asarray(elements, dtype=np.int64)[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+
+    def element_from_bits(self, bits) -> np.ndarray:
+        """Inverse of bit_columns, over the last axis of a stack of bit rows.
+
+        bits has shape (..., b); the elements come back as int64 of shape
+        bits.shape[:-1].
+        """
+        bits = np.asarray(bits)
+        if bits.ndim == 0 or bits.shape[-1] != self.degree:
+            raise ValueError(f"expected {self.degree} bits in the last axis, got shape {bits.shape}")
+        return bits.astype(np.int64) @ self._bit_weights
+
+    # -- root tables --------------------------------------------------------
+
+    @cached_property
     def quadratic_table(self) -> np.ndarray:
         """Table of z with z^2 + z = u and bit 0 clear, indexed by u; -1 if none.
 
         The other solution is z ^ 1.  Built on first use by squaring every
         even element at once: z and z ^ 1 share their u, so the even half of
-        the field reaches each solvable u exactly once.
+        the field reaches each solvable u exactly once.  Read-only, as the
+        other cached tables.
         """
-        if self._quad_table is None:
-            z = np.arange(0, self.order + 1, 2, dtype=np.int64)
-            u = self.alog_np[(2 * self.log_np[z]) % self.order] ^ z
-            u[0] = 0  # log_np[0] is a placeholder; 0^2 + 0 = 0
-            table = np.full(self.order + 1, -1, dtype=np.int64)
-            table[u] = z
-            self._quad_table = table
-        return self._quad_table
+        z = np.arange(0, self.order + 1, 2, dtype=np.int64)
+        table = np.full(self.order + 1, -1, dtype=np.int64)
+        table[self.pow(z, 2) ^ z] = z
+        table.setflags(write=False)
+        return table
 
+    @cached_property
     def cubic_table(self) -> np.ndarray:
         """Table of the smallest y with y^3 + y = c, indexed by c; -1 unless three.
 
@@ -192,17 +154,14 @@ class GF2m:
         field; the other two solve y'^2 + y y' + y^2 + 1 = 0.  Built on first
         use by cubing every element at once.  For c != 0 the cubic is
         separable, so 0, 1 or 3 elements reach c; c = 0 has the roots 0 and a
-        double root 1, and two elements reach it.
+        double root 1, and two elements reach it.  Read-only.
         """
-        if self._cubic_table is None:
-            y = np.arange(self.order + 1, dtype=np.int64)
-            c = self.alog_np[(3 * self.log_np[y]) % self.order] ^ y
-            c[0] = 0  # log_np[0] is a placeholder; 0^3 + 0 = 0
-            values, first, hits = np.unique(c, return_index=True, return_counts=True)
-            table = np.full(self.order + 1, -1, dtype=np.int64)
-            table[values[hits == 3]] = first[hits == 3]
-            self._cubic_table = table
-        return self._cubic_table
+        y = np.arange(self.order + 1, dtype=np.int64)
+        values, first, hits = np.unique(self.pow(y, 3) ^ y, return_index=True, return_counts=True)
+        table = np.full(self.order + 1, -1, dtype=np.int64)
+        table[values[hits == 3]] = first[hits == 3]
+        table.setflags(write=False)
+        return table
 
 
 @lru_cache(maxsize=None)

@@ -208,6 +208,14 @@ def test_encode_rejects_undersized_signature():
         encode(g, build_signature(1, 5), {0})
 
 
+def test_decode_rejects_undersized_signature():
+    # item 256 sits at positions 62 and 71, past a 70-column signature
+    g = sample_graph(400, 8, 2, seed=1)
+    y = encode(g, build_signature(2, 100), {256})
+    with pytest.raises(ValueError, match="signature covers 70 columns"):
+        decode(g, build_signature(2, 70), y)
+
+
 def resolved(stack, sig):
     """resolve_node as one frozenset of positions per row, or None."""
     positions, ok = resolve_node(stack, sig)
@@ -267,7 +275,7 @@ def test_resolve_node_t2():
     syndrome = syndrome_from_bits(sig.bch, z[1:] & 1)
     locator, _ = find_error_locator(sig.bch, syndrome)
     f = sig.bch.field
-    assert find_roots(sig.bch, locator) == {f.alpha_pow(-3), f.alpha_pow(-11)}
+    assert find_roots(sig.bch, locator) == set(f.alog_np[[-3, -11]].tolist())
 
 
 def test_decode_worked_example_two_rounds():
@@ -525,6 +533,16 @@ def test_file_round_trips(tmp_path):
     assert text[0].startswith("#")
     assert [int(x) for x in text[1:]] == [0, 3, 9]
     assert load_support(str(ps)) == {0, 3, 9}
+
+
+def test_save_support_takes_integer_items_only(tmp_path):
+    # the rule encode applies: repeats count once, numpy integers are items
+    ps = tmp_path / "s.txt"
+    save_support(str(ps), [np.int8(9), 3, np.uint16(3)])
+    assert ps.read_text().splitlines()[1:] == ["3", "9"]
+    for support in ({3.7, 10}, {True, 10}, ["3"]):
+        with pytest.raises(ValueError, match="integers"):
+            save_support(str(ps), support)
 
 
 def test_reference_module_agrees():
