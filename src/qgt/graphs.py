@@ -15,6 +15,11 @@ sort per block.  Once the layout is simple, each block is sorted once into
 its right list.  Every graph, sampled, loaded or built by hand, then groups
 its edges by left node with one sort and passes the same vectorised
 O(N*ell) checks.
+
+Every per-edge array, in the sampler and in the graph, is int32 while N*ell
+< 2^31 and int64 beyond (_index_dtype), so a graph holds 12 bytes per edge
+up to that size.  The draws and the graphs are the same at either width;
+what a graph returns to encode and decode is int64.
 """
 
 from __future__ import annotations
@@ -52,26 +57,40 @@ class BiRegularGraph:
             raise ValueError("every right node needs at least one edge")
         if degrees.max() - degrees.min() > 1:
             raise ValueError("right degrees must take at most two adjacent values")
-        vals = np.concatenate(right_adj).astype(np.int64, copy=False)
-        if len(vals) != n_left * ell:
-            raise ValueError(f"edge count {len(vals)} != N*ell = {n_left * ell}")
-        if vals.min() < 0 or vals.max() >= n_left:
+        vals = np.concatenate(right_adj)
+        n_edges = len(vals)
+        if n_edges != n_left * ell:
+            raise ValueError(f"edge count {n_edges} != N*ell = {n_left * ell}")
+        # range-check at the caller's width: narrowing first would wrap an
+        # index such as 2^32 + 2 into range (a NaN fails the check too)
+        if not (vals.min() >= 0 and vals.max() < n_left):
             raise ValueError("left index out of range")
+        width = _index_dtype(n_edges)
+        vals = vals.astype(width, copy=False)
         if np.any(np.bincount(vals, minlength=n_left) != ell):
             raise ValueError("left degrees are not all equal to ell")
         starts = np.concatenate([[0], np.cumsum(degrees)[:-1]])
         # group the edges by left node, each node's right nodes ascending.  The
         # key (left node, right node) is distinct unless an edge repeats, which
         # the check below rejects, so a plain sort gives the stable order
-        # (N*M < 2^63 for any graph whose N*ell edges fit in memory).
-        owners = np.repeat(np.arange(self.n_right, dtype=np.int64), degrees)
-        order = np.argsort(vals * self.n_right + owners)
-        owners = owners[order]
-        rights = owners.reshape(n_left, ell)
-        positions = (order - starts[owners]).reshape(n_left, ell)
+        # (N*M < 2^63 for any graph whose N*ell edges fit in memory).  To keep
+        # a large build's peak low, each temporary is dropped once used, and
+        # the edges' right nodes are repeated out again after the sort rather
+        # than held through it.
+        labels = np.arange(self.n_right, dtype=width)
+        key = vals.astype(np.int64)
+        key *= self.n_right
+        key += np.repeat(labels, degrees)
+        order = np.argsort(key)
+        del key
+        rights = np.repeat(labels, degrees)[order].reshape(n_left, ell)
+        positions = order.astype(width)
+        del order
+        positions -= starts.astype(width)[rights.ravel()]
+        positions = positions.reshape(n_left, ell)
         if np.any(rights[:, 1:] <= rights[:, :-1]):
             raise ValueError("parallel edge: left node repeated in a right list")
-        for array in (vals, degrees, starts):
+        for array in (vals, degrees, starts, rights, positions):
             array.setflags(write=False)
         self._edges = vals
         self._degrees = degrees
@@ -86,9 +105,13 @@ class BiRegularGraph:
         return self._degrees
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Right nodes and positions of the given left nodes, ell per row."""
-        return (np.take(self._left_rights, items, axis=0),
-                np.take(self._left_positions, items, axis=0))
+        """Right nodes and positions of the given left nodes, ell per row.
+
+        int64 whatever the tables' width: int32 arrays in decode's peeling
+        rounds cost about 3% of a decode (N = 2^20, K = 100, t = 2).
+        """
+        return (np.take(self._left_rights, items, axis=0).astype(np.int64),
+                np.take(self._left_positions, items, axis=0).astype(np.int64))
 
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The left node at each (group, position) pair; -1 past the group's end."""
@@ -96,7 +119,7 @@ class BiRegularGraph:
         positions = np.asarray(positions, dtype=np.int64)
         inside = (positions >= 0) & (positions < self._degrees[groups])
         edges = np.where(inside, self._starts[groups] + positions, 0)
-        return np.where(inside, self._edges[edges], -1)
+        return np.where(inside, self._edges[edges].astype(np.int64), -1)
 
     # -- text serialization --------------------------------------------------
     # line 1: "N M ell seed"; then one line per right node with its ascending
@@ -145,26 +168,28 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGra
         right_adj = [np.arange(n_left, dtype=np.int64) for _ in range(n_right)]
         return BiRegularGraph(n_left, ell, right_adj, seed=seed)
     blocks = _Blocks(degrees)
+    width = _index_dtype(n_edges)
 
     rng = np.random.default_rng(seed)
     for attempt in range(MAX_RESAMPLES):
         # shuffling stub indices draws the same permutation as shuffling the
-        # item labels np.repeat(arange(N), ell); stub k belongs to item k // ell
-        perm = rng.permutation(n_edges)
+        # item labels np.repeat(arange(N), ell); stub k belongs to item k // ell.
+        # Shuffling an arange of either width makes the same draws.
+        perm = rng.permutation(np.arange(n_edges, dtype=width))
         stubs = perm // ell
-        loc = np.empty(n_edges, dtype=np.int64)
-        loc[perm] = np.arange(n_edges)
+        loc = np.empty(n_edges, dtype=width)
+        loc[perm] = np.arange(n_edges, dtype=width)
         del perm
         # loc[x]: the positions of x's ell stubs, ascending (and so in
         # ascending block order); the repair keeps every row sorted
         loc = loc.reshape(n_left, ell)
         if ell == 2:  # np.sort pays per row; pairs swap in bulk
-            first = np.minimum(loc[:, 0], loc[:, 1])
-            np.maximum(loc[:, 0], loc[:, 1], out=loc[:, 1])
-            loc[:, 0] = first
+            loc[:, 0], loc[:, 1] = (np.minimum(loc[:, 0], loc[:, 1]),
+                                    np.maximum(loc[:, 0], loc[:, 1]))
         else:
             loc.sort(axis=1)
         if _repair(stubs, loc, blocks, rng):
+            del loc
             return _assemble(n_left, ell, stubs, blocks, seed, attempt)
     raise RuntimeError(
         f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
@@ -256,6 +281,11 @@ class DefectiveView:
         return np.where(self._keys[rows] == keys, self._key_items[rows], -1)
 
 
+def _index_dtype(n_edges: int) -> type:
+    """The integer type of a graph's per-edge arrays: int32 below 2^31 edges."""
+    return np.int32 if n_edges < 1 << 31 else np.int64
+
+
 def _right_degrees(n_left: int, n_right: int, ell: int) -> np.ndarray:
     """Right degrees of N*ell stubs dealt to M right nodes, or ValueError.
 
@@ -302,8 +332,13 @@ class _Blocks:
         return self.extra + (pos - self.split) // self.base
 
     def of_all(self, pos: np.ndarray) -> np.ndarray:
+        # in place after the first two arrays: pos may cover every stub
         head = np.minimum(pos, self.split)
-        return head // (self.base + 1) + (pos - head) // self.base
+        block = pos - head
+        block //= self.base
+        head //= self.base + 1
+        block += head
+        return block
 
 
 def _assemble(n_left, ell, stubs, blocks, seed, retries):

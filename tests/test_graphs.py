@@ -1,11 +1,18 @@
 """Graph ensemble invariants and serialization."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qgt import graphs
 from qgt.graphs import BiRegularGraph, sample_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_degrees_regular_case():
@@ -135,6 +142,10 @@ INVALID_GRAPHS = [
     (4, 2, [[0, 1, 2], [3], [0, 1], [2, 3]], "two adjacent values"),
     (1, 2, [[0], [0], []], "at least one edge"),
     (4, 2, [[0, 0], [1, 3], [1, 2], [2, 3]], "parallel edge"),
+    # each wraps into the valid graph [[0, 2], [1, 3], [0, 1], [2, 3]] if
+    # narrowed to int32 before the range check
+    (4, 2, [[0, (1 << 32) + 2], [1, 3], [0, 1], [2, 3]], "out of range"),
+    (4, 2, [[0, 2], [-(1 << 32) + 1, 3], [0, 1], [2, 3]], "out of range"),
 ]
 
 
@@ -165,6 +176,66 @@ def test_explicit_lists_validate(tmp_path):
         with pytest.raises(ValueError,
                            match=message if all(adj) else "adjacency lines"):
             BiRegularGraph.load(str(path))
+
+
+def _per_edge_arrays(g):
+    return [g._edges, g._left_rights, g._left_positions, *g.right_adj]
+
+
+def test_graphs_below_2_31_edges_hold_read_only_int32(tmp_path):
+    assert graphs._index_dtype(2**31 - 1) is np.int32
+    assert graphs._index_dtype(2**31) is np.int64
+    path = tmp_path / "g.txt"
+    for shape, seed, _ in PINNED_GRAPHS:
+        g = sample_graph(*shape, seed=seed)
+        g.save(str(path))
+        for h in (g, BiRegularGraph.load(str(path))):
+            for array in _per_edge_arrays(h):
+                assert array.dtype == np.int32 and not array.flags.writeable
+            rights, positions = h.incidence(np.arange(h.n_left))
+            assert rights.dtype == positions.dtype == np.int64
+            assert h.items_at(np.zeros(2, dtype=np.int64), np.arange(2)).dtype == np.int64
+
+
+def test_int64_width_builds_the_same_graphs(monkeypatch):
+    # above 2^31 edges the same code runs at int64; force it on small shapes
+    narrow = [sample_graph(*shape, seed=seed) for shape, seed, _ in PINNED_GRAPHS]
+    monkeypatch.setattr(graphs, "_index_dtype", lambda n_edges: np.int64)
+    for (shape, seed, _), g in zip(PINNED_GRAPHS, narrow):
+        h = sample_graph(*shape, seed=seed)
+        assert h.retries == g.retries
+        for a, b in zip(_per_edge_arrays(h), _per_edge_arrays(g)):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_sampling_peak_memory_per_edge():
+    # growth of the peak resident set while a 2^20-edge graph is sampled and
+    # built, per edge: ~28 bytes, where int64 arrays throughout took ~61.
+    # VmHWM, unlike ru_maxrss, starts afresh at exec, so the test runner's
+    # own peak does not hide the child's
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            has_peak = "VmHWM:" in fh.read()
+    except OSError:
+        has_peak = False
+    if not has_peak:
+        pytest.skip("reads the peak resident set (VmHWM) from /proc/self/status")
+    script = (
+        "from qgt.graphs import sample_graph\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))\n"
+        "sample_graph(2**12, 41, 2, seed=1)\n"
+        "before = peak_kb()\n"
+        "sample_graph(2**19, 41, 2, seed=3)\n"
+        "print(peak_kb() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    per_edge = int(proc.stdout) * 1024 / (2**19 * 2)
+    assert per_edge < 45, f"{per_edge:.1f} bytes per edge"
 
 
 def test_infeasible_shapes_raise():
