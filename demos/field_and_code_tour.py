@@ -1,13 +1,12 @@
 """Tour of the arithmetic layers: GF(2^b) tables, parity columns, and
-syndrome decoding, one syndrome at a time and as a batch.
+syndrome decoding in closed form.
 
 Run:  python3 demos/field_and_code_tour.py
 """
 
 import numpy as np
 
-from qgt.bch import (build_parity_columns, decode_syndrome, decode_syndromes,
-                     find_error_locator, find_roots, make_bch, syndrome_from_bits)
+from qgt.bch import build_parity_columns, decode_syndromes, make_bch, syndrome_from_bits
 from qgt.gf2m import make_field
 
 # ---- the field GF(2^3) ------------------------------------------------------
@@ -37,38 +36,39 @@ print()
 
 # ---- decoding a multi-error syndrome ---------------------------------------
 # For t errors the columns stack t field elements (odd powers alpha^j,
-# alpha^3j, ...).  decode_syndrome recovers the error locator polynomial
-# from the power sums by Berlekamp-Massey, then finds its roots with a full
-# (Chien) scan over the positions; the tests keep it as the oracle.  The
-# peeling decoder hands a whole stack of syndromes to decode_syndromes,
-# which solves every count up to the largest radius, t = 4, in closed form
-# by table reads: a count-3 locator becomes y^3 + y = c, whose root the
-# field's cubic table holds.  Both must agree.
+# alpha^3j, ...), so the syndrome of a pattern holds the odd power sums
+# S1, S3, ... of its locators X = alpha^j.  The peeling decoder hands a whole
+# stack of syndromes to decode_syndromes, which solves every count up to the
+# largest radius, t = 4, in closed form: a fixed number of table reads per
+# syndrome, whatever the field size.
 
 spec3 = make_bch(6, 3, 63)
+f6 = spec3.field
 cols = build_parity_columns(spec3)
 rng = np.random.default_rng(7)
 errors = set(rng.choice(63, size=3, replace=False).tolist())
 print(f"planted error positions: {sorted(errors)}")
 
-bits = np.zeros(spec3.syndrome_bits, dtype=np.int64)
-for j in errors:
-    bits ^= cols[:, j].astype(np.int64)
-syndrome = syndrome_from_bits(spec3, bits.astype(np.uint8))
+bits = cols[:, sorted(errors)].sum(axis=1) & 1
+syndrome = syndrome_from_bits(spec3, bits)
 print(f"power-sum syndrome [S1, S3, S5]: {syndrome.tolist()}")
 
-locator, degree = find_error_locator(spec3, syndrome)
-print(f"error locator coefficients (degree {degree}): {locator}")
-
-# a root alpha^-j of the locator marks position j
-n = spec3.n
-positions = sorted((n - int(spec3.field.log_np[rho])) % n for rho in find_roots(spec3, locator))
-print(f"roots via the Chien scan -> positions {positions}")
-got = decode_syndrome(spec3, syndrome, 3)
-print(f"decode_syndrome: {sorted(got)}")
-assert set(positions) == got == errors
+# One closed-form step, for count 2.  Two locators X1, X2 are the roots of
+# x^2 + S1 x + X1 X2, and S1^3 + S3 = S1 X1 X2, so x = S1 z turns it into
+# z^2 + z = u with u = (S3 + S1^3) / S1^3.  The field's quadratic table holds
+# one root z for every solvable u; the other is z + 1.  Counts 3 and 4 reduce
+# the same way to reads from the quadratic and cubic tables.
+pair = sorted(errors)[:2]
+x1, x2 = f6.alog_np[pair]  # the pair's locators alpha^j
+s1, s3 = x1 ^ x2, f6.pow(x1, 3) ^ f6.pow(x2, 3)
+u = f6.mul(s3 ^ f6.pow(s1, 3), f6.pow(s1, -3))
+z = int(f6.quadratic_table[u])
+pair_positions = sorted(f6.log_np[f6.mul(s1, np.array([z, z ^ 1]))].tolist())
+print(f"count 2 on {pair}: S1={int(s1)}, S3={int(s3)}, z^2 + z = {int(u)} "
+      f"read as z={z} -> positions {pair_positions}")
+assert pair_positions == pair
 
 batch, ok = decode_syndromes(spec3, [syndrome], [3])
 print(f"decode_syndromes (closed form): {sorted(batch[0].tolist())}, ok={bool(ok[0])}")
 assert ok[0] and set(batch[0].tolist()) == errors
-print("\nboth decoders recover the planted positions exactly")
+print("\nthe closed forms recover the planted positions exactly")

@@ -7,7 +7,7 @@ groups until the whole support is recovered.  See the demos directory for
 worked tours of the pieces.
 """
 
-from .bch import BchSpec, DecodeFailure, build_parity_columns, decode_syndrome, make_bch
+from .bch import BchSpec, build_parity_columns, make_bch
 from .codec import (
     DEFAULT_BETA,
     DecodeOutcome,
@@ -47,7 +47,6 @@ __all__ = [
     "DESIGN_TABLE",
     "DeConfig",
     "DeResult",
-    "DecodeFailure",
     "DecodeOutcome",
     "DefectiveView",
     "DesignParams",
@@ -61,7 +60,6 @@ __all__ = [
     "de_fixed_point",
     "de_step",
     "decode",
-    "decode_syndrome",
     "derive_params",
     "design_constant",
     "encode",

@@ -188,7 +188,8 @@ def cmd_simulate(args) -> int:
     grid = parse_grid(args.grid)
     ell = _parse_ell(args.ell)
     if ell == "auto":
-        ell = codec.derive_params(args.N, args.K, args.t).ell
+        bch.check_radius(args.t)
+        ell = density.design_constant(args.t)[1]
     # the sweep runs first, so a design it rejects leaves stdout empty
     points = simulate.run_sweep(args.N, args.K, args.t, grid, args.trials,
                                 seed, ell=ell, fixed_graph=args.fixed_graph)
@@ -269,45 +270,34 @@ def _check_graph_round_trip():
 
 
 def _check_random_decode():
-    # Berlekamp-Massey with a Chien scan, one syndrome at a time, and the
-    # batched closed form must both recover every planted pattern, at an even
+    # the batched closed form must recover every planted pattern, at an even
     # and an odd degree (where w^3 = q has three cube roots, or one)
     rng = np.random.default_rng(0)
     for degree in (6, 7):
         spec = bch.make_bch(degree, 3, (1 << degree) - 1)
         cols = bch.build_parity_columns(spec)
-        patterns, syndromes = [], []
+        patterns = []
         for _ in range(50):
             w = int(rng.integers(0, 4))
-            pos = set(rng.choice(spec.r, size=w, replace=False).tolist())
-            bits = np.zeros(spec.syndrome_bits, dtype=np.int64)
-            for j in pos:
-                bits ^= cols[:, j].astype(np.int64)
-            syndrome = bch.syndrome_from_bits(spec, bits.astype(np.uint8))
-            got = bch.decode_syndrome(spec, syndrome, w)
-            _expect(got == pos, (pos, got))
-            patterns.append(pos)
-            syndromes.append(syndrome)
-        positions, ok = bch.decode_syndromes(spec, syndromes, [len(p) for p in patterns])
+            patterns.append(set(rng.choice(spec.r, size=w, replace=False).tolist()))
+        bits = np.array([cols[:, sorted(p)].sum(axis=1) & 1 for p in patterns], dtype=np.uint8)
+        positions, ok = bch.decode_syndromes(spec, bch.syndrome_from_bits(spec, bits),
+                                             [len(p) for p in patterns])
         for pos, row, good in zip(patterns, positions.tolist(), ok.tolist()):
             _expect(good and {j for j in row if j >= 0} == pos, (pos, row))
 
 
 def _check_round_resolve():
     # every slice of count <= t over a full b=4 code at t=2 and t=4, and one
-    # tampered slice of each count from 2: the batched resolve must agree
-    # with Berlekamp-Massey and a Chien scan, slice by slice
+    # tampered slice of each count from 2: the batched resolve must return
+    # each planted pattern and refuse each tampered slice
     for t in (2, 4):
         sig = codec.build_signature(t=t, r_max=15)
-        spec = sig.bch
         patterns = [p for w in range(t + 1) for p in itertools.combinations(range(sig.r), w)]
         slices = np.array([sig.matrix[:, list(p)].sum(axis=1, dtype=np.int64) for p in patterns])
         positions, ok = codec.resolve_node(slices, sig)
-        for p, z, row, good in zip(patterns, slices, positions.tolist(), ok.tolist()):
-            syndrome = bch.syndrome_from_bits(spec, z[1:] & 1)
-            want = bch.decode_syndrome(spec, syndrome, len(p))
-            got = {j for j in row if j >= 0}
-            _expect(good and got == set(p) and want == set(p), (p, row, want))
+        for p, row, good in zip(patterns, positions.tolist(), ok.tolist()):
+            _expect(good and {j for j in row if j >= 0} == set(p), (p, row))
         first = {len(p): i for i, p in reversed(list(enumerate(patterns)))}
         tampered = slices[[first[w] for w in range(2, t + 1)]].copy()
         tampered[:, 3] += 2  # bits intact, integer sums broken

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import check_radius
-from .codec import build_signature, decode, derive_params, encode, group_shape
+from .codec import build_signature, decode, encode, group_shape
+from .density import design_constant
+from .gf2m import MIN_DEGREE
 from .graphs import sample_defectives, sample_graph
 
 CSV_COLUMNS = ["m_over_K", "t", "ell", "N", "K", "trials",
@@ -77,13 +79,13 @@ def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
     the max right degree.  M * s(M) is not monotone in M (the field degree
     steps down as M grows), so scan downward from the count-only bound.
     """
-    upper = (m_budget - 1) // (t * 3 + 1)  # s >= t*3 + 1 always
+    upper = (m_budget - 1) // (t * MIN_DEGREE + 1)  # s = t*b + 1, b >= MIN_DEGREE
     for m in range(min(upper, n_items * ell), ell - 1, -1):
         try:
-            r_max, _, s = group_shape(n_items, ell, m, t)
+            _, _, s = group_shape(n_items, ell, m, t)
         except ValueError:
             continue  # r_max too large for the field table at this small M
-        if r_max <= n_items and m * s + 1 <= m_budget:
+        if m * s + 1 <= m_budget:
             return m
     raise ValueError(f"no feasible design fits m_budget={m_budget} "
                      f"(N={n_items}, t={t}, ell={ell})")
@@ -105,7 +107,8 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
         if not math.isfinite(m_over_k * k):
             raise ValueError(f"m/K = {m_over_k:g} gives no finite test budget at K={k}")
     if ell == "auto":
-        ell = derive_params(n_items, max(k, 1), t).ell
+        check_radius(t)
+        ell = design_constant(t)[1]
     points = []
     for g_idx, m_over_k in enumerate(grid):
         m_budget = int(round(m_over_k * k))

@@ -209,7 +209,7 @@ def test_locator_matches_product_form():
         assert locator == expected
 
 
-@pytest.mark.parametrize("finder", ["chien", "direct"])
+@pytest.mark.parametrize("finder", ["chien", "direct"], ids=["oracle", "closed-form"])
 def test_decode_exhaustive_b4_t2(finder):
     # every weight <= 2 pattern on the full-length code decodes exactly, one
     # syndrome at a time through the Chien scan, or as one closed-form batch
@@ -284,7 +284,7 @@ def test_decode_rejects_wrong_weight():
 
 
 @pytest.mark.parametrize("degree", [4, 5, 6, 8, 9, 12, 15, 16])
-def test_chien_direct_agree_on_random_locators(degree):
+def test_closed_form_matches_oracle_on_random_locators(degree):
     # random locators of degree <= 4, split or not: the closed form resolves
     # their power sums exactly when the Chien scan finds degree-many roots,
     # and to the same positions
@@ -307,7 +307,7 @@ def test_chien_direct_agree_on_random_locators(degree):
     assert 0 < split < len(sigmas)
 
 
-def test_direct_handles_irreducible_quadratic():
+def test_closed_form_refuses_irreducible_quadratic():
     # x^2 + x + u with no z solving z^2 + z = u has no roots: the Chien scan
     # finds none, and the closed form refuses the row
     spec = make_bch(8, 2, 255)
@@ -317,7 +317,7 @@ def test_direct_handles_irreducible_quadratic():
     assert batch_decode(spec, [power_sums(f, [1, u], 2)], [2]) == [None]
 
 
-def test_direct_repeated_root_quadratic():
+def test_closed_form_refuses_repeated_root_quadratic():
     # sigma with sigma_1 = 0 has a double root: the Chien scan finds it once,
     # and the closed form refuses the row, which needs two distinct roots
     spec = make_bch(5, 2, 31)

@@ -291,6 +291,19 @@ def test_simulate_stdout_csv(capsys):
     assert len(lines) == 3
 
 
+def test_simulate_auto_ell_follows_the_budget(tmp_path, capsys):
+    # ell* comes from the design table, not from a default design whose own M
+    # caps N: at N = 2^22 the budget-sized M fits GF(2^16) where that M did not
+    argv = ["simulate", "--N", "4194304", "--K", "100", "--grid", "100",
+            "--trials", "2"]
+    auto, fixed = tmp_path / "auto.csv", tmp_path / "ell2.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(auto))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, *argv, "--ell", "2", "--out", str(fixed))
+    assert code == 0, err
+    assert auto.read_text() == fixed.read_text()
+
+
 def test_simulate_seed_from_env(capsys, monkeypatch):
     monkeypatch.setenv("QGT_SEED", "999")
     code, out, _ = run_cli(capsys, "simulate", "--N", "300", "--K", "10",
