@@ -55,9 +55,11 @@ class GF2m:
         self.primitive_poly = primitive_poly
         self.order = (1 << degree) - 1
 
-        # alog[i] = alpha^i for i in [0, order); log[alog[i]] = i.
+        # alog[i] = alpha^i for i in [0, order); log[alog[i]] = i.  log[0] =
+        # 2*order is a sentinel that mul reads (see product_alog); every other
+        # reader masks the zero element or reduces mod order, giving 0
         alog = [0] * self.order
-        log = [0] * (self.order + 1)
+        log = [2 * self.order] * (self.order + 1)
         x = 1
         for i in range(self.order):
             alog[i] = x
@@ -67,7 +69,6 @@ class GF2m:
                 x ^= primitive_poly
         if x != 1 or len(set(alog)) != self.order:
             raise ValueError(f"0b{primitive_poly:b} is not primitive over GF(2^{degree})")
-        # log_np[0] is a placeholder 0: callers mask the zero element
         self.alog_np = np.array(alog, dtype=np.int64)
         self.log_np = np.array(log, dtype=np.int64)
         # weight of each bit position, most significant first
@@ -80,8 +81,7 @@ class GF2m:
 
     def mul(self, a, b):
         """Element-wise product of ints or int64 arrays of field elements."""
-        zlog, zalog = self.product_tables
-        return zalog[zlog[a] + zlog[b]]
+        return self.product_alog[self.log_np[a] + self.log_np[b]]
 
     def pow(self, a, e: int):
         """Element-wise a^e for any integer e; 0 maps to 0 for every e.
@@ -91,21 +91,17 @@ class GF2m:
         return np.where(a == 0, 0, self.alog_np[(e * self.log_np[a]) % self.order])
 
     @cached_property
-    def product_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(zlog, zalog): products of arrays by one add and table reads.
+    def product_alog(self) -> np.ndarray:
+        """alpha^i for i < 2*order, then 0 up to 4*order; read-only.
 
-        zlog[a] is the log of a, and zlog[0] = 2*order, a sentinel.  zalog
-        holds alpha^i for i < 2*order and 0 from 2*order to 4*order, so
-        zalog[zlog[a] + zlog[b]] is a*b: two logs sum below 2*order, and a
-        sum with a sentinel in it lands at 2*order or above.
+        So product_alog[log_np[a] + log_np[b]] is a*b: two logs sum below
+        2*order, and a sum with the sentinel log_np[0] = 2*order in it lands
+        at 2*order or above.
         """
-        zlog = self.log_np.copy()
-        zlog[0] = 2 * self.order
-        zalog = np.zeros(4 * self.order + 1, dtype=np.int64)
-        zalog[: 2 * self.order] = np.tile(self.alog_np, 2)
-        for table in (zlog, zalog):
-            table.setflags(write=False)
-        return zlog, zalog
+        table = np.zeros(4 * self.order + 1, dtype=np.int64)
+        table[: 2 * self.order] = np.tile(self.alog_np, 2)
+        table.setflags(write=False)
+        return table
 
     # -- bit-vector views ---------------------------------------------------
 

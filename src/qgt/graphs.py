@@ -11,10 +11,10 @@ node, and keeps two views of that layout: stubs[p], the item at position p,
 and loc[x], the positions of item x's ell stubs in ascending order.  loc is
 the inverse of the permutation, so it costs no sort.  It answers "how many
 stubs of x sit in block i" in O(ell) and lists a pass's duplicates without a
-sort per block.  Once the layout is simple, each block is sorted once into
-its right list.  Every graph, sampled, loaded or built by hand, then groups
-its edges by left node with one sort and passes the same vectorised
-O(N*ell) checks.
+sort per block.  Once the layout is simple, each block is sorted in place
+and the stubs become the graph's edge array.  Every graph, sampled, loaded
+or built by hand, then groups its edges by left node with one sort and
+passes the same vectorised O(N*ell) checks.
 
 Every per-edge array, in the sampler and in the graph, is int32 while N*ell
 < 2^31 and int64 beyond (_index_dtype), so a graph holds 12 bytes per edge
@@ -38,13 +38,16 @@ class BiRegularGraph:
     indices for sampled graphs (file order for loaded ones).  The index of v
     inside right_adj[i] is the "position" of edge (i, v); signature columns
     are assigned by position.  The lists are read-only views of one flat
-    edge array, right node by right node.
+    edge array, right node by right node: `edges`, degrees[i] of them for
+    right node i.  An edges ndarray at the graph's index width (_index_dtype)
+    is adopted, not copied, and made read-only; any other is copied.
     """
 
-    def __init__(self, n_left: int, ell: int, right_adj: list[np.ndarray],
+    def __init__(self, n_left: int, ell: int, edges, degrees,
                  seed: int = -1, retries: int = 0):
+        degrees = np.array(degrees, dtype=np.int64)
         self.n_left = n_left
-        self.n_right = len(right_adj)
+        self.n_right = len(degrees)
         self.ell = ell
         self.seed = seed
         self.retries = retries
@@ -52,15 +55,16 @@ class BiRegularGraph:
             raise ValueError(f"ell must be >= 2, got {ell}")
         if self.n_right < 1 or n_left < 1:
             raise ValueError("graph must have at least one node on each side")
-        degrees = np.array([len(a) for a in right_adj], dtype=np.int64)
         if degrees.min() < 1:
             raise ValueError("every right node needs at least one edge")
         if degrees.max() - degrees.min() > 1:
             raise ValueError("right degrees must take at most two adjacent values")
-        vals = np.concatenate(right_adj)
+        vals = np.asarray(edges)
         n_edges = len(vals)
         if n_edges != n_left * ell:
             raise ValueError(f"edge count {n_edges} != N*ell = {n_left * ell}")
+        if degrees.sum() != n_edges:
+            raise ValueError(f"right degrees sum to {degrees.sum()}, not {n_edges}")
         # range-check at the caller's width: narrowing first would wrap an
         # index such as 2^32 + 2 into range (a NaN fails the check too)
         if not (vals.min() >= 0 and vals.max() < n_left):
@@ -145,12 +149,13 @@ class BiRegularGraph:
             raise ValueError(
                 f"{path}: expected {n_right} adjacency lines, got {len(lines) - 1}"
             )
+        rows = [ln.split() for ln in lines[1:]]
+        degrees = [len(row) for row in rows]
         try:
-            right_adj = [np.array([int(x) for x in ln.split()], dtype=np.int64)
-                         for ln in lines[1:]]
+            edges = np.fromiter((int(x) for row in rows for x in row), np.int64, sum(degrees))
         except OverflowError:
             raise ValueError(f"{path}: a left index does not fit in 64 bits") from None
-        return cls(n_left, ell, right_adj, seed=seed)
+        return cls(n_left, ell, edges, degrees, seed=seed)
 
 
 def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGraph:
@@ -165,8 +170,8 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGra
     if int(degrees.min()) == n_left:
         # every group must hold every item exactly once, so the simple graph
         # is forced; build it directly rather than repairing collisions
-        right_adj = [np.arange(n_left, dtype=np.int64) for _ in range(n_right)]
-        return BiRegularGraph(n_left, ell, right_adj, seed=seed)
+        edges = np.tile(np.arange(n_left), n_right)
+        return BiRegularGraph(n_left, ell, edges, degrees, seed=seed)
     blocks = _Blocks(degrees)
     width = _index_dtype(n_edges)
 
@@ -190,7 +195,9 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGra
             loc.sort(axis=1)
         if _repair(stubs, loc, blocks, rng):
             del loc
-            return _assemble(n_left, ell, stubs, blocks, seed, attempt)
+            for lo, hi in zip(blocks.bounds[:-1], blocks.bounds[1:]):
+                stubs[lo:hi].sort()
+            return BiRegularGraph(n_left, ell, stubs, degrees, seed=seed, retries=attempt)
     raise RuntimeError(
         f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
         f"(N={n_left}, M={n_right}, ell={ell}, seed={seed})"
@@ -208,13 +215,16 @@ def sample_defectives(n_left: int, n_right: int, ell: int, items,
     another item's.  This is the configuration model's marginal on the
     items, up to the repairs that the other N - K items would have made;
     cost and memory grow with len(items)*ell, not N.  Shapes, errors and
-    the forced complete graph are as in sample_graph.
+    the forced complete graph are as in sample_graph; a float or bool item
+    raises ValueError rather than being truncated.
     """
     degrees = _right_degrees(n_left, n_right, ell)
-    items = np.sort(np.asarray(items, dtype=np.int64))
+    items = np.sort(np.asarray(items))
     k = len(items)
-    if k and (items[0] < 0 or items[-1] >= n_left or np.any(items[1:] == items[:-1])):
-        raise ValueError(f"items must be distinct and in [0, {n_left})")
+    if k and (items.dtype.kind not in "iu" or items[0] < 0 or items[-1] >= n_left
+              or np.any(items[1:] == items[:-1])):
+        raise ValueError(f"items must be distinct integers in [0, {n_left})")
+    items = items.astype(np.int64)
     if int(degrees.min()) == n_left:
         # every group holds every item, item x at position x (M = ell here)
         rights = np.tile(np.arange(n_right, dtype=np.int64), (k, 1))
@@ -339,15 +349,6 @@ class _Blocks:
         head //= self.base + 1
         block += head
         return block
-
-
-def _assemble(n_left, ell, stubs, blocks, seed, retries):
-    """The graph whose right lists are the stub layout's blocks, each sorted."""
-    bounds = blocks.bounds
-    right_adj = [stubs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    for adj in right_adj:
-        adj.sort()
-    return BiRegularGraph(n_left, ell, right_adj, seed=seed, retries=retries)
 
 
 def _duplicates(loc: np.ndarray, blocks: _Blocks):

@@ -42,7 +42,8 @@ REFERENCE_TEST_VECTOR = np.array(
 
 
 def reference_graph() -> BiRegularGraph:
-    return BiRegularGraph(14, 2, [np.array(g) for g in REFERENCE_GROUPS])
+    return BiRegularGraph(14, 2, np.concatenate(REFERENCE_GROUPS),
+                          [len(g) for g in REFERENCE_GROUPS])
 
 
 def reference_signature() -> Signature:

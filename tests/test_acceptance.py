@@ -98,7 +98,7 @@ def test_printed_reference_design_and_decode():
     sig = build_signature(t=1, r_max=7)
     assert np.array_equal(sig.matrix, U_4x7)
 
-    graph = BiRegularGraph(14, 2, [np.array(g) for g in GROUPS_14])
+    graph = BiRegularGraph(14, 2, np.concatenate(GROUPS_14), [len(g) for g in GROUPS_14])
     a = measurement_matrix(graph, sig)
     assert a.shape == (16, 14)
     assert np.array_equal(a, A_16x14)

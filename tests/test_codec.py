@@ -52,7 +52,7 @@ Y_14 = np.array([3, 1, 0, 0, 1, 1, 1, 1, 0, 2, 1, 2, 0, 2, 0, 1, 1], dtype=np.in
 
 
 def graph_14():
-    return BiRegularGraph(14, 2, [np.array(g) for g in GROUPS_14])
+    return BiRegularGraph(14, 2, np.concatenate(GROUPS_14), [len(g) for g in GROUPS_14])
 
 
 def test_signature_golden_t1_b3():

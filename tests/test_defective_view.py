@@ -88,6 +88,10 @@ def test_items_must_be_distinct_and_in_range():
     for items in ([3, 3], [-1], [40]):
         with pytest.raises(ValueError, match="distinct"):
             sample_defectives(40, 8, 2, items, seed=0)
+    # a float item would be truncated and a bool read as 0 or 1
+    for items in ([1.5, 2.7, 3.2], np.array([True, False])):
+        with pytest.raises(ValueError, match="distinct integers"):
+            sample_defectives(40, 8, 2, items, seed=0)
 
 
 def placed(view, degrees):
@@ -114,7 +118,7 @@ def test_sampler_terminates_and_is_simple(n, m, ell):
         assert len(sample_defectives(n, m, ell, [], seed=seed).items) == 0
         view = sample_defectives(n, m, ell, np.arange(n), seed=seed)
         # with every item held, the rows are a whole simple graph
-        BiRegularGraph(n, ell, placed(view, degrees))
+        BiRegularGraph(n, ell, np.concatenate(placed(view, degrees)), degrees)
         for some in (np.arange(1, n), np.arange(0, n, 2)):  # one free item; half free
             placed(sample_defectives(n, m, ell, some, seed=seed), degrees)
     if degrees.min() == n:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,19 +134,23 @@ def test_load_rejects_malformed(tmp_path):
         BiRegularGraph.load(str(path))
 
 
-# (N, ell, right lists, message of the check that must reject them)
+# (N, ell, right lists, the right degrees where they are not the lists'
+# lengths, message of the check that must reject them)
 INVALID_GRAPHS = [
-    (4, 2, [[0, 4], [1, 3], [0, 1], [2, 3]], "out of range"),
-    (4, 2, [[-1, 2], [1, 3], [0, 1], [2, 3]], "out of range"),
-    (4, 2, [[0, 2, 1], [1, 3], [0, 1], [2, 3]], "edge count"),
-    (4, 2, [[0, 2], [1, 3], [0, 1], [0, 3]], "left degrees"),  # 3 and 1
-    (4, 2, [[0, 1, 2], [3], [0, 1], [2, 3]], "two adjacent values"),
-    (1, 2, [[0], [0], []], "at least one edge"),
-    (4, 2, [[0, 0], [1, 3], [1, 2], [2, 3]], "parallel edge"),
+    (4, 2, [[0, 4], [1, 3], [0, 1], [2, 3]], None, "out of range"),
+    (4, 2, [[-1, 2], [1, 3], [0, 1], [2, 3]], None, "out of range"),
+    (4, 2, [[0, 2, 1], [1, 3], [0, 1], [2, 3]], None, "edge count"),
+    (4, 2, [[0, 2], [1, 3], [0, 1], [0, 3]], None, "left degrees"),  # 3 and 1
+    (4, 2, [[0, 1, 2], [3], [0, 1], [2, 3]], None, "two adjacent values"),
+    (1, 2, [[0], [0], []], None, "at least one edge"),
+    (4, 2, [[0, 0], [1, 3], [1, 2], [2, 3]], None, "parallel edge"),
     # each wraps into the valid graph [[0, 2], [1, 3], [0, 1], [2, 3]] if
     # narrowed to int32 before the range check
-    (4, 2, [[0, (1 << 32) + 2], [1, 3], [0, 1], [2, 3]], "out of range"),
-    (4, 2, [[0, 2], [-(1 << 32) + 1, 3], [0, 1], [2, 3]], "out of range"),
+    (4, 2, [[0, (1 << 32) + 2], [1, 3], [0, 1], [2, 3]], None, "out of range"),
+    (4, 2, [[0, 2], [-(1 << 32) + 1, 3], [0, 1], [2, 3]], None, "out of range"),
+    # a file's lines always agree with their lengths, so only a caller of the
+    # constructor can hand over such degrees
+    (4, 2, [[0, 2], [1, 3], [0, 1], [2, 3]], [2, 2, 3, 3], "degrees sum to 10, not 8"),
 ]
 
 
@@ -156,8 +161,7 @@ def _write_graph(path, n, ell, adj):
 
 def test_explicit_lists_validate(tmp_path):
     # hand-built and loaded graphs must satisfy the same invariants
-    good = [[0, 2], [1, 3], [0, 1], [2, 3]]
-    g = BiRegularGraph(4, 2, [np.array(a) for a in good])
+    g = BiRegularGraph(4, 2, [0, 2, 1, 3, 0, 1, 2, 3], [2, 2, 2, 2])
     assert g.seed == -1
     path = tmp_path / "g.txt"
     _write_graph(path, 4, 2, [[0, 2], [1, 3], [0, 1], [3, 2]])
@@ -167,15 +171,44 @@ def test_explicit_lists_validate(tmp_path):
     assert rights.tolist() == [[1, 3]] and positions.tolist() == [[1, 0]]
     # position 2 is past the end
     assert g.items_at(np.full(3, 3), np.arange(3)).tolist() == [3, 2, -1]
-    for n, ell, adj, message in INVALID_GRAPHS:
+    for n, ell, adj, degrees, message in INVALID_GRAPHS:
         with pytest.raises(ValueError, match=message):
-            BiRegularGraph(n, ell, [np.array(a, dtype=np.int64) for a in adj])
+            BiRegularGraph(n, ell, np.concatenate([np.array(a, dtype=np.int64) for a in adj]),
+                           [len(a) for a in adj] if degrees is None else degrees)
+        if degrees is not None:
+            continue
         _write_graph(path, n, ell, adj)
         # an empty line is not an adjacency line, so a file with an empty
         # group fails the line count instead
         with pytest.raises(ValueError,
                            match=message if all(adj) else "adjacency lines"):
             BiRegularGraph.load(str(path))
+
+
+def test_edges_at_the_graph_width_are_adopted():
+    edges = np.array([0, 2, 1, 3, 0, 1, 2, 3], dtype=np.int32)
+    g = BiRegularGraph(4, 2, edges, [2, 2, 2, 2])
+    assert g._edges is edges and not edges.flags.writeable
+    # int64 edges are narrowed into a new array; the caller's stays writable
+    wide = edges.astype(np.int64)
+    h = BiRegularGraph(4, 2, wide, [2, 2, 2, 2])
+    assert h._edges.dtype == np.int32 and not np.shares_memory(h._edges, wide)
+    assert wide.flags.writeable and wide.tolist() == edges.tolist()
+
+
+def test_sample_graph_holds_its_stubs_once():
+    # tracemalloc peak of sampling and building a 2^19-edge graph, per edge:
+    # ~20 bytes since the constructor adopts the sampler's stub array, ~24
+    # while it copied the right lists back into an edge array of its own
+    sample_graph(2**10, 81, 2, seed=3)
+    tracemalloc.start()
+    try:
+        sample_graph(2**18, 81, 2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_edge = peak / (2**18 * 2)
+    assert per_edge <= 22, f"{per_edge:.2f} bytes per edge"
 
 
 def _per_edge_arrays(g):
@@ -210,7 +243,7 @@ def test_int64_width_builds_the_same_graphs(monkeypatch):
 
 def test_sampling_peak_memory_per_edge():
     # growth of the peak resident set while a 2^20-edge graph is sampled and
-    # built, per edge: ~28 bytes, where int64 arrays throughout took ~61.
+    # built, per edge: ~24 bytes, where int64 arrays throughout took ~61.
     # VmHWM, unlike ru_maxrss, starts afresh at exec, so the test runner's
     # own peak does not hide the child's
     try:

@@ -99,7 +99,7 @@ def layered_graph(n, q, ell, rng):
     right_adj = []
     for _ in range(ell):
         right_adj += [np.sort(part) for part in np.array_split(rng.permutation(n), q)]
-    return BiRegularGraph(n, ell, right_adj)
+    return BiRegularGraph(n, ell, np.concatenate(right_adj), [len(a) for a in right_adj])
 
 
 def genuine_instances(count, seed):
@@ -312,8 +312,7 @@ def test_counts_three_and_four_match_oracle_across_fields(t):
 def test_padding_column_is_never_peeled():
     # group 0 holds 3 items but the signature has 7 columns; a slice that
     # decodes to column 5 names no item, so the group stays unresolved
-    graph = BiRegularGraph(6, 2, [np.array([0, 1, 2]), np.array([3, 4, 5]),
-                                  np.array([0, 1, 3]), np.array([2, 4, 5])])
+    graph = BiRegularGraph(6, 2, [0, 1, 2, 3, 4, 5, 0, 1, 3, 2, 4, 5], [3, 3, 3, 3])
     sig = build_signature(1, 7)
     y = np.zeros(4 * sig.s + 1, dtype=np.int64)
     y[0] = 1
