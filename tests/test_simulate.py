@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: seeding, budget inversion, CSV schema."""
 
 import csv
+import hashlib
 import io
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qgt.codec import field_degree_for
+from qgt.density import design_constant
 from qgt.graphs import sample_graph
 from qgt.simulate import (CSV_COLUMNS, SweepPoint, TrialConfig,
                           groups_within_budget, run_sweep, run_trial,
@@ -183,3 +185,30 @@ def test_sweep_csv_round_trip_from_run():
     text = sweep_csv(pts, n_items=300, k=10, t=2, ell=2, master_seed=9)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == CSV_COLUMNS and len(rows) == 2
+
+
+# Sweeps whose CSV must not change while the samplers and views are reworked:
+# (N, K, t, ell or None for the design's, grid, trials, seed, fixed_graph).
+# The draws decide each row, so any change to a sampler's stream, a view's
+# lookups or a decode shows here.
+PINNED_SWEEPS = [
+    ((4096, 20, 2, None, [10, 13, 16], 20, 5, False),
+     "61ea7f2cb20de079a6c845c5fa9bc492779d471a133fdb738756a68e957c3fc4"),
+    ((4096, 20, 2, None, [10, 13, 16], 20, 11, True),
+     "a711ff446b11ff1eb4860e1fe4473c07c0a3cc2c37dbcd8974713790fa24acc2"),
+    ((65536, 1000, 3, None, [12, 14], 10, 3, False),
+     "1859fd59be4abd6891560e1d1259e43c7926ee093fd50bf17e02b40e9fd7949c"),
+    ((300, 10, 4, None, [30], 30, 2, True),
+     "4daca20b48494dea3af1b4beec66b0e13451f0c12d1781e4b0d4489f716f851c"),
+    ((64, 5, 2, 3, [40], 20, 0, False),
+     "9f72c4074ab1bd9f38766b74f80d9d260873fa61a80a853f5f0343a0d802504b"),
+]
+
+
+@pytest.mark.parametrize("run,digest", PINNED_SWEEPS)
+def test_sweep_outputs_pinned(run, digest):
+    n, k, t, ell, grid, trials, seed, fixed = run
+    ell = ell or design_constant(t)[1]
+    points = run_sweep(n, k, t, grid, trials, seed, ell=ell, fixed_graph=fixed)
+    text = sweep_csv(points, n, k, t, ell, seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
