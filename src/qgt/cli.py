@@ -33,8 +33,11 @@ def _default_seed() -> int:
         raise ValueError(f"QGT_SEED must be an integer, got {raw!r}") from None
 
 
-def _grid_value(raw: str) -> float:
-    value = float(raw)
+def _grid_value(raw: str, text: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"bad grid value {raw!r} in {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"grid values must be finite, got {raw!r}")
     return value
@@ -43,18 +46,18 @@ def _grid_value(raw: str) -> float:
 def parse_grid(text: str) -> list[float]:
     """Grid syntax: '8,12,20' explicit, '8:20' unit steps, '8:20:2' stepped."""
     if "," in text:
-        return [_grid_value(x) for x in text.split(",")]
+        return [_grid_value(x, text) for x in text.split(",")]
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad grid {text!r}, want lo:hi or lo:hi:step")
-        lo, hi = _grid_value(parts[0]), _grid_value(parts[1])
-        step = _grid_value(parts[2]) if len(parts) == 3 else 1.0
+        lo, hi = _grid_value(parts[0], text), _grid_value(parts[1], text)
+        step = _grid_value(parts[2], text) if len(parts) == 3 else 1.0
         if step <= 0 or hi < lo:
             raise ValueError(f"bad grid {text!r}: need lo <= hi and step > 0")
         n_steps = int((hi - lo) / step + 1e-9)
         return [lo + i * step for i in range(n_steps + 1)]
-    return [_grid_value(text)]
+    return [_grid_value(text, text)]
 
 
 def _parse_ell(raw: str) -> int | str:

@@ -1,20 +1,22 @@
 """Left-regular bipartite graphs from a repaired configuration model.
 
 Every left node has degree ell; right degrees differ by at most one (the
-first n_edges % M right nodes take the larger value).  Sampling matches left
-stubs to right stubs through a seeded uniform permutation, then swaps away
-duplicate entries until the graph is simple.  The result is approximately
-uniform over simple left-regular graphs; no exact-uniformity claim is made.
+first n_edges % M right nodes take the larger value, as _Blocks deals them).
+Sampling matches left stubs to right stubs through a seeded uniform
+permutation, then swaps away duplicate entries until the graph is simple.
+The result is approximately uniform over simple left-regular graphs; no
+exact-uniformity claim is made.
 
-The sampler lays the N*ell stubs out in consecutive blocks, one per right
-node, and keeps two views of that layout: stubs[p], the item at position p,
-and loc[x], the positions of item x's ell stubs in ascending order.  loc is
-the inverse of the permutation, so it costs no sort.  It answers "how many
-stubs of x sit in block i" in O(ell) and lists a pass's duplicates without a
-sort per block.  Once the layout is simple, each block is sorted in place
-and the stubs become the graph's edge array.  Every graph, sampled, loaded
-or built by hand, then groups its edges by left node with one sort and
-passes the same vectorised O(N*ell) checks.
+The stubs lie in consecutive blocks, one per right node, and the sampler
+keeps two views of that layout: stubs[p], the item at position p, and
+loc[x], the positions of item x's ell stubs in ascending order.  loc is the
+inverse of the permutation, so it costs no sort.  It answers "how many
+stubs of x sit in block i" in O(ell) and lists a pass's duplicates without
+a sort per block.  Once the layout is simple, each block is sorted in place
+and the stubs become the graph's right-major edge array; a DefectiveView
+holds a few items' rows of indices into that array.  Every graph then
+groups its edges by left node with one sort and passes the same vectorised
+O(N*ell) checks.
 
 Every per-edge array, in the sampler and in the graph, is int32 while N*ell
 < 2^31 and int64 beyond (_index_dtype), so a graph holds 12 bytes per edge
@@ -119,11 +121,8 @@ class BiRegularGraph:
 
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The left node at each (group, position) pair; -1 past the group's end."""
-        groups = np.asarray(groups, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        inside = (positions >= 0) & (positions < self._degrees[groups])
-        edges = np.where(inside, self._starts[groups] + positions, 0)
-        return np.where(inside, self._edges[edges].astype(np.int64), -1)
+        edges = _edge_index(self._degrees, self._starts, groups, positions)
+        return np.where(edges >= 0, self._edges[edges].astype(np.int64), -1)
 
     # -- text serialization --------------------------------------------------
     # line 1: "N M ell seed"; then one line per right node with its ascending
@@ -161,18 +160,17 @@ class BiRegularGraph:
 def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGraph:
     """Draw a simple left-regular graph; deterministic for a given seed.
 
-    Raises ValueError for infeasible shapes (see _right_degrees) and
-    RuntimeError if repair fails across MAX_RESAMPLES resamples, which is
-    astronomically unlikely for feasible shapes.
+    Raises ValueError for infeasible shapes (see _Blocks) and RuntimeError
+    if repair fails across MAX_RESAMPLES resamples, which is astronomically
+    unlikely for feasible shapes.
     """
-    degrees = _right_degrees(n_left, n_right, ell)
+    blocks = _Blocks(n_left, n_right, ell)
     n_edges = n_left * ell
-    if int(degrees.min()) == n_left:
+    if blocks.forced:
         # every group must hold every item exactly once, so the simple graph
         # is forced; build it directly rather than repairing collisions
         edges = np.tile(np.arange(n_left), n_right)
-        return BiRegularGraph(n_left, ell, edges, degrees, seed=seed)
-    blocks = _Blocks(degrees)
+        return BiRegularGraph(n_left, ell, edges, blocks.degrees, seed=seed)
     width = _index_dtype(n_edges)
 
     rng = np.random.default_rng(seed)
@@ -197,7 +195,7 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGra
             del loc
             for lo, hi in zip(blocks.bounds[:-1], blocks.bounds[1:]):
                 stubs[lo:hi].sort()
-            return BiRegularGraph(n_left, ell, stubs, degrees, seed=seed, retries=attempt)
+            return BiRegularGraph(n_left, ell, stubs, blocks.degrees, seed=seed, retries=attempt)
     raise RuntimeError(
         f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
         f"(N={n_left}, M={n_right}, ell={ell}, seed={seed})"
@@ -212,33 +210,31 @@ def sample_defectives(n_left: int, n_right: int, ell: int, items,
     N*ell stub positions, cut into the same blocks; a stub's offset in its
     block is its position.  An item with two stubs in one block is repaired
     by _repair, which moves the stub to a free position or swaps it with
-    another item's.  This is the configuration model's marginal on the
-    items, up to the repairs that the other N - K items would have made;
-    cost and memory grow with len(items)*ell, not N.  Shapes, errors and
-    the forced complete graph are as in sample_graph; a float or bool item
-    raises ValueError rather than being truncated.
+    another item's; the repaired positions are the view's edge indices.
+    This is the configuration model's marginal on the items, up to the
+    repairs that the other N - K items would have made; cost and memory grow
+    with len(items)*ell, not N.  Shapes, errors and the forced complete
+    graph are as in sample_graph; a float or bool item raises ValueError
+    rather than being truncated.
     """
-    degrees = _right_degrees(n_left, n_right, ell)
+    blocks = _Blocks(n_left, n_right, ell)
     items = np.sort(np.asarray(items))
     k = len(items)
     if k and (items.dtype.kind not in "iu" or items[0] < 0 or items[-1] >= n_left
               or np.any(items[1:] == items[:-1])):
         raise ValueError(f"items must be distinct integers in [0, {n_left})")
     items = items.astype(np.int64)
-    if int(degrees.min()) == n_left:
+    if blocks.forced:
         # every group holds every item, item x at position x (M = ell here)
-        rights = np.tile(np.arange(n_right, dtype=np.int64), (k, 1))
-        return DefectiveView(n_left, degrees, items, rights, np.repeat(items[:, None], ell, 1))
-    blocks = _Blocks(degrees)
+        return DefectiveView(n_left, blocks.degrees, items,
+                             items[:, None] + n_left * np.arange(n_right))
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RESAMPLES):
         loc = rng.choice(n_left * ell, size=k * ell, replace=False).reshape(k, ell)
         loc.sort(axis=1)
         held = _Held(zip(loc.ravel().tolist(), np.repeat(np.arange(k), ell).tolist()))
         if _repair(held, loc, blocks, rng):
-            rights = blocks.of_all(loc)
-            starts = np.asarray(blocks.bounds[:-1], dtype=np.int64)
-            return DefectiveView(n_left, degrees, items, rights, loc - starts[rights])
+            return DefectiveView(n_left, blocks.degrees, items, loc)
     raise RuntimeError(
         f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
         f"(N={n_left}, M={n_right}, ell={ell}, K={k}, seed={seed})"
@@ -251,25 +247,27 @@ class DefectiveView:
     It answers what encode and decode ask of a graph (n_left, n_right,
     max_right_degree, incidence, items_at) for supports inside `items`.
     incidence rejects any other item; items_at maps a position the view does
-    not hold to -1, so decode leaves that group unresolved.  An edge is
-    found by its key group * max_right_degree + position among the held
-    edges' sorted keys.
+    not hold to -1, so decode leaves that group unresolved.  items must be
+    ascending and distinct; edges[k] holds the right-major edge indices of
+    items[k], as in a BiRegularGraph of these right degrees.
     """
 
-    def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray,
-                 rights: np.ndarray, positions: np.ndarray):
+    def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray, edges: np.ndarray):
         self.n_left = n_left
         self.n_right = len(degrees)
         self.max_right_degree = int(np.max(degrees))
-        order = np.argsort(items)
-        self.items = np.asarray(items, dtype=np.int64)[order]
-        self._rights = np.asarray(rights, dtype=np.int64)[order]
-        self._positions = np.asarray(positions, dtype=np.int64)[order]
-        keys = (self._rights * self.max_right_degree + self._positions).ravel()
-        by_key = np.argsort(keys)
-        # a last key above every other lets each lookup read a real entry
-        self._keys = np.append(keys[by_key], np.iinfo(np.int64).max)
-        self._key_items = np.append(np.repeat(self.items, self._rights.shape[1])[by_key], -1)
+        self.items = np.asarray(items, dtype=np.int64)
+        if np.any(self.items[1:] <= self.items[:-1]):
+            raise ValueError("a view's items must be ascending and distinct")
+        edges = np.asarray(edges, dtype=np.int64)
+        self._degrees = np.asarray(degrees, dtype=np.int64)
+        self._starts = np.concatenate([[0], np.cumsum(self._degrees)[:-1]])
+        self._rights = np.searchsorted(self._starts, edges, side="right") - 1
+        self._positions = edges - self._starts[self._rights]
+        by_edge = np.argsort(edges, axis=None)
+        # a last edge above every other lets each lookup read a real entry
+        self._edges = np.append(edges.ravel()[by_edge], np.iinfo(np.int64).max)
+        self._edge_items = np.append(np.repeat(self.items, edges.shape[1])[by_edge], -1)
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.searchsorted(self.items, items)
@@ -281,38 +279,22 @@ class DefectiveView:
 
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The held item at each (group, position) pair; -1 where none is held."""
-        groups = np.asarray(groups, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        # a position past max_right_degree would read as the next group's
-        # key, so it looks up -1, which is no key
-        inside = (positions >= 0) & (positions < self.max_right_degree)
-        keys = np.where(inside, groups * self.max_right_degree + positions, -1)
-        rows = np.searchsorted(self._keys, keys)
-        return np.where(self._keys[rows] == keys, self._key_items[rows], -1)
+        edges = _edge_index(self._degrees, self._starts, groups, positions)
+        rows = np.searchsorted(self._edges, edges)
+        return np.where(self._edges[rows] == edges, self._edge_items[rows], -1)
+
+
+def _edge_index(degrees: np.ndarray, starts: np.ndarray, groups, positions) -> np.ndarray:
+    """The right-major edge index of each (group, position); -1 outside the group."""
+    groups = np.asarray(groups, dtype=np.int64)
+    positions = np.asarray(positions, dtype=np.int64)
+    inside = (positions >= 0) & (positions < degrees[groups])
+    return np.where(inside, starts[groups] + positions, -1)
 
 
 def _index_dtype(n_edges: int) -> type:
     """The integer type of a graph's per-edge arrays: int32 below 2^31 edges."""
     return np.int32 if n_edges < 1 << 31 else np.int64
-
-
-def _right_degrees(n_left: int, n_right: int, ell: int) -> np.ndarray:
-    """Right degrees of N*ell stubs dealt to M right nodes, or ValueError.
-
-    The first N*ell % M right nodes take one stub more.  With ell <= M no
-    degree exceeds N, so every accepted shape has a simple graph.
-    """
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    if ell > n_right:
-        raise ValueError(f"ell={ell} > M={n_right}: a left node cannot reach "
-                         "ell distinct right nodes")
-    if n_left < 1 or n_right > n_left * ell:
-        raise ValueError("need 1 <= M <= N*ell")
-    base, extra = divmod(n_left * ell, n_right)
-    degrees = np.full(n_right, base, dtype=np.int64)
-    degrees[:extra] += 1
-    return degrees
 
 
 class _Held(dict):
@@ -323,18 +305,28 @@ class _Held(dict):
 
 
 class _Blocks:
-    """Stub positions cut into consecutive blocks, one per right node.
+    """N*ell stub positions dealt to M right nodes, or ValueError.
 
     Block i spans positions bounds[i]..bounds[i+1]-1.  The first `extra`
     blocks hold base + 1 stubs and the rest base, so the block of a position
-    is computed, not looked up in a table of N*ell entries.
+    is computed, not looked up in a table.  With ell <= M no degree exceeds
+    N, so every accepted shape has a simple graph, `forced` when base == N.
     """
 
-    def __init__(self, degrees: np.ndarray):
-        self.bounds = [0] + np.cumsum(degrees).tolist()
-        self.base = int(degrees[-1])
-        self.extra = int(np.count_nonzero(degrees > self.base))
+    def __init__(self, n_left: int, n_right: int, ell: int):
+        if ell < 2:
+            raise ValueError(f"ell must be >= 2, got {ell}")
+        if ell > n_right:
+            raise ValueError(f"ell={ell} > M={n_right}: a left node cannot reach "
+                             "ell distinct right nodes")
+        if n_left < 1 or n_right > n_left * ell:
+            raise ValueError("need 1 <= M <= N*ell")
+        self.base, self.extra = divmod(n_left * ell, n_right)
+        self.degrees = np.full(n_right, self.base, dtype=np.int64)
+        self.degrees[:self.extra] += 1
+        self.bounds = [0] + np.cumsum(self.degrees).tolist()
         self.split = self.extra * (self.base + 1)
+        self.forced = self.base == n_left
 
     def of(self, pos: int) -> int:
         if pos < self.split:

@@ -34,6 +34,10 @@ def test_parse_grid_rejects():
                 "-inf:8", "8:20:inf", "8,nan", "1e400"):
         with pytest.raises(ValueError):
             cli.parse_grid(bad)
+    # a value that is no number is named with the grid it came from
+    for bad, value in (("8,x", "x"), ("8,", "")):
+        with pytest.raises(ValueError, match=f"^bad grid value '{value}' in '{bad}'$"):
+            cli.parse_grid(bad)
 
 
 # -- table -------------------------------------------------------------------
@@ -110,6 +114,12 @@ def test_design_rejects_k_not_below_n(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "design", "--N", "100", "--K", "200")
     assert code == 2 and "error:" in err
+
+
+def test_design_rejects_a_fractional_ell(capsys):
+    code, out, err = run_cli(capsys, "design", "--N", "1000", "--K", "10", "--ell", "2.5")
+    assert code == 2 and out == ""
+    assert "--ell must be an integer or 'auto', got '2.5'" in err
 
 
 def test_design_beyond_the_largest_n(capsys):

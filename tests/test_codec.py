@@ -526,6 +526,9 @@ def test_file_round_trips(tmp_path):
     save_test_vector(str(pv), y)
     assert pv.read_text().splitlines()[0] == "3"
     assert np.array_equal(load_test_vector(str(pv)), y)
+    pv.write_text("# counts\n\n")
+    with pytest.raises(ValueError, match="empty test vector"):
+        load_test_vector(str(pv))
 
     ps = tmp_path / "s.txt"
     save_support(str(ps), {9, 0, 3})

@@ -21,7 +21,9 @@ from qgt.simulate import TrialConfig, run_trial
 
 def view_of(graph, items):
     items = np.array(sorted(items), dtype=np.int64)
-    return DefectiveView(graph.n_left, graph.degrees(), items, *graph.incidence(items))
+    rights, positions = graph.incidence(items)
+    starts = np.concatenate([[0], np.cumsum(graph.degrees())[:-1]])
+    return DefectiveView(graph.n_left, graph.degrees(), items, starts[rights] + positions)
 
 
 def test_view_of_a_graph_encodes_and_decodes_as_the_graph():
@@ -60,13 +62,38 @@ def test_view_items_at_agrees_with_its_graph():
     whole = graph.items_at(groups, positions)
     want = np.where(np.isin(whole, list(held)), whole, -1)
     assert view.items_at(groups, positions).tolist() == want.tolist()
-    # group i at position max_right_degree has the key of group i + 1 at 0
+    # group i at position max_right_degree is not group i + 1 at 0
     nxt = view.items_at(np.arange(1, 47), np.zeros(46, dtype=np.int64))
     assert (nxt >= 0).any()
     assert (view.items_at(np.arange(46), np.full(46, top)) == -1).all()
     empty = np.zeros(0, dtype=np.int64)
     assert view.items_at(empty, empty).shape == (0,)
     assert view_of(graph, set()).items_at(groups, positions).tolist() == [-1] * len(groups)
+    # a group past the last one is an error on both, not a miss
+    for holder in (graph, view):
+        with pytest.raises(IndexError):
+            holder.items_at(np.array([47]), np.array([0]))
+
+
+def test_view_items_must_be_ascending_and_distinct():
+    graph = sample_graph(60, 12, 2, seed=3)
+    for items in ([7, 3], [3, 3, 7]):
+        rights, positions = graph.incidence(np.array(items))
+        edges = np.take(np.concatenate([[0], np.cumsum(graph.degrees())[:-1]]), rights) + positions
+        with pytest.raises(ValueError, match="ascending and distinct"):
+            DefectiveView(graph.n_left, graph.degrees(), np.array(items), edges)
+
+
+@pytest.mark.parametrize("n,m,ell", [(5, 3, 3), (4, 2, 2)])
+def test_forced_view_holds_item_x_at_position_x(n, m, ell):
+    # with M = ell every group holds all n items, so the view's rows are forced
+    assert m == ell
+    items = np.array([0, 2, n - 1])
+    view = sample_defectives(n, m, ell, items, seed=0)
+    rights, positions = view.incidence(items)
+    assert rights.tolist() == [list(range(m))] * len(items)
+    assert positions.tolist() == [[x] * m for x in items.tolist()]
+    assert view.items_at(np.arange(m), np.full(m, 2)).tolist() == [2] * m
 
 
 @pytest.mark.parametrize("shape", [

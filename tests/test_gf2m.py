@@ -7,7 +7,7 @@ element (or every pair) for b <= 8 and over samples at wider fields.
 import numpy as np
 import pytest
 
-from qgt.gf2m import PRIMITIVE_POLY, make_field
+from qgt.gf2m import PRIMITIVE_POLY, GF2m, make_field
 
 
 def reference_mul(f, a, b):
@@ -27,6 +27,12 @@ def elements_or_sample(f, size, seed):
         return np.arange(f.order + 1)
     rng = np.random.default_rng(seed)
     return np.concatenate([[0], rng.integers(0, f.order + 1, size)])
+
+
+@pytest.mark.parametrize("degree", [2, 17])
+def test_degree_outside_the_table_raises(degree):
+    with pytest.raises(ValueError, match=f"degree must be in \\[3, 16\\], got {degree}"):
+        GF2m(degree)
 
 
 def test_degree_3_uses_canonical_polynomial():

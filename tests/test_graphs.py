@@ -132,6 +132,24 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("4 2 2 0\n0 1\n")  # wrong line count
     with pytest.raises(ValueError):
         BiRegularGraph.load(str(path))
+    path.write_text("# no header\n\n")
+    with pytest.raises(ValueError, match="empty graph file"):
+        BiRegularGraph.load(str(path))
+
+
+def test_constructor_rejects_ell_below_two():
+    with pytest.raises(ValueError, match="ell must be >= 2, got 1"):
+        BiRegularGraph(4, 1, [0, 1, 2, 3], [2, 2])
+
+
+def test_samplers_give_up_after_max_resamples(monkeypatch):
+    # with no repair pass allowed every layout fails, so both samplers draw
+    # MAX_RESAMPLES layouts and raise
+    monkeypatch.setattr(graphs, "MAX_REPAIR_PASSES", 0)
+    with pytest.raises(RuntimeError, match="repair failed after 8 resamples"):
+        sample_graph(40, 8, 2, seed=1)
+    with pytest.raises(RuntimeError, match="repair failed after 8 resamples"):
+        graphs.sample_defectives(40, 8, 2, [3, 9], seed=1)
 
 
 # (N, ell, right lists, the right degrees where they are not the lists'

@@ -114,6 +114,13 @@ def test_groups_within_budget_starved():
         groups_within_budget(500, 1, 3, 5)
 
 
+def test_groups_within_budget_skips_groups_beyond_the_field():
+    # at N = 2^21 every M under this budget has r_max above 2^16 - 1, so each
+    # is skipped and no design is left
+    with pytest.raises(ValueError, match="no feasible design fits m_budget=2000"):
+        groups_within_budget(2 ** 21, 2, 2, 2000)
+
+
 def test_run_sweep_deterministic():
     args = dict(n_items=400, k=15, t=1, ell=3, trials=20, master_seed=42)
     a = run_sweep(m_over_k_grid=[6.0, 20.0], **args)
