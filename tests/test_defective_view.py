@@ -19,11 +19,16 @@ from qgt.graphs import BiRegularGraph, DefectiveView, sample_defectives, sample_
 from qgt.simulate import TrialConfig, run_trial
 
 
-def view_of(graph, items):
-    items = np.array(sorted(items), dtype=np.int64)
+def edges_of(graph, items):
+    """The items' right-major edge indices in graph, one row per item."""
     rights, positions = graph.incidence(items)
     starts = np.concatenate([[0], np.cumsum(graph.degrees())[:-1]])
-    return DefectiveView(graph.n_left, graph.degrees(), items, starts[rights] + positions)
+    return starts[rights] + positions
+
+
+def view_of(graph, items):
+    items = np.array(sorted(items), dtype=np.int64)
+    return DefectiveView(graph.n_left, graph.degrees(), items, edges_of(graph, items))
 
 
 def test_view_of_a_graph_encodes_and_decodes_as_the_graph():
@@ -77,11 +82,9 @@ def test_view_items_at_agrees_with_its_graph():
 
 def test_view_items_must_be_ascending_and_distinct():
     graph = sample_graph(60, 12, 2, seed=3)
-    for items in ([7, 3], [3, 3, 7]):
-        rights, positions = graph.incidence(np.array(items))
-        edges = np.take(np.concatenate([[0], np.cumsum(graph.degrees())[:-1]]), rights) + positions
+    for items in (np.array([7, 3]), np.array([3, 3, 7])):
         with pytest.raises(ValueError, match="ascending and distinct"):
-            DefectiveView(graph.n_left, graph.degrees(), np.array(items), edges)
+            DefectiveView(graph.n_left, graph.degrees(), items, edges_of(graph, items))
 
 
 @pytest.mark.parametrize("n,m,ell", [(5, 3, 3), (4, 2, 2)])
