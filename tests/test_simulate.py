@@ -209,6 +209,14 @@ PINNED_SWEEPS = [
      "4daca20b48494dea3af1b4beec66b0e13451f0c12d1781e4b0d4489f716f851c"),
     ((64, 5, 2, 3, [40], 20, 0, False),
      "9f72c4074ab1bd9f38766b74f80d9d260873fa61a80a853f5f0343a0d802504b"),
+    # near each design's threshold, where success reads 0.4, 0.833 and 0.95,
+    # so a change that flips a single decode changes the digest
+    ((65536, 1000, 3, None, [11], 10, 3, False),
+     "037696085a54fcd8fd82acbc7da74fe89ceadf63267949e15cce9374b64c3abf"),
+    ((300, 10, 4, None, [14], 30, 2, True),
+     "8c28918ec0ad9ff3433f054cd631a2aeb8ebf575eb0a6b3883ed914cbe30968b"),
+    ((64, 5, 2, 3, [16], 20, 0, False),
+     "6bc1d97644cf51d0093eb5486f7dd16bdc2f79c64059bd76f466b3ed24b5c1a7"),
 ]
 
 
