@@ -185,14 +185,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not 1 <= args.K < args.N:
-        raise ValueError(f"need 1 <= K < N, got K={args.K}, N={args.N}")
+    ell = codec.design_ell(args.N, args.K, args.t, _parse_ell(args.ell))
     seed = args.seed if args.seed is not None else _default_seed()
     grid = parse_grid(args.grid)
-    ell = _parse_ell(args.ell)
-    if ell == "auto":
-        bch.check_radius(args.t)
-        ell = density.design_constant(args.t)[1]
     # the sweep runs first, so a design it rejects leaves stdout empty
     points = simulate.run_sweep(args.N, args.K, args.t, grid, args.trials,
                                 seed, ell=ell, fixed_graph=args.fixed_graph)

@@ -74,21 +74,28 @@ def group_shape(n_items: int, ell: int, m_groups: int, t: int) -> tuple[int, int
     return r_max, b, t * b + 1
 
 
-def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
-                  beta: float = DEFAULT_BETA) -> DesignParams:
-    """Size a design for N items with K defectives at decoding radius t."""
+def design_ell(n_items: int, k: int, t: int, ell: int | str = "auto") -> int:
+    """ell for N items, K defectives at radius t: the one check of a design's
+    inputs.  'auto' gives ell* of design_constant(t); any other ell is an int >= 2."""
     check_radius(t)
     if not 1 <= k < n_items:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")
+    if ell == "auto":
+        ell = design_constant(t)[1]
+    if not isinstance(ell, int) or ell < 2:  # a bool is below 2
+        raise ValueError(f"ell must be an int >= 2 or 'auto', got {ell!r}")
+    return ell
+
+
+def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
+                  beta: float = DEFAULT_BETA) -> DesignParams:
+    """Size a design for N items with K defectives at decoding radius t."""
+    ell = design_ell(n_items, k, t, ell)
     if not beta > 1.0:
         raise ValueError(f"beta must exceed 1, got {beta}")
-    c, ell_star = design_constant(t)
+    c = design_constant(t)[0]
     if not math.isfinite(c * k * beta):
         raise ValueError(f"beta={beta:g} gives an infinite group count c*K*beta")
-    if ell == "auto":
-        ell = ell_star
-    if not isinstance(ell, int) or ell < 2:
-        raise ValueError(f"ell must be an int >= 2 or 'auto', got {ell!r}")
     m_groups = max(ell, math.ceil(c * k * beta))
     if m_groups > n_items * ell:
         raise ValueError(

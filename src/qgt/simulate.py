@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import check_radius
-from .codec import build_signature, decode, encode, group_shape
-from .density import design_constant
+from .codec import build_signature, decode, design_ell, encode, group_shape
 from .gf2m import MIN_DEGREE
 from .graphs import sample_defectives, sample_graph
 
@@ -75,18 +74,18 @@ def run_trial(cfg: TrialConfig, trial_seed, graph=None) -> tuple[bool, float]:
 
 
 def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
-    """Largest M with M * s(M) + 1 <= m_budget, where s depends on M through
-    the max right degree.  M * s(M) is not monotone in M (the field degree
-    steps down as M grows), so scan downward from the count-only bound.
-    """
-    upper = (m_budget - 1) // (t * MIN_DEGREE + 1)  # s = t*b + 1, b >= MIN_DEGREE
-    for m in range(min(upper, n_items * ell), ell - 1, -1):
+    """Largest M with M * s(M) + 1 <= m_budget.  Fewer groups are larger, so
+    s(M) only grows as M falls: if M overspends at s, so does every M' above
+    (m_budget - 1) // s, and the next M tried is min(M - 1, (m_budget - 1) // s)."""
+    m = min((m_budget - 1) // (t * MIN_DEGREE + 1), n_items * ell)  # s >= t*MIN_DEGREE + 1
+    while m >= max(ell, 1):
         try:
             _, _, s = group_shape(n_items, ell, m, t)
         except ValueError:
-            continue  # r_max too large for the field table at this small M
+            break  # r_max too large for the field table, here and below
         if m * s + 1 <= m_budget:
             return m
+        m = min(m - 1, (m_budget - 1) // s)
     raise ValueError(f"no feasible design fits m_budget={m_budget} "
                      f"(N={n_items}, t={t}, ell={ell})")
 
@@ -106,9 +105,7 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
     for m_over_k in grid:
         if not math.isfinite(m_over_k * k):
             raise ValueError(f"m/K = {m_over_k:g} gives no finite test budget at K={k}")
-    if ell == "auto":
-        check_radius(t)
-        ell = design_constant(t)[1]
+    ell = design_ell(n_items, k, t, ell)
     points = []
     for g_idx, m_over_k in enumerate(grid):
         m_budget = int(round(m_over_k * k))
