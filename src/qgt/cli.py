@@ -21,6 +21,7 @@ import numpy as np
 from . import bch, codec, density, gf2m, graphs, reference, simulate
 
 DEFAULT_SEED = 1234
+MAX_GRID_POINTS = 100_000
 
 
 def _default_seed() -> int:
@@ -55,8 +56,13 @@ def parse_grid(text: str) -> list[float]:
         step = _grid_value(parts[2], text) if len(parts) == 3 else 1.0
         if step <= 0 or hi < lo:
             raise ValueError(f"bad grid {text!r}: need lo <= hi and step > 0")
-        n_steps = int((hi - lo) / step + 1e-9)
-        return [lo + i * step for i in range(n_steps + 1)]
+        n_steps = (hi - lo) / step + 1e-9
+        if not n_steps < MAX_GRID_POINTS:  # an infinite count fails too
+            raise ValueError(f"bad grid {text!r}: more than {MAX_GRID_POINTS} points")
+        grid = [lo + i * step for i in range(int(n_steps) + 1)]
+        if not math.isfinite(grid[-1]):
+            raise ValueError(f"bad grid {text!r}: its last point overflows")
+        return grid
     return [_grid_value(text, text)]
 
 
@@ -402,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -249,7 +249,9 @@ class DefectiveView:
     incidence rejects any other item; items_at maps a position the view does
     not hold to -1, so decode leaves that group unresolved.  items must be
     ascending and distinct; edges[k] holds the right-major edge indices of
-    items[k], as in a BiRegularGraph of these right degrees.
+    items[k], as in a BiRegularGraph of these right degrees: integers in
+    [0, sum(degrees)), one row per item, no group twice in a row and no edge
+    held twice.
     """
 
     def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray, edges: np.ndarray):
@@ -259,14 +261,27 @@ class DefectiveView:
         self.items = np.asarray(items, dtype=np.int64)
         if np.any(self.items[1:] <= self.items[:-1]):
             raise ValueError("a view's items must be ascending and distinct")
-        edges = np.asarray(edges, dtype=np.int64)
+        edges = np.asarray(edges)
+        if edges.dtype.kind not in "iu" or edges.ndim != 2 or len(edges) != len(self.items):
+            raise ValueError("a view needs one row of integer edges per item")
         self._degrees = np.asarray(degrees, dtype=np.int64)
+        n_edges = int(self._degrees.sum())
+        # range-check at the caller's width, before a cast could wrap
+        if edges.size and not (edges.min() >= 0 and edges.max() < n_edges):
+            raise ValueError(f"a view's edges must lie in [0, {n_edges})")
+        edges = edges.astype(np.int64, copy=False)
         self._starts = np.concatenate([[0], np.cumsum(self._degrees)[:-1]])
         self._rights = np.searchsorted(self._starts, edges, side="right") - 1
+        rights = np.sort(self._rights, axis=1)
+        if np.any(rights[:, 1:] == rights[:, :-1]):
+            raise ValueError("parallel edge: a view's row names a group twice")
         self._positions = edges - self._starts[self._rights]
         by_edge = np.argsort(edges, axis=None)
+        held = edges.ravel()[by_edge]
+        if np.any(held[1:] == held[:-1]):
+            raise ValueError("two of a view's items hold the same edge")
         # a last edge above every other lets each lookup read a real entry
-        self._edges = np.append(edges.ravel()[by_edge], np.iinfo(np.int64).max)
+        self._edges = np.append(held, np.iinfo(np.int64).max)
         self._edge_items = np.append(np.repeat(self.items, edges.shape[1])[by_edge], -1)
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,6 +302,8 @@ class DefectiveView:
 def _edge_index(degrees: np.ndarray, starts: np.ndarray, groups, positions) -> np.ndarray:
     """The right-major edge index of each (group, position); -1 outside the group."""
     groups = np.asarray(groups, dtype=np.int64)
+    if groups.size and groups.min() < 0:  # numpy would read it from the end
+        raise IndexError(f"group {int(groups.min())} is out of range")
     positions = np.asarray(positions, dtype=np.int64)
     inside = (positions >= 0) & (positions < degrees[groups])
     return np.where(inside, starts[groups] + positions, -1)

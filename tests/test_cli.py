@@ -38,6 +38,15 @@ def test_parse_grid_rejects():
     for bad, value in (("8,x", "x"), ("8,", "")):
         with pytest.raises(ValueError, match=f"^bad grid value '{value}' in '{bad}'$"):
             cli.parse_grid(bad)
+    # the points are counted before they are listed: 10^300 of them, or a
+    # count that overflows, is refused at once, as is a last point that does
+    for bad in ("1:2:1e-300", "0:1e308:1e-300", "-1e308:1e308:1e300", "0:100000:1"):
+        with pytest.raises(ValueError, match=f"^bad grid '{bad}': more than 100000 points$"):
+            cli.parse_grid(bad)
+    assert len(cli.parse_grid("1:100000:1")) == 100_000
+    bad = "0:1.7976931348623157e308:5.992310449541053e307"
+    with pytest.raises(ValueError, match="its last point overflows"):
+        cli.parse_grid(bad)
 
 
 # -- table -------------------------------------------------------------------
@@ -371,13 +380,36 @@ def test_simulate_validates_k(capsys):
     assert code == 2 and "error:" in err
 
 
-@pytest.mark.parametrize("extra", [["--ell", "1"], ["--t", "5"], ["--trials", "0"]],
-                         ids=["ell-1", "t-5", "trials-0"])
-def test_rejected_simulate_writes_nothing_to_stdout(extra, capsys):
+ELL_RULE = "error: ell must be an int >= 2 or 'auto', got "
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--ell", "1"], ELL_RULE + "1"),
+    (["--t", "5"], "error: t must be in 1..4 to decode, got t=5"),
+    (["--trials", "0"], "error: trials must be at least 1, got 0"),
+    (["--ell", "0"], ELL_RULE + "0"),
+    (["--ell", "-2"], ELL_RULE + "-2"),
+    (["--t", "-3", "--ell", "2"], "error: t must be in 1..4 to decode, got t=-3"),
+], ids=["ell-1", "t-5", "trials-0", "ell-0", "ell-minus-2", "t-minus-3"])
+def test_rejected_simulate_writes_nothing_to_stdout(extra, message, capsys):
     code, out, err = run_cli(capsys, "simulate", "--N", "1000", "--K", "10",
                              "--grid", "12", "--trials", "2", *extra)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err == message + "\n"
+
+
+def test_simulate_refuses_designs_too_large_to_hold(capsys):
+    # N*ell = 2^64 stubs cannot be indexed in int64; at N = 2^61 the stub
+    # indices fit, but one trial's 2.9e16 group sizes (209 PiB) cannot be
+    # allocated, and that is reported like any rejected input
+    code, out, err = run_cli(capsys, "simulate", "--N", str(2 ** 63), "--K", "5",
+                             "--grid", "1e18")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: N*ell = 18446744073709551616 stubs do not fit int64")
+    code, out, err = run_cli(capsys, "simulate", "--N", str(2 ** 61), "--K", "5",
+                             "--grid", "1e17", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 # -- the decoding radius --------------------------------------------------------

@@ -16,6 +16,7 @@ from qgt.codec import (
     build_signature,
     decode,
     derive_params,
+    design_ell,
     encode,
     field_degree_for,
     load_support,
@@ -476,6 +477,22 @@ def test_derive_params_explicit_ell_and_beta():
         derive_params(1000, 5, 2, beta=1.0)
     with pytest.raises(ValueError):
         derive_params(100, 100, 2)
+
+
+def test_design_ell_is_the_one_check_of_a_design():
+    assert design_ell(1000, 5, 1) == 3 and design_ell(1000, 5, 2, "auto") == 2
+    assert design_ell(1000, 5, 2, 4) == 4
+    for ell in (1, 0, -2, True, 2.0, "2", np.int64(3)):
+        with pytest.raises(ValueError, match="ell must be an int >= 2 or 'auto'"):
+            design_ell(1000, 5, 2, ell)
+    for n, k in ((100, 100), (100, 0), (100, 101)):
+        with pytest.raises(ValueError, match=f"need 1 <= K < N, got K={k}, N={n}"):
+            design_ell(n, k, 2)
+    # every stub index must fit in int64
+    assert design_ell(2 ** 62 - 1, 5, 2) == 2
+    for make in (lambda: design_ell(2 ** 62, 5, 2), lambda: derive_params(2 ** 62, 5, 2)):
+        with pytest.raises(ValueError, match="stubs do not fit int64 indices"):
+            make()
 
 
 def test_derive_params_names_its_largest_n():

@@ -74,10 +74,12 @@ def test_view_items_at_agrees_with_its_graph():
     empty = np.zeros(0, dtype=np.int64)
     assert view.items_at(empty, empty).shape == (0,)
     assert view_of(graph, set()).items_at(groups, positions).tolist() == [-1] * len(groups)
-    # a group past the last one is an error on both, not a miss
+    # a group past the last one, or below the first, is an error on both,
+    # not a miss (numpy alone would read group -1 as the last group)
     for holder in (graph, view):
-        with pytest.raises(IndexError):
-            holder.items_at(np.array([47]), np.array([0]))
+        for group in (47, -1):
+            with pytest.raises(IndexError):
+                holder.items_at(np.array([3, group]), np.array([0, 0]))
 
 
 def test_view_items_must_be_ascending_and_distinct():
@@ -85,6 +87,42 @@ def test_view_items_must_be_ascending_and_distinct():
     for items in (np.array([7, 3]), np.array([3, 3, 7])):
         with pytest.raises(ValueError, match="ascending and distinct"):
             DefectiveView(graph.n_left, graph.degrees(), items, edges_of(graph, items))
+
+
+def test_view_checks_the_rows_it_is_handed():
+    graph = sample_graph(60, 12, 2, seed=3)
+    items = np.array([3, 7, 20])
+    edges = edges_of(graph, items)
+    n_edges = 60 * 2
+    one_row_per_item = "one row of integer edges per item"
+    bad = [
+        (edges[:2], one_row_per_item),                  # a row short
+        (np.vstack([edges, edges[:1]]), one_row_per_item),  # a row over
+        (edges.ravel(), one_row_per_item),              # not one row per item
+        (edges.astype(float), one_row_per_item),
+        (edges > 0, one_row_per_item),                  # bool
+        (np.where(edges == edges[0, 0], -1, edges), r"lie in \[0, 120\)"),
+        (np.where(edges == edges[0, 0], n_edges, edges), r"lie in \[0, 120\)"),
+        (edges.astype(np.uint64) + np.uint64(2 ** 64 - 2 ** 62), r"lie in \[0, 120\)"),
+    ]
+    # item 3's second edge moved into its first edge's group: a parallel edge
+    rights, positions = graph.incidence(items)
+    twice = edges.copy()
+    twice[0, 1] = twice[0, 0] + 1 if positions[0, 0] + 1 < graph.degrees()[rights[0, 0]] \
+        else twice[0, 0] - 1
+    bad.append((twice, "names a group twice"))
+    # item 7 at item 3's first edge
+    shared = edges.copy()
+    shared[1, np.argmax(rights[1] != rights[0, 0])] = edges[0, 0]
+    bad.append((shared, "hold the same edge"))
+    for rows, message in bad:
+        with pytest.raises(ValueError, match=message):
+            DefectiveView(graph.n_left, graph.degrees(), items, rows)
+    # the same rows at another integer width make the same view
+    view = DefectiveView(graph.n_left, graph.degrees(), items, edges.astype(np.int32))
+    assert [a.tolist() for a in view.incidence(items)] == [rights.tolist(), positions.tolist()]
+    empty = np.zeros(0, dtype=np.int64)
+    assert len(DefectiveView(60, graph.degrees(), empty, empty.reshape(0, 2)).items) == 0
 
 
 @pytest.mark.parametrize("n,m,ell", [(5, 3, 3), (4, 2, 2)])

@@ -3,9 +3,11 @@
 Every input file is outside input: whatever it holds, `qgt encode` and
 `qgt decode` must exit 0 (recovered), 1 (incomplete) or 2 (rejected with a
 one-line error), never with an uncaught exception.  So is every number: any
-float given to `qgt design --beta` or `qgt simulate --grid` exits 0 or 2.
+float given to `qgt design --beta` or `qgt simulate --grid`, and any small
+integer K, t or ell given to `qgt simulate`, exits 0 or 2.
 """
 
+import math
 import os
 import tempfile
 
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qgt import codec, graphs
-from qgt.cli import main
+from qgt.cli import main, parse_grid
 
 GRAPH = graphs.sample_graph(30, 6, 2, seed=3)
 SUPPORT = {1, 7, 20}
@@ -107,4 +109,24 @@ def test_design_beta_exits_cleanly(beta):
 @given(floats)
 def test_simulate_grid_value_exits_cleanly(m_over_k):
     argv = ["simulate", "--N", "200", "--K", "5", "--trials", "1", f"--grid={m_over_k!r}"]
+    assert main(argv) in (0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(floats, floats, floats)
+def test_parse_grid_ranges_are_bounded(lo, hi, step):
+    text = f"{lo!r}:{hi!r}:{step!r}"
+    try:
+        grid = parse_grid(text)
+    except ValueError:
+        return
+    assert 1 <= len(grid) <= 100_000
+    assert all(math.isfinite(v) for v in grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 12), st.integers(-3, 12), st.integers(-3, 12))
+def test_simulate_design_numbers_exit_cleanly(k, t, ell):
+    argv = ["simulate", "--N", "200", "--grid", "20", "--trials", "1",
+            "--K", str(k), "--t", str(t), "--ell", str(ell)]
     assert main(argv) in (0, 2)

@@ -4,12 +4,15 @@ import csv
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qgt.codec import field_degree_for
+from qgt import simulate
+from qgt.codec import field_degree_for, group_shape
 from qgt.density import design_constant
+from qgt.gf2m import MAX_DEGREE, MIN_DEGREE
 from qgt.graphs import sample_graph
 from qgt.simulate import (CSV_COLUMNS, SweepPoint, TrialConfig,
                           groups_within_budget, run_sweep, run_trial,
@@ -72,16 +75,45 @@ def _brute_best_m(n_items, t, ell, m_budget):
 
 
 def test_groups_within_budget_matches_exhaustive_scan():
-    n_items, ell = 60, 3
-    for t in (1, 2):
-        for m_budget in range(20, 201, 7):
-            expect = _brute_best_m(n_items, t, ell, m_budget)
-            if expect is None:
-                with pytest.raises(ValueError):
-                    groups_within_budget(n_items, t, ell, m_budget)
-            else:
-                got = groups_within_budget(n_items, t, ell, m_budget)
-                assert got == expect, (t, m_budget)
+    n_items = 60
+    for t in (1, 2, 3, 4):
+        for ell in (2, 3, 4):
+            for m_budget in range(20, 201, 7):
+                expect = _brute_best_m(n_items, t, ell, m_budget)
+                if expect is None:
+                    with pytest.raises(ValueError):
+                        groups_within_budget(n_items, t, ell, m_budget)
+                else:
+                    got = groups_within_budget(n_items, t, ell, m_budget)
+                    assert got == expect, (t, ell, m_budget)
+
+
+@pytest.mark.parametrize("n_items,m_budget", [(2 ** 40, 10 ** 12), (2 ** 21, 2000),
+                                              (2 ** 16, 1387), (60, 200)])
+def test_groups_within_budget_steps_once_per_field_degree(n_items, m_budget, monkeypatch):
+    # a scan from the count-only bound would try ~5e10 values of M at 2^40
+    # and 284 at 2^21; the search tries one per field degree at most
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return group_shape(*args)
+
+    monkeypatch.setattr(simulate, "group_shape", counted)
+    try:
+        m = groups_within_budget(n_items, 2, 2, m_budget)
+    except ValueError:
+        m = None
+    assert len(calls) <= MAX_DEGREE - MIN_DEGREE + 2
+    if m is not None:  # M fits the budget and M + 1 does not
+        assert m * group_shape(n_items, 2, m, 2)[2] + 1 <= m_budget
+        assert (m + 1) * group_shape(n_items, 2, m + 1, 2)[2] + 1 > m_budget
+
+
+def test_groups_within_budget_rejects_ell_zero():
+    # with no edges there is no group to count; it used to divide by M = 0
+    with pytest.raises(ValueError, match="no feasible design"):
+        groups_within_budget(100, 2, 0, 500)
 
 
 def test_groups_within_budget_known_point():
@@ -115,8 +147,9 @@ def test_groups_within_budget_starved():
 
 
 def test_groups_within_budget_skips_groups_beyond_the_field():
-    # at N = 2^21 every M under this budget has r_max above 2^16 - 1, so each
-    # is skipped and no design is left
+    # at N = 2^21 every M under this budget has r_max above 2^16 - 1: the
+    # largest is too big for the field, so is every smaller M, and no design
+    # is left
     with pytest.raises(ValueError, match="no feasible design fits m_budget=2000"):
         groups_within_budget(2 ** 21, 2, 2, 2000)
 
@@ -156,6 +189,17 @@ def test_run_sweep_rejects_non_finite_budgets():
     for bad in (math.inf, -math.inf, math.nan, 1e308):
         with pytest.raises(ValueError, match="finite test budget"):
             run_sweep(200, 5, 2, [20.0, bad], trials=1, master_seed=1)
+
+
+def test_run_sweep_checks_the_design_as_derive_params():
+    # K = N, a bad ell and a bad radius are rejected before any trial
+    for kwargs, message in ((dict(k=200), "need 1 <= K < N, got K=200, N=200"),
+                            (dict(ell=1), "ell must be an int >= 2 or 'auto', got 1"),
+                            (dict(ell=True), "ell must be an int >= 2 or 'auto', got True"),
+                            (dict(t=-3), "t must be in 1..4 to decode, got t=-3")):
+        args = dict(n_items=200, k=5, t=2, m_over_k_grid=[20.0], trials=1, master_seed=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sweep(**{**args, **kwargs})
 
 
 def test_run_sweep_auto_ell():
