@@ -266,9 +266,13 @@ class DefectiveView:
             raise ValueError("a view needs one row of integer edges per item")
         self._degrees = np.asarray(degrees, dtype=np.int64)
         n_edges = int(self._degrees.sum())
+        by_edge = np.argsort(edges, axis=None)
+        held = edges.ravel()[by_edge]
         # range-check at the caller's width, before a cast could wrap
-        if edges.size and not (edges.min() >= 0 and edges.max() < n_edges):
+        if held.size and not (held[0] >= 0 and held[-1] < n_edges):
             raise ValueError(f"a view's edges must lie in [0, {n_edges})")
+        if np.any(held[1:] == held[:-1]):
+            raise ValueError("two of a view's items hold the same edge")
         edges = edges.astype(np.int64, copy=False)
         self._starts = np.concatenate([[0], np.cumsum(self._degrees)[:-1]])
         self._rights = np.searchsorted(self._starts, edges, side="right") - 1
@@ -276,12 +280,8 @@ class DefectiveView:
         if np.any(rights[:, 1:] == rights[:, :-1]):
             raise ValueError("parallel edge: a view's row names a group twice")
         self._positions = edges - self._starts[self._rights]
-        by_edge = np.argsort(edges, axis=None)
-        held = edges.ravel()[by_edge]
-        if np.any(held[1:] == held[:-1]):
-            raise ValueError("two of a view's items hold the same edge")
         # a last edge above every other lets each lookup read a real entry
-        self._edges = np.append(held, np.iinfo(np.int64).max)
+        self._edges = np.append(held.astype(np.int64, copy=False), np.iinfo(np.int64).max)
         self._edge_items = np.append(np.repeat(self.items, edges.shape[1])[by_edge], -1)
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
