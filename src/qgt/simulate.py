@@ -76,7 +76,7 @@ def run_trial(cfg: TrialConfig, trial_seed, graph=None) -> tuple[bool, float]:
 def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
     """Largest M with M * s(M) + 1 <= m_budget.  Fewer groups are larger, so
     s(M) only grows as M falls: if M overspends at s, so does every M' above
-    (m_budget - 1) // s, and the next M tried is min(M - 1, (m_budget - 1) // s)."""
+    (m_budget - 1) // s, which is below M and the next M tried."""
     m = min((m_budget - 1) // (t * MIN_DEGREE + 1), n_items * ell)  # s >= t*MIN_DEGREE + 1
     while m >= max(ell, 1):
         try:
@@ -85,7 +85,7 @@ def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
             break  # r_max too large for the field table, here and below
         if m * s + 1 <= m_budget:
             return m
-        m = min(m - 1, (m_budget - 1) // s)
+        m = (m_budget - 1) // s
     raise ValueError(f"no feasible design fits m_budget={m_budget} "
                      f"(N={n_items}, t={t}, ell={ell})")
 

@@ -88,11 +88,13 @@ def test_groups_within_budget_matches_exhaustive_scan():
                     assert got == expect, (t, ell, m_budget)
 
 
-@pytest.mark.parametrize("n_items,m_budget", [(2 ** 40, 10 ** 12), (2 ** 21, 2000),
-                                              (2 ** 16, 1387), (60, 200)])
-def test_groups_within_budget_steps_once_per_field_degree(n_items, m_budget, monkeypatch):
-    # a scan from the count-only bound would try ~5e10 values of M at 2^40
-    # and 284 at 2^21; the search tries one per field degree at most
+@pytest.mark.parametrize("n_items,m_budget,expect", [
+    (2 ** 40, 10 ** 12, 90_909_090_909), (2 ** 21, 2000, None), (2 ** 16, 1387, 55),
+    (60, 200, 28)])
+def test_groups_within_budget_steps_once_per_field_degree(n_items, m_budget, expect,
+                                                          monkeypatch):
+    # a scan down from the count-only bound would try ~5e10 values of M at
+    # 2^40 and 284 at 2^21; the search tries one per field degree at most
     calls = []
 
     def counted(*args):
@@ -100,20 +102,12 @@ def test_groups_within_budget_steps_once_per_field_degree(n_items, m_budget, mon
         return group_shape(*args)
 
     monkeypatch.setattr(simulate, "group_shape", counted)
-    try:
-        m = groups_within_budget(n_items, 2, 2, m_budget)
-    except ValueError:
-        m = None
+    if expect is None:
+        with pytest.raises(ValueError, match="no feasible design"):
+            groups_within_budget(n_items, 2, 2, m_budget)
+    else:
+        assert groups_within_budget(n_items, 2, 2, m_budget) == expect
     assert len(calls) <= MAX_DEGREE - MIN_DEGREE + 2
-    if m is not None:  # M fits the budget and M + 1 does not
-        assert m * group_shape(n_items, 2, m, 2)[2] + 1 <= m_budget
-        assert (m + 1) * group_shape(n_items, 2, m + 1, 2)[2] + 1 > m_budget
-
-
-def test_groups_within_budget_rejects_ell_zero():
-    # with no edges there is no group to count; it used to divide by M = 0
-    with pytest.raises(ValueError, match="no feasible design"):
-        groups_within_budget(100, 2, 0, 500)
 
 
 def test_groups_within_budget_known_point():
@@ -144,6 +138,9 @@ def test_groups_within_budget_respects_budget():
 def test_groups_within_budget_starved():
     with pytest.raises(ValueError):
         groups_within_budget(500, 1, 3, 5)
+    # with ell = 0 there are no edges to group (this divided by M = 0)
+    with pytest.raises(ValueError, match="no feasible design"):
+        groups_within_budget(100, 2, 0, 500)
 
 
 def test_groups_within_budget_skips_groups_beyond_the_field():
