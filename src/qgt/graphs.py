@@ -249,9 +249,9 @@ class DefectiveView:
     incidence rejects any other item; items_at maps a position the view does
     not hold to -1, so decode leaves that group unresolved.  items must be
     ascending and distinct; edges[k] holds the right-major edge indices of
-    items[k], as in a BiRegularGraph of these right degrees: integers in
-    [0, sum(degrees)), one row per item, no group twice in a row and no edge
-    held twice.
+    items[k] in ascending order, as in a BiRegularGraph of these right
+    degrees: integers in [0, sum(degrees)), one row per item, no group twice
+    in a row and no edge held twice.
     """
 
     def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray, edges: np.ndarray):
@@ -276,9 +276,9 @@ class DefectiveView:
         edges = edges.astype(np.int64, copy=False)
         self._starts = np.concatenate([[0], np.cumsum(self._degrees)[:-1]])
         self._rights = np.searchsorted(self._starts, edges, side="right") - 1
-        rights = np.sort(self._rights, axis=1)
-        if np.any(rights[:, 1:] == rights[:, :-1]):
-            raise ValueError("parallel edge: a view's row names a group twice")
+        if np.any(self._rights[:, 1:] <= self._rights[:, :-1]):
+            raise ValueError("a view's rows must name ascending groups, none twice "
+                             "(a parallel edge)")
         self._positions = edges - self._starts[self._rights]
         # a last edge above every other lets each lookup read a real entry
         self._edges = np.append(held.astype(np.int64, copy=False), np.iinfo(np.int64).max)

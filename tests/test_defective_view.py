@@ -110,7 +110,8 @@ def test_view_checks_the_rows_it_is_handed():
     twice = edges.copy()
     twice[0, 1] = twice[0, 0] + 1 if positions[0, 0] + 1 < graph.degrees()[rights[0, 0]] \
         else twice[0, 0] - 1
-    bad.append((twice, "names a group twice"))
+    bad.append((twice, "ascending groups, none twice"))
+    bad.append((edges[:, ::-1], "ascending groups, none twice"))
     # item 7 at item 3's first edge
     shared = edges.copy()
     shared[1, np.argmax(rights[1] != rights[0, 0])] = edges[0, 0]
