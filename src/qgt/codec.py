@@ -76,8 +76,9 @@ def group_shape(n_items: int, ell: int, m_groups: int, t: int) -> tuple[int, int
 
 def design_ell(n_items: int, k: int, t: int, ell: int | str = "auto") -> int:
     """ell for N items, K defectives at radius t: the one check of a design's
-    inputs.  'auto' gives ell* of design_constant(t); any other ell is an int >= 2.
-    N*ell stays below 2^63, so that every stub index fits in int64."""
+    inputs.  'auto' gives ell* of design_constant(t); any other ell is an int
+    >= 2, and N*ell stays below 2^63 so that every stub index fits in int64.
+    """
     check_radius(t)
     if not 1 <= k < n_items:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")

@@ -76,7 +76,8 @@ def run_trial(cfg: TrialConfig, trial_seed, graph=None) -> tuple[bool, float]:
 def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
     """Largest M with M * s(M) + 1 <= m_budget.  Fewer groups are larger, so
     s(M) only grows as M falls: if M overspends at s, so does every M' above
-    (m_budget - 1) // s, which is below M and the next M tried."""
+    (m_budget - 1) // s, which is below M and the next M tried.
+    """
     m = min((m_budget - 1) // (t * MIN_DEGREE + 1), n_items * ell)  # s >= t*MIN_DEGREE + 1
     while m >= max(ell, 1):
         try:
