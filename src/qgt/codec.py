@@ -205,9 +205,10 @@ def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np
     """
     items = _support_items(support, graph.n_left)
     _check_covers(graph, sig)
-    y = np.zeros(graph.n_right * sig.s + 1, dtype=np.int64)
+    m = graph.n_right
+    y = np.empty(m * sig.s + 1, dtype=np.int64)
     y[0] = len(items)
-    _scatter(np.add, y[1:].reshape(graph.n_right, sig.s), graph, sig, items)
+    y[1:].reshape(m, sig.s)[:] = _column_sums(sig, *graph.incidence(items), m)
     return y
 
 
@@ -251,19 +252,6 @@ def _integer_items(support) -> np.ndarray:
 def _distinct(ascending: np.ndarray) -> np.ndarray:
     """The distinct values of an ascending array."""
     return np.concatenate([ascending[:1], ascending[1:][ascending[1:] != ascending[:-1]]])
-
-
-def _scatter(op, tests: np.ndarray, graph: BiRegularGraph | DefectiveView,
-             sig: Signature, items: np.ndarray) -> np.ndarray:
-    """Add (op=np.add) or subtract (np.subtract) items' columns, in place.
-
-    tests is the (M, s) view of a test vector's groups.  Each item's column
-    goes into every group it belongs to, and two items sharing a group both
-    count.  Returns the groups touched, with repeats.
-    """
-    rights, positions = graph.incidence(items)
-    op(tests, _column_sums(sig, rights, positions, len(tests)), out=tests)
-    return rights.ravel()
 
 
 def _column_sums(sig: Signature, rows: np.ndarray, positions: np.ndarray,
@@ -313,8 +301,9 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
     began, in one resolve_node call, and their items are read in one items_at
     gather.  A group resolves only when every position it decodes names an
     item.  The items recovered are deduplicated, so each item is peeled
-    exactly once, and their columns are subtracted in one scatter; the next
-    frontier is the touched groups still unresolved with count at most t.
+    exactly once, and the sum of their columns, one _column_sums call, is
+    subtracted from the residual; the next frontier is the touched groups
+    still unresolved with count at most t.
     After every round the residual equals y - encode(recovered), so success
     means exactly that the recovered set re-encodes to y.
     trace(round_idx, residual, recovered) is called after each round when
@@ -346,8 +335,10 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
         new = _distinct(found[found >= 0])
         new = new[np.searchsorted(recovered, new) == np.searchsorted(recovered, new, "right")]
         recovered = np.sort(np.concatenate([recovered, new]))
+        rights, positions = graph.incidence(new)
+        residual -= _column_sums(sig, rights, positions, m)
         touched = np.zeros(m, dtype=bool)
-        touched[_scatter(np.subtract, residual, graph, sig, new)] = True
+        touched[rights] = True
         frontier = np.flatnonzero(touched & ~resolved & (residual[:, 0] <= t))
         if trace is not None:
             trace(iterations, residual.copy(), set(recovered.tolist()))

@@ -214,16 +214,11 @@ def sample_defectives(n_left: int, n_right: int, ell: int, items,
     This is the configuration model's marginal on the items, up to the
     repairs that the other N - K items would have made; cost and memory grow
     with len(items)*ell, not N.  Shapes, errors and the forced complete
-    graph are as in sample_graph; a float or bool item raises ValueError
-    rather than being truncated.
+    graph are as in sample_graph; items, once sorted, must pass _view_items.
     """
     blocks = _Blocks(n_left, n_right, ell)
-    items = np.sort(np.asarray(items))
+    items = _view_items(np.sort(np.asarray(items)), n_left)
     k = len(items)
-    if k and (items.dtype.kind not in "iu" or items[0] < 0 or items[-1] >= n_left
-              or np.any(items[1:] == items[:-1])):
-        raise ValueError(f"items must be distinct integers in [0, {n_left})")
-    items = items.astype(np.int64)
     if blocks.forced:
         # every group holds every item, item x at position x (M = ell here)
         return DefectiveView(n_left, blocks.degrees, items,
@@ -247,20 +242,18 @@ class DefectiveView:
     It answers what encode and decode ask of a graph (n_left, n_right,
     max_right_degree, incidence, items_at) for supports inside `items`.
     incidence rejects any other item; items_at maps a position the view does
-    not hold to -1, so decode leaves that group unresolved.  items must be
-    ascending and distinct; edges[k] holds the right-major edge indices of
+    not hold to -1, so decode leaves that group unresolved.  items pass
+    _view_items; edges[k] holds the right-major edge indices of
     items[k] in ascending order, as in a BiRegularGraph of these right
     degrees: integers in [0, sum(degrees)), one row per item, no group twice
     in a row and no edge held twice.
     """
 
     def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray, edges: np.ndarray):
+        self.items = _view_items(items, n_left)
         self.n_left = n_left
         self.n_right = len(degrees)
         self.max_right_degree = int(np.max(degrees))
-        self.items = np.asarray(items, dtype=np.int64)
-        if np.any(self.items[1:] <= self.items[:-1]):
-            raise ValueError("a view's items must be ascending and distinct")
         edges = np.asarray(edges)
         if edges.dtype.kind not in "iu" or edges.ndim != 2 or len(edges) != len(self.items):
             raise ValueError("a view needs one row of integer edges per item")
@@ -297,6 +290,20 @@ class DefectiveView:
         edges = _edge_index(self._degrees, self._starts, groups, positions)
         rows = np.searchsorted(self._edges, edges)
         return np.where(self._edges[rows] == edges, self._edge_items[rows], -1)
+
+
+def _view_items(items, n_left: int) -> np.ndarray:
+    """items as int64, or ValueError unless a view may hold them: 1-D integers
+    (not bools), ascending, distinct and in [0, n_left), checked before a cast
+    could truncate or wrap one.  An empty array may have any dtype.
+    """
+    items = np.asarray(items)
+    if items.ndim != 1 or items.size and (
+            items.dtype.kind not in "iu" or items[0] < 0 or items[-1] >= n_left
+            or np.any(items[1:] <= items[:-1])):
+        raise ValueError(f"a view's items must be ascending and distinct integers "
+                         f"in [0, {n_left})")
+    return items.astype(np.int64, copy=False)
 
 
 def _edge_index(degrees: np.ndarray, starts: np.ndarray, groups, positions) -> np.ndarray:
