@@ -271,13 +271,17 @@ def _column_sums(sig: Signature, rows: np.ndarray, positions: np.ndarray,
 def resolve_node(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the defectives inside a stack of group slices.
 
-    z has shape (f, s), one group's residual per row (count in slot 0).
+    z is an integer array of shape (f, s), one group's residual per row
+    (count in slot 0); any other dtype or shape raises ValueError.
     Returns (positions, ok): positions has shape (f, t), -1 marking an
     empty slot, as bch.decode_syndromes gives them, and ok marks the rows
     that resolve: those whose parity bits decode at their count and whose
     decoded columns integer-sum back to the slice exactly.
     """
-    z = np.asarray(z, dtype=np.int64)
+    z = np.asarray(z)
+    if z.dtype.kind not in "iu":  # as in decode: a cast would truncate a float
+        raise ValueError(f"slices must hold integers, got dtype {z.dtype}")
+    z = z.astype(np.int64, copy=False)
     if z.ndim != 2 or z.shape[1] != sig.s:
         raise ValueError(f"expected a stack of slices of length {sig.s}, got shape {z.shape}")
     syndromes = syndrome_from_bits(sig.bch, z[:, 1:] & 1)

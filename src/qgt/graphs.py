@@ -47,7 +47,7 @@ class BiRegularGraph:
 
     def __init__(self, n_left: int, ell: int, edges, degrees,
                  seed: int = -1, retries: int = 0):
-        degrees = np.array(degrees, dtype=np.int64)
+        degrees = _integers(degrees, "right degrees").astype(np.int64)
         self.n_left = n_left
         self.n_right = len(degrees)
         self.ell = ell
@@ -61,14 +61,14 @@ class BiRegularGraph:
             raise ValueError("every right node needs at least one edge")
         if degrees.max() - degrees.min() > 1:
             raise ValueError("right degrees must take at most two adjacent values")
-        vals = np.asarray(edges)
+        vals = _integers(edges, "edges")
         n_edges = len(vals)
         if n_edges != n_left * ell:
             raise ValueError(f"edge count {n_edges} != N*ell = {n_left * ell}")
         if degrees.sum() != n_edges:
             raise ValueError(f"right degrees sum to {degrees.sum()}, not {n_edges}")
         # range-check at the caller's width: narrowing first would wrap an
-        # index such as 2^32 + 2 into range (a NaN fails the check too)
+        # index such as 2^32 + 2 into range
         if not (vals.min() >= 0 and vals.max() < n_left):
             raise ValueError("left index out of range")
         width = _index_dtype(n_edges)
@@ -116,6 +116,9 @@ class BiRegularGraph:
         int64 whatever the tables' width: int32 arrays in decode's peeling
         rounds cost about 3% of a decode (N = 2^20, K = 100, t = 2).
         """
+        items = np.asarray(items)
+        if items.size and items.min() < 0:  # np.take would read it from the end
+            raise IndexError(f"item {int(items.min())} is out of range")
         return (np.take(self._left_rights, items, axis=0).astype(np.int64),
                 np.take(self._left_positions, items, axis=0).astype(np.int64))
 
@@ -252,12 +255,12 @@ class DefectiveView:
     def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray, edges: np.ndarray):
         self.items = _view_items(items, n_left)
         self.n_left = n_left
-        self.n_right = len(degrees)
-        self.max_right_degree = int(np.max(degrees))
+        self._degrees = _integers(degrees, "a view's degrees").astype(np.int64, copy=False)
+        self.n_right = len(self._degrees)
+        self.max_right_degree = int(self._degrees.max())
         edges = np.asarray(edges)
         if edges.dtype.kind not in "iu" or edges.ndim != 2 or len(edges) != len(self.items):
             raise ValueError("a view needs one row of integer edges per item")
-        self._degrees = np.asarray(degrees, dtype=np.int64)
         n_edges = int(self._degrees.sum())
         by_edge = np.argsort(edges, axis=None)
         held = edges.ravel()[by_edge]
@@ -308,12 +311,24 @@ def _view_items(items, n_left: int) -> np.ndarray:
 
 def _edge_index(degrees: np.ndarray, starts: np.ndarray, groups, positions) -> np.ndarray:
     """The right-major edge index of each (group, position); -1 outside the group."""
-    groups = np.asarray(groups, dtype=np.int64)
+    groups = _integers(groups, "groups").astype(np.int64, copy=False)
     if groups.size and groups.min() < 0:  # numpy would read it from the end
         raise IndexError(f"group {int(groups.min())} is out of range")
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = _integers(positions, "positions").astype(np.int64, copy=False)
     inside = (positions >= 0) & (positions < degrees[groups])
     return np.where(inside, starts[groups] + positions, -1)
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """values as an array, or ValueError unless it holds integers (not bools).
+
+    Checked before any cast, which would truncate a float and read a bool as
+    0 or 1; an empty array, such as that of an empty list, may have any dtype.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values
 
 
 def _index_dtype(n_edges: int) -> type:

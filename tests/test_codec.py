@@ -242,6 +242,16 @@ def test_resolve_node_cases():
             resolve_node(z, sig)
 
 
+def test_resolve_node_refuses_a_non_integer_stack():
+    # a cast would truncate 0.6 away and resolve the count-1 slice at 3
+    sig = build_signature(1, 7)
+    stack = sig.matrix[None, :, 3].astype(np.int64)
+    assert resolved(stack, sig) == [frozenset({3})]
+    for z in (stack + 0.6, stack.astype(float), stack.astype(bool)):
+        with pytest.raises(ValueError, match="slices must hold integers"):
+            resolve_node(z, sig)
+
+
 @pytest.mark.parametrize("t, r_max", [(1, 7), (2, 15), (3, 30), (4, 15)])
 def test_slice_one_off_in_any_slot_is_refused(t, r_max):
     # slices of 1..t columns, each moved by +-1 in one slot: a row that

@@ -87,6 +87,37 @@ def test_view_items_must_be_ascending_and_distinct():
     for items in (np.array([7, 3]), np.array([3, 3, 7])):
         with pytest.raises(ValueError, match="ascending and distinct"):
             DefectiveView(graph.n_left, graph.degrees(), items, edges_of(graph, items))
+    # the items are checked before the rows, which are valid for two items;
+    # a cast to int64 would truncate a float and read a bool as 0 or 1
+    rows = edges_of(graph, np.array([3, 7]))
+    for items in (np.array([3.0, 7.0]), np.array([3.5, 7.2]), np.array([False, True]),
+                  np.array([-1, 7]), np.array([3, 60]), np.array([3, 2 ** 64 - 1], np.uint64),
+                  np.array([[3, 7]])):
+        with pytest.raises(ValueError, match=r"ascending and distinct integers in \[0, 60\)"):
+            DefectiveView(graph.n_left, graph.degrees(), items, rows)
+
+
+def test_view_refuses_non_integer_degrees():
+    graph = sample_graph(60, 12, 2, seed=3)
+    items = np.array([3, 7])
+    for degrees in (graph.degrees() + 0.4, graph.degrees() > 0):
+        with pytest.raises(ValueError, match="a view's degrees must be integers"):
+            DefectiveView(graph.n_left, degrees, items, edges_of(graph, items))
+
+
+def test_view_holds_only_items_of_its_design():
+    # item 30 of an N = 10 design, at position 0 of groups 0 and 1.  Such a
+    # view once decoded its own test vector to success with {30}, a set
+    # that encode refuses.
+    degrees = np.full(4, 5)
+    with pytest.raises(ValueError, match=r"in \[0, 10\)"):
+        DefectiveView(10, degrees, np.array([30]), np.array([[0, 5]]))
+    view = DefectiveView(10, degrees, np.array([9]), np.array([[0, 5]]))
+    sig = build_signature(1, 5)
+    with pytest.raises(ValueError, match="out of range"):
+        encode(view, sig, {30})
+    out = decode(view, sig, encode(view, sig, {9}))
+    assert out.recovered == {9} and out.success
 
 
 def test_view_checks_the_rows_it_is_handed():

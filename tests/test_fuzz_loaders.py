@@ -4,13 +4,16 @@ Every input file is outside input: whatever it holds, `qgt encode` and
 `qgt decode` must exit 0 (recovered), 1 (incomplete) or 2 (rejected with a
 one-line error), never with an uncaught exception.  So is every number: any
 float given to `qgt design --beta` or `qgt simulate --grid`, and any small
-integer K, t or ell given to `qgt simulate`, exits 0 or 2.
+integer K, t or ell given to `qgt simulate`, exits 0 or 2.  Any int, float
+or bool array of items is either held, as given, by a DefectiveView and by
+sample_defectives, or refused with ValueError.
 """
 
 import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +133,51 @@ def test_simulate_design_numbers_exit_cleanly(k, t, ell):
     argv = ["simulate", "--N", "200", "--grid", "20", "--trials", "1",
             "--K", str(k), "--t", str(t), "--ell", str(ell)]
     assert main(argv) in (0, 2)
+
+
+def _item_values(dtype: str):
+    if dtype == "bool":
+        return st.booleans()
+    if dtype == "float64":
+        return st.one_of(st.integers(-3, 33), st.floats(-3, 33), st.just(math.nan))
+    # the type's largest value is out of range at any width
+    return st.integers(0 if dtype.startswith("u") else -3, 33) | st.just(np.iinfo(dtype).max)
+
+
+# item arrays of every integer width, float and bool, in any order and range
+# around GRAPH's N = 30
+item_arrays = st.sampled_from(["int64", "int32", "uint8", "uint64", "float64", "bool"]).flatmap(
+    lambda dtype: st.lists(_item_values(dtype), max_size=8).map(
+        lambda values: np.array(values, dtype=dtype)))
+
+
+def holdable(items: np.ndarray, n: int) -> bool:
+    """Whether a view may hold items: distinct integers in [0, n), any empty array."""
+    values = items.tolist()
+    return not values or (items.dtype.kind in "iu" and len(set(values)) == len(values)
+                          and all(0 <= v < n for v in values))
+
+
+def _held_or_refused(make, items: np.ndarray, valid: bool) -> None:
+    try:
+        view = make()
+    except ValueError:
+        assert not valid, items
+        return
+    assert valid, items
+    assert view.items.dtype == np.int64 and view.items.tolist() == items.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(item_arrays)
+def test_views_hold_exactly_the_valid_items(items):
+    # the view takes its items ascending; the sampler takes them in any order
+    # and holds them sorted.  Rows for the view are those of items 0..k-1,
+    # valid for any k items, so only the items decide.
+    rows = GRAPH.incidence(np.arange(len(items)))
+    edges = np.concatenate([[0], np.cumsum(GRAPH.degrees())[:-1]])[rows[0]] + rows[1]
+    ascending = items.tolist() == sorted(items.tolist())
+    _held_or_refused(lambda: graphs.DefectiveView(30, GRAPH.degrees(), items, edges),
+                     items, holdable(items, 30) and ascending)
+    _held_or_refused(lambda: graphs.sample_defectives(30, 6, 2, items, seed=1),
+                     np.sort(items), holdable(items, 30))
