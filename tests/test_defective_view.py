@@ -75,11 +75,16 @@ def test_view_items_at_agrees_with_its_graph():
     assert view.items_at(empty, empty).shape == (0,)
     assert view_of(graph, set()).items_at(groups, positions).tolist() == [-1] * len(groups)
     # a group past the last one, or below the first, is an error on both,
-    # not a miss (numpy alone would read group -1 as the last group)
+    # not a miss (numpy alone would read group -1 as the last group); so is
+    # a non-integer group or position, which a cast would truncate
     for holder in (graph, view):
         for group in (47, -1):
             with pytest.raises(IndexError):
                 holder.items_at(np.array([3, group]), np.array([0, 0]))
+        for groups, positions, name in (([0.9], [1], "groups"), ([0], [1.7], "positions"),
+                                        ([True], [1], "groups")):
+            with pytest.raises(ValueError, match=f"{name} must be integers"):
+                holder.items_at(np.array(groups), np.array(positions))
 
 
 def test_view_items_must_be_ascending_and_distinct():

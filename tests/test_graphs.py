@@ -187,6 +187,8 @@ def test_explicit_lists_validate(tmp_path):
     assert g.right_adj[3].tolist() == [3, 2]
     rights, positions = g.incidence(np.array([3]))
     assert rights.tolist() == [[1, 3]] and positions.tolist() == [[1, 0]]
+    with pytest.raises(IndexError, match="item -1 is out of range"):  # not item 3's rows
+        g.incidence(np.array([2, -1]))
     # position 2 is past the end
     assert g.items_at(np.full(3, 3), np.arange(3)).tolist() == [3, 2, -1]
     for n, ell, adj, degrees, message in INVALID_GRAPHS:
@@ -216,29 +218,6 @@ EDGES = [0, 2, 1, 3, 0, 1, 2, 3]
 def test_graph_refuses_non_integer_arrays(edges, degrees, message):
     with pytest.raises(ValueError, match=f"{message} must be integers"):
         BiRegularGraph(4, 2, edges, degrees)
-
-
-@pytest.mark.parametrize("groups,positions,message", [
-    ([0.9], [1], "groups"), ([0], [1.7], "positions"), ([0.9], [1.7], "groups"),
-    ([True], [1], "groups"),
-])
-def test_items_at_refuses_non_integer_pairs(groups, positions, message):
-    # a cast would read [0.9], [1.7] as group 0, position 1
-    g = BiRegularGraph(4, 2, EDGES, [2, 2, 2, 2])
-    view = graphs.DefectiveView(4, g.degrees(), np.array([1, 2]), np.array([[2, 5], [1, 6]]))
-    assert g.items_at([0], [1]).tolist() == view.items_at([0], [1]).tolist() == [2]
-    for holder in (g, view):
-        with pytest.raises(ValueError, match=f"{message} must be integers"):
-            holder.items_at(np.array(groups), np.array(positions))
-
-
-def test_incidence_refuses_a_negative_item():
-    # np.take alone would read item -1 as item N - 1
-    g = BiRegularGraph(4, 2, EDGES, [2, 2, 2, 2])
-    assert g.incidence(np.array([3]))[0].tolist() == [[1, 3]]
-    for items in ([-1], [2, -4]):
-        with pytest.raises(IndexError, match="out of range"):
-            g.incidence(np.array(items))
 
 
 def test_edges_at_the_graph_width_are_adopted():
