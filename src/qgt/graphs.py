@@ -246,10 +246,10 @@ class DefectiveView:
     max_right_degree, incidence, items_at) for supports inside `items`.
     incidence rejects any other item; items_at maps a position the view does
     not hold to -1, so decode leaves that group unresolved.  items pass
-    _view_items; edges[k] holds the right-major edge indices of
-    items[k] in ascending order, as in a BiRegularGraph of these right
-    degrees: integers in [0, sum(degrees)), one row per item, no group twice
-    in a row and no edge held twice.
+    _view_items; edges[k] holds the right-major edge indices of items[k] in
+    ascending order, as in a BiRegularGraph of these right degrees: integers
+    in [0, sum(degrees)), one row per item, no group twice in a row and no
+    edge held twice.
     """
 
     def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray, edges: np.ndarray):
