@@ -111,9 +111,9 @@ def test_view_refuses_non_integer_degrees():
 
 
 def test_view_holds_only_items_of_its_design():
-    # item 30 of an N = 10 design, at position 0 of groups 0 and 1.  Such a
-    # view once decoded its own test vector to success with {30}, a set
-    # that encode refuses.
+    # item 30 of an N = 10 design, at position 0 of groups 0 and 1: a view
+    # holding it would decode item 9's test vector to success with {30}, a
+    # set that encode refuses
     degrees = np.full(4, 5)
     with pytest.raises(ValueError, match=r"in \[0, 10\)"):
         DefectiveView(10, degrees, np.array([30]), np.array([[0, 5]]))
