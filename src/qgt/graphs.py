@@ -13,13 +13,13 @@ loc[x], the positions of item x's ell stubs in ascending order.  loc is the
 inverse of the permutation, so it costs no sort.  It answers "how many
 stubs of x sit in block i" in O(ell) and lists a pass's duplicates without
 a sort per block.  Once the layout is simple, each block is sorted in place
-and the stubs become the graph's right-major edge array; a DefectiveView
-holds a few items' rows of indices into that array.  Every graph then
-groups its edges by left node with one sort and passes the same vectorised
-O(N*ell) checks.
+and the stubs become the graph's right-major edge array.  Every graph then
+groups its edges by left node with one argsort into an N x ell table of
+indices into that array, the form in which a DefectiveView holds a few
+items' rows, and passes the same vectorised O(N*ell) checks.
 
 Every per-edge array, in the sampler and in the graph, is int32 while N*ell
-< 2^31 and int64 beyond (_index_dtype), so a graph holds 12 bytes per edge
+< 2^31 and int64 beyond (_index_dtype), so a graph holds 8 bytes per edge
 up to that size.  The draws and the graphs are the same at either width;
 what a graph returns to encode and decode is int64.
 """
@@ -42,7 +42,11 @@ class BiRegularGraph:
     are assigned by position.  The lists are read-only views of one flat
     edge array, right node by right node: `edges`, degrees[i] of them for
     right node i.  An edges ndarray at the graph's index width (_index_dtype)
-    is adopted, not copied, and made read-only; any other is copied.
+    is adopted, not copied, and made read-only; any other is copied.  The
+    only other per-edge array is the N x ell table whose row v holds v's
+    edge indices in ascending order; incidence reads each edge's right node
+    from a table of at most 4 entries per right node, so a graph holds 8
+    bytes per edge at int32.
     """
 
     def __init__(self, n_left: int, ell: int, edges, degrees,
@@ -75,36 +79,43 @@ class BiRegularGraph:
         vals = vals.astype(width, copy=False)
         if np.any(np.bincount(vals, minlength=n_left) != ell):
             raise ValueError("left degrees are not all equal to ell")
-        starts = np.concatenate([[0], np.cumsum(degrees)[:-1]])
-        # group the edges by left node, each node's right nodes ascending.  The
-        # key (left node, right node) is distinct unless an edge repeats, which
-        # the check below rejects, so a plain sort gives the stable order
-        # (N*M < 2^63 for any graph whose N*ell edges fit in memory).  To keep
-        # a large build's peak low, each temporary is dropped once used, and
-        # the edges' right nodes are repeated out again after the sort rather
-        # than held through it.
-        labels = np.arange(self.n_right, dtype=width)
-        key = vals.astype(np.int64)
+        bounds = np.concatenate([[0], np.cumsum(degrees)])
+        # group the edges by left node, each node's right nodes ascending: row
+        # v of left_edges holds v's edge indices, as a DefectiveView's rows
+        # do.  The key (left node, right node) is int32 while N*M < 2^31 (and
+        # N*M < 2^63 for any graph whose N*ell edges fit in memory).  It
+        # repeats only where an edge does, which is refused first, so a plain
+        # argsort gives the stable order.  To keep a large build's peak low,
+        # each temporary is dropped once used.
+        key = vals.astype(_index_dtype(n_left * self.n_right))
         key *= self.n_right
-        key += np.repeat(labels, degrees)
+        key += np.repeat(np.arange(self.n_right, dtype=key.dtype), degrees)
+        ranked = np.sort(key)
+        if np.any(ranked[1:] == ranked[:-1]):
+            raise ValueError("parallel edge: left node repeated in a right list")
+        del ranked
         order = np.argsort(key)
         del key
-        rights = np.repeat(labels, degrees)[order].reshape(n_left, ell)
-        positions = order.astype(width)
+        left_edges = order.astype(width).reshape(n_left, ell)
         del order
-        positions -= starts.astype(width)[rights.ravel()]
-        positions = positions.reshape(n_left, ell)
-        if np.any(rights[:, 1:] <= rights[:, :-1]):
-            raise ValueError("parallel edge: left node repeated in a right list")
-        for array in (vals, degrees, starts, rights, positions):
+        # edge e lies in right node buckets[e >> shift] or the next one:
+        # 2^shift <= the smallest degree, so no bucket spans three nodes.  At
+        # most 4 buckets per right node, int64 like the degrees and starts, as
+        # an index of another width would be cast on every lookup
+        shift = int(degrees.min()).bit_length() - 1
+        buckets = np.searchsorted(bounds[1:], np.arange(0, n_edges, 1 << shift),
+                                  side="right")
+        for array in (vals, degrees, bounds, left_edges, buckets):
             array.setflags(write=False)
         self._edges = vals
         self._degrees = degrees
-        self._starts = starts
+        self._starts = bounds[:-1]
+        self._ends = bounds[1:]
         self.max_right_degree = int(degrees.max())
-        self.right_adj = [vals[lo:lo + d] for lo, d in zip(starts.tolist(), degrees.tolist())]
-        self._left_rights = rights
-        self._left_positions = positions
+        self.right_adj = [vals[lo:lo + d] for lo, d in zip(bounds[:-1].tolist(), degrees.tolist())]
+        self._left_edges = left_edges
+        self._buckets = buckets
+        self._shift = shift
 
     def degrees(self) -> np.ndarray:
         """Right degrees, read-only."""
@@ -116,11 +127,13 @@ class BiRegularGraph:
         int64 whatever the tables' width: int32 arrays in decode's peeling
         rounds cost about 3% of a decode (N = 2^20, K = 100, t = 2).
         """
-        items = np.asarray(items)
-        if items.size and items.min() < 0:  # np.take would read it from the end
+        items = _integers(items, "items").astype(np.int64, copy=False)
+        if items.size and items.min() < 0:  # take would read it from the end
             raise IndexError(f"item {int(items.min())} is out of range")
-        return (np.take(self._left_rights, items, axis=0).astype(np.int64),
-                np.take(self._left_positions, items, axis=0).astype(np.int64))
+        edges = self._left_edges.take(items, axis=0).astype(np.int64)
+        rights = self._buckets[edges >> self._shift]
+        rights += edges >= self._ends[rights]
+        return rights, edges - self._starts[rights]
 
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The left node at each (group, position) pair; -1 past the group's end."""
@@ -281,6 +294,7 @@ class DefectiveView:
         self._edge_items = np.append(np.repeat(self.items, edges.shape[1])[by_edge], -1)
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        items = _integers(items, "items").astype(np.int64, copy=False)
         rows = np.searchsorted(self.items, items)
         held = rows < len(self.items)
         held[held] = self.items[rows[held]] == items[held]

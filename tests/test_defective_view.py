@@ -247,6 +247,10 @@ def test_encode_rejects_an_item_not_in_the_view():
         encode(view, sig, {3, 4})
     with pytest.raises(ValueError, match="out of range"):
         encode(view, sig, {100})
+    # a float item is refused as on a whole graph, whether or not it is whole
+    for items in ([3.0, 50.0], [3.4], [3.0]):
+        with pytest.raises(ValueError, match="items must be integers"):
+            view.incidence(np.array(items))
 
 
 ITEMS = list(range(0, 120, 3))

@@ -189,6 +189,9 @@ def test_explicit_lists_validate(tmp_path):
     assert rights.tolist() == [[1, 3]] and positions.tolist() == [[1, 0]]
     with pytest.raises(IndexError, match="item -1 is out of range"):  # not item 3's rows
         g.incidence(np.array([2, -1]))
+    for items in ([3.0, 1.0], [3.4], [3.0]):  # refused as on a DefectiveView
+        with pytest.raises(ValueError, match="items must be integers"):
+            g.incidence(np.array(items))
     # position 2 is past the end
     assert g.items_at(np.full(3, 3), np.arange(3)).tolist() == [3, 2, -1]
     for n, ell, adj, degrees, message in INVALID_GRAPHS:
@@ -233,8 +236,8 @@ def test_edges_at_the_graph_width_are_adopted():
 
 def test_sample_graph_holds_its_stubs_once():
     # tracemalloc peak of sampling and building a 2^19-edge graph, per edge:
-    # ~20 bytes since the constructor adopts the sampler's stub array, ~24
-    # while it copied the right lists back into an edge array of its own
+    # ~16 bytes, as long as the constructor adopts the sampler's stub array
+    # and frees its key before the argsort's indices are narrowed
     sample_graph(2**10, 81, 2, seed=3)
     tracemalloc.start()
     try:
@@ -243,11 +246,24 @@ def test_sample_graph_holds_its_stubs_once():
     finally:
         tracemalloc.stop()
     per_edge = peak / (2**18 * 2)
-    assert per_edge <= 22, f"{per_edge:.2f} bytes per edge"
+    assert per_edge <= 18, f"{per_edge:.2f} bytes per edge"
 
 
 def _per_edge_arrays(g):
-    return [g._edges, g._left_rights, g._left_positions, *g.right_adj]
+    return [g._edges, g._left_edges, *g.right_adj]
+
+
+def test_a_graph_holds_8_bytes_per_edge():
+    # the right-major edges and the left-major table of their indices; every
+    # other array of a graph is sized by its right nodes
+    g = sample_graph(1 << 16, 47, 2, seed=1)
+    n_edges = g.n_left * g.ell
+    arrays = {name: a for name, a in vars(g).items() if isinstance(a, np.ndarray)}
+    per_edge = {name for name, a in arrays.items() if a.size >= n_edges}
+    assert per_edge == {"_edges", "_left_edges"}
+    assert sum(arrays[name].nbytes for name in per_edge) == 8 * n_edges
+    assert all(a.size <= 4 * g.n_right + 1 for name, a in arrays.items()
+               if name not in per_edge)
 
 
 def test_graphs_below_2_31_edges_hold_read_only_int32(tmp_path):
@@ -276,9 +292,31 @@ def test_int64_width_builds_the_same_graphs(monkeypatch):
             assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
+def _same_graph(g, h):
+    assert h.retries == g.retries
+    assert all(np.array_equal(a, b) for a, b in zip(g.right_adj, h.right_adj))
+    items = np.arange(g.n_left)
+    assert all(np.array_equal(a, b) for a, b in zip(g.incidence(items), h.incidence(items)))
+
+
+# N*M = 2^31 - 2 (int32 key), 2^31 (int64, though its largest key, 2^31 - 1,
+# would still fit) and 2^31 + 2^16 (int64; an int32 key wraps)
+@pytest.mark.parametrize("shape", [(65534, 32769, 2), (1 << 16, 32768, 2),
+                                   (1 << 16, 32769, 2)])
+def test_key_width_switch_builds_the_same_graphs(shape, monkeypatch):
+    # an int32 key that wrapped would group the edges wrongly without error
+    g = sample_graph(*shape, seed=1)
+    rights, positions = g.incidence(np.arange(g.n_left))
+    assert np.all(rights[:, 1:] > rights[:, :-1])
+    assert np.array_equal(g.items_at(rights.ravel(), positions.ravel()),
+                          np.repeat(np.arange(g.n_left), g.ell))
+    monkeypatch.setattr(graphs, "_index_dtype", lambda n_edges: np.int64)
+    _same_graph(g, sample_graph(*shape, seed=1))
+
+
 def test_sampling_peak_memory_per_edge():
     # growth of the peak resident set while a 2^20-edge graph is sampled and
-    # built, per edge: ~24 bytes, where int64 arrays throughout took ~61.
+    # built, per edge: ~16 bytes, where int64 arrays throughout took ~61.
     # VmHWM, unlike ru_maxrss, starts afresh at exec, so the test runner's
     # own peak does not hide the child's
     try:
@@ -303,7 +341,7 @@ def test_sampling_peak_memory_per_edge():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     per_edge = int(proc.stdout) * 1024 / (2**19 * 2)
-    assert per_edge < 45, f"{per_edge:.1f} bytes per edge"
+    assert per_edge < 21, f"{per_edge:.1f} bytes per edge"
 
 
 def test_infeasible_shapes_raise():
@@ -320,8 +358,8 @@ def _graph_digest(g):
     for adj in g.right_adj:
         h.update(np.int64(len(adj)).tobytes())
         h.update(np.ascontiguousarray(adj, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(g._left_rights, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(g._left_positions, dtype="<i8").tobytes())
+    for table in g.incidence(np.arange(g.n_left)):
+        h.update(np.ascontiguousarray(table, dtype="<i8").tobytes())
     h.update(np.int64(g.retries).tobytes())
     return h.hexdigest()[:16]
 
