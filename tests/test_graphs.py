@@ -292,13 +292,6 @@ def test_int64_width_builds_the_same_graphs(monkeypatch):
             assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
-def _same_graph(g, h):
-    assert h.retries == g.retries
-    assert all(np.array_equal(a, b) for a, b in zip(g.right_adj, h.right_adj))
-    items = np.arange(g.n_left)
-    assert all(np.array_equal(a, b) for a, b in zip(g.incidence(items), h.incidence(items)))
-
-
 # N*M = 2^31 - 2 (int32 key), 2^31 (int64, though its largest key, 2^31 - 1,
 # would still fit) and 2^31 + 2^16 (int64; an int32 key wraps)
 @pytest.mark.parametrize("shape", [(65534, 32769, 2), (1 << 16, 32768, 2),
@@ -311,7 +304,11 @@ def test_key_width_switch_builds_the_same_graphs(shape, monkeypatch):
     assert np.array_equal(g.items_at(rights.ravel(), positions.ravel()),
                           np.repeat(np.arange(g.n_left), g.ell))
     monkeypatch.setattr(graphs, "_index_dtype", lambda n_edges: np.int64)
-    _same_graph(g, sample_graph(*shape, seed=1))
+    h = sample_graph(*shape, seed=1)
+    assert h.retries == g.retries
+    assert all(np.array_equal(a, b) for a, b in zip(g.right_adj, h.right_adj))
+    assert all(np.array_equal(a, b) for a, b in zip((rights, positions),
+                                                    h.incidence(np.arange(h.n_left))))
 
 
 def test_sampling_peak_memory_per_edge():
