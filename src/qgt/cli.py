@@ -191,8 +191,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ell = codec.design_ell(args.N, args.K, args.t, _parse_ell(args.ell))
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:  # numpy's own refusal names neither source
+        source = "--seed" if args.seed is not None else "QGT_SEED"
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    ell = codec.design_ell(args.N, args.K, args.t, _parse_ell(args.ell))
     grid = parse_grid(args.grid)
     # the sweep runs first, so a design it rejects leaves stdout empty
     points = simulate.run_sweep(args.N, args.K, args.t, grid, args.trials,

@@ -199,9 +199,11 @@ def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np
     repeats count once, and a bool, a float or an item outside [0, N)
     raises ValueError.  Cost is O(K * ell * w), w <= s the heaviest
     signature column: only the set slots of defective items are touched.
-    encode and decode reach the graph only through n_left, n_right,
-    max_right_degree, incidence and items_at, so a DefectiveView holding the
-    support serves as well as the whole graph.
+    encode reaches the graph only through n_left, n_right, max_right_degree
+    and incidence, and decode through n_right, max_right_degree and the
+    unchecked kernels _items_at and _incidence behind items_at and
+    incidence, so a DefectiveView holding the support serves as well as the
+    whole graph.
     """
     items = _support_items(support, graph.n_left)
     _check_covers(graph, sig)
@@ -301,17 +303,24 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
     does a signature with fewer columns than the largest group, as in encode.
 
     Rounds are synchronous: every group in the round's frontier (unresolved,
-    count at most t) is resolved from the residual as it stood when the round
-    began, in one resolve_node call, and their items are read in one items_at
-    gather.  A group resolves only when every position it decodes names an
-    item.  The items recovered are deduplicated, so each item is peeled
-    exactly once, and the sum of their columns, one _column_sums call, is
-    subtracted from the residual; the next frontier is the touched groups
-    still unresolved with count at most t.
+    count at most t) is settled from the residual as it stood when the round
+    began.  A count-0 group resolves exactly when its whole slice is zero,
+    which needs no syndrome decode; the others are resolved in one
+    resolve_node call, and their items are read in one gather.  A group
+    resolves only when every position it decodes names an item.  The items
+    recovered are deduplicated, so each item is peeled exactly once, and the
+    sum of their columns, one _column_sums call, is subtracted from the
+    residual; the next frontier is the touched groups still unresolved with
+    count at most t.  A round whose frontier holds only count-0 groups
+    touches none, so it is the last.
     After every round the residual equals y - encode(recovered), so success
     means exactly that the recovered set re-encodes to y.
     trace(round_idx, residual, recovered) is called after each round when
     provided.
+
+    y and sig are checked here, once; each round passes the graph's
+    _items_at and _incidence kernels arrays that decode built itself, which
+    are int64, in range and distinct.
     """
     m, s = graph.n_right, sig.s
     y = np.asarray(y)
@@ -328,22 +337,27 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
     iterations = 0
     while frontier.size:
         iterations += 1
-        positions, ok = resolve_node(residual[frontier], sig)
-        items = graph.items_at(np.repeat(frontier, t), positions.ravel()).reshape(positions.shape)
-        # a padding column, or a position a view does not hold, leaves the
-        # group unresolved; neither happens on genuine input
-        ok &= ((items >= 0) | (positions < 0)).all(axis=1)
-        resolved[frontier[ok]] = True
-        # the distinct items, -1 slots dropped, that no earlier round recovered
-        found = np.sort(items[ok], axis=None)
-        new = _distinct(found[found >= 0])
-        new = new[np.searchsorted(recovered, new) == np.searchsorted(recovered, new, "right")]
-        recovered = np.sort(np.concatenate([recovered, new]))
-        rights, positions = graph.incidence(new)
-        residual -= _column_sums(sig, rights, positions, m)
-        touched = np.zeros(m, dtype=bool)
-        touched[rights] = True
-        frontier = np.flatnonzero(touched & ~resolved & (residual[:, 0] <= t))
+        counts = residual[frontier, 0]
+        empty = frontier[counts == 0]
+        resolved[empty[~residual[empty].any(axis=1)]] = True
+        frontier = frontier[counts != 0]
+        if frontier.size:
+            positions, ok = resolve_node(residual[frontier], sig)
+            items = graph._items_at(frontier[:, None], positions)
+            # a padding column, or a position a view does not hold, leaves
+            # the group unresolved; neither happens on genuine input
+            ok &= ((items >= 0) | (positions < 0)).all(axis=1)
+            resolved[frontier[ok]] = True
+            # distinct items, -1 slots dropped, that no earlier round recovered
+            found = np.sort(items[ok], axis=None)
+            new = _distinct(found[found >= 0])
+            new = new[np.searchsorted(recovered, new) == np.searchsorted(recovered, new, "right")]
+            recovered = np.sort(np.concatenate([recovered, new]))
+            rights, positions = graph._incidence(new)
+            residual -= _column_sums(sig, rights, positions, m)
+            touched = np.zeros(m, dtype=bool)
+            touched[rights] = True
+            frontier = np.flatnonzero(touched & ~resolved & (residual[:, 0] <= t))
         if trace is not None:
             trace(iterations, residual.copy(), set(recovered.tolist()))
     unresolved = int((~resolved).sum())

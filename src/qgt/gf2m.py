@@ -73,6 +73,8 @@ class GF2m:
         self.log_np = np.array(log, dtype=np.int64)
         # weight of each bit position, most significant first
         self._bit_weights = np.int64(1) << np.arange(degree - 1, -1, -1, dtype=np.int64)
+        # e mod order -> the table that pow reads for that exponent
+        self._powers: dict[int, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"GF2m(degree={self.degree}, primitive_poly=0b{self.primitive_poly:b})"
@@ -87,8 +89,18 @@ class GF2m:
         """Element-wise a^e for any integer e; 0 maps to 0 for every e.
 
         So pow(a, -1) is the inverse of a nonzero a, and reads 0 at a = 0.
+        One read of a 2^b-entry table of x^(e mod order), built on first use
+        of that exponent and held by this field alone (8 * 2^b bytes each).
+        Like every table read, a = -1 reads the last element, 2^b - 1.
         """
-        return np.where(a == 0, 0, self.alog_np[(e * self.log_np[a]) % self.order])
+        e %= self.order
+        powers = self._powers.get(e)
+        if powers is None:
+            powers = np.zeros(self.order + 1, dtype=np.int64)
+            powers[1:] = self.alog_np[(e * self.log_np[1:]) % self.order]
+            powers.setflags(write=False)
+            self._powers[e] = powers
+        return powers[a]
 
     @cached_property
     def product_alog(self) -> np.ndarray:

@@ -130,6 +130,10 @@ class BiRegularGraph:
         items = _integers(items, "items").astype(np.int64, copy=False)
         if items.size and items.min() < 0:  # take would read it from the end
             raise IndexError(f"item {int(items.min())} is out of range")
+        return self._incidence(items)
+
+    def _incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """incidence of int64 items in [0, N), unchecked."""
         edges = self._left_edges.take(items, axis=0).astype(np.int64)
         rights = self._buckets[edges >> self._shift]
         rights += edges >= self._ends[rights]
@@ -137,6 +141,11 @@ class BiRegularGraph:
 
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The left node at each (group, position) pair; -1 past the group's end."""
+        return self._items_at(*_pairs(groups, positions))
+
+    def _items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """items_at of int64 groups in [0, M) and int64 positions, unchecked;
+        groups broadcasts against positions."""
         edges = _edge_index(self._degrees, self._starts, groups, positions)
         return np.where(edges >= 0, self._edges[edges].astype(np.int64), -1)
 
@@ -256,7 +265,8 @@ class DefectiveView:
     """A few left nodes of a left-regular graph: their rows and the group sizes.
 
     It answers what encode and decode ask of a graph (n_left, n_right,
-    max_right_degree, incidence, items_at) for supports inside `items`.
+    max_right_degree, incidence, items_at, and the unchecked kernels
+    _incidence and _items_at that decode calls) for supports inside `items`.
     incidence rejects any other item; items_at maps a position the view does
     not hold to -1, so decode leaves that group unresolved.  items pass
     _view_items; edges[k] holds the right-major edge indices of items[k] in
@@ -300,10 +310,20 @@ class DefectiveView:
         held[held] = self.items[rows[held]] == items[held]
         if not held.all():
             raise ValueError(f"item {int(items[~held][0])} is not in the view")
+        return self._incidence(items)
+
+    def _incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """incidence of int64 items that the view holds, unchecked."""
+        rows = np.searchsorted(self.items, items)
         return self._rights[rows], self._positions[rows]
 
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The held item at each (group, position) pair; -1 where none is held."""
+        return self._items_at(*_pairs(groups, positions))
+
+    def _items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """items_at of int64 groups in [0, M) and int64 positions, unchecked;
+        groups broadcasts against positions."""
         edges = _edge_index(self._degrees, self._starts, groups, positions)
         rows = np.searchsorted(self._edges, edges)
         return np.where(self._edges[rows] == edges, self._edge_items[rows], -1)
@@ -323,12 +343,20 @@ def _view_items(items, n_left: int) -> np.ndarray:
     return items.astype(np.int64, copy=False)
 
 
-def _edge_index(degrees: np.ndarray, starts: np.ndarray, groups, positions) -> np.ndarray:
-    """The right-major edge index of each (group, position); -1 outside the group."""
+def _pairs(groups, positions) -> tuple[np.ndarray, np.ndarray]:
+    """(group, position) arrays as int64, or ValueError unless both hold
+    integers; IndexError for a negative group, which numpy would read from
+    the end (a group past the last raises IndexError when it is read).
+    """
     groups = _integers(groups, "groups").astype(np.int64, copy=False)
-    if groups.size and groups.min() < 0:  # numpy would read it from the end
+    if groups.size and groups.min() < 0:
         raise IndexError(f"group {int(groups.min())} is out of range")
-    positions = _integers(positions, "positions").astype(np.int64, copy=False)
+    return groups, _integers(positions, "positions").astype(np.int64, copy=False)
+
+
+def _edge_index(degrees: np.ndarray, starts: np.ndarray, groups: np.ndarray,
+                positions: np.ndarray) -> np.ndarray:
+    """The right-major edge index of each (group, position); -1 outside the group."""
     inside = (positions >= 0) & (positions < degrees[groups])
     return np.where(inside, starts[groups] + positions, -1)
 

@@ -98,10 +98,13 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
 
     Each grid point inverts its budget to the largest feasible M, then runs
     `trials` independent trials.  fixed_graph reuses one graph per grid point
-    instead of resampling per trial.
+    instead of resampling per trial.  master_seed is a non-negative int, the
+    entropy of every trial's SeedSequence.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
     grid = list(m_over_k_grid)
     for m_over_k in grid:
         if not math.isfinite(m_over_k * k):

@@ -338,6 +338,24 @@ def test_simulate_malformed_env_seed(capsys, monkeypatch):
     assert code == 2 and "QGT_SEED" in err
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    ("-1", None, "error: --seed must be a non-negative integer, got -1"),
+    (None, "-3", "error: QGT_SEED must be a non-negative integer, got -3"),
+    ("-2", "5", "error: --seed must be a non-negative integer, got -2"),
+], ids=["flag", "env", "flag-over-env"])
+def test_simulate_names_the_source_of_a_negative_seed(flag, env, message, capsys, monkeypatch):
+    # numpy's own refusal ("expected non-negative integer") names neither
+    if env is None:
+        monkeypatch.delenv("QGT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QGT_SEED", env)
+    seed = [] if flag is None else ["--seed", flag]
+    code, out, err = run_cli(capsys, "simulate", "--N", "300", "--K", "10", "--t", "1",
+                             "--grid", "20", "--trials", "2", *seed)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["decode", "--y", "y.txt", "--method", "chien"],
     ["simulate", "--N", "300", "--K", "10", "--method", "chien"],

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from qgt import codec
 from qgt.bch import (decode_syndromes, find_error_locator, find_roots, make_bch,
                      syndrome_from_bits)
 from qgt.codec import (
@@ -321,6 +322,74 @@ def test_decode_conservation_invariant():
 
     outcome = decode(g, sig, y, trace=check)
     assert outcome.recovered == support
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_a_count_zero_slice_resolves_exactly_when_it_is_zero(t):
+    # the rule decode applies to count-0 groups in place of a resolve
+    sig = build_signature(t, 30)
+    rng = np.random.default_rng(t)
+    z = rng.integers(-2, 3, size=(600, sig.s))
+    z[::3] = 0
+    z[1::5] *= 2  # every parity bit even, the slice still nonzero
+    z[:, 0] = 0
+    assert np.array_equal(resolve_node(z, sig)[1], ~z.any(axis=1))
+
+
+def test_rounds_of_empty_groups_skip_the_resolve(monkeypatch):
+    # a count-0 group is settled without a resolve; a round holding only
+    # such groups still counts and is traced, but peels nothing, so it is
+    # the last.  Every decode traces each of its rounds exactly once.
+    stacks = []
+
+    def counting(z, sig):
+        stacks.append(z[:, 0].copy())
+        return resolve_node(z, sig)
+
+    monkeypatch.setattr(codec, "resolve_node", counting)
+    rng = np.random.default_rng(2026)
+    empty_last = 0
+    for _ in range(120):
+        t = int(rng.integers(1, 5))
+        n = int(rng.integers(200, 800))
+        m = int(rng.integers(n // 30, n // 8))
+        graph = sample_graph(n, m, 2, seed=int(rng.integers(1 << 32)))
+        sig = build_signature(t, graph.max_right_degree)
+        support = rng.choice(n, size=int(rng.integers(1, m * t // 2 + 2)), replace=False)
+        y = encode(graph, sig, support)
+        rounds = []
+        stacks.clear()
+        out = decode(graph, sig, y, trace=lambda i, res, rec: rounds.append(
+            (i, len(stacks), res, rec)))
+        assert [r[0] for r in rounds] == list(range(1, out.iterations + 1))
+        assert all((counts != 0).all() for counts in stacks)
+        resolves = [r[1] for r in rounds]
+        skipped = [i for i, (a, b) in enumerate(zip([0] + resolves, resolves)) if a == b]
+        assert skipped in ([], [out.iterations - 1])
+        if skipped:
+            empty_last += 1
+            assert out.iterations >= 2
+            assert np.array_equal(rounds[-1][2], rounds[-2][2]) and rounds[-1][3] == rounds[-2][3]
+    assert empty_last >= 5
+
+
+def test_corrupt_parity_in_an_empty_group_stays_unresolved():
+    # a count-0 group whose slice is not zero is left unresolved, as a
+    # failed resolve left it, and the decode reports no success
+    graph = sample_graph(600, 60, 2, seed=12)
+    sig = build_signature(2, graph.max_right_degree)
+    support = {5, 77, 140, 300, 451}
+    clean = encode(graph, sig, support)
+    want = decode(graph, sig, clean)
+    assert want.success and want.unresolved_right == 0
+    blocks = clean[1:].reshape(graph.n_right, sig.s)
+    empty = np.flatnonzero(blocks[:, 0] == 0)
+    for group, slot, delta in [(empty[0], 1, 1), (empty[3], sig.s - 1, -1), (empty[-1], 2, 2)]:
+        y = clean.copy()
+        y[1 + group * sig.s + slot] += delta
+        out = decode(graph, sig, y)
+        assert out.recovered == support and out.unresolved_right == 1
+        assert out.iterations == want.iterations and not out.success
 
 
 def pinned_outcomes():

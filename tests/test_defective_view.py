@@ -87,6 +87,27 @@ def test_view_items_at_agrees_with_its_graph():
                 holder.items_at(np.array(groups), np.array(positions))
 
 
+def test_view_kernels_equal_the_checked_methods():
+    # decode's unchecked _incidence and _items_at answer as the checked
+    # methods do on what decode hands them: held items, and every group
+    # against positions from -1 to past the largest group
+    rng = np.random.default_rng(31)
+    graph = sample_graph(300, 47, 2, seed=8)
+    top = graph.max_right_degree
+    views = [view_of(graph, set(rng.choice(300, size=60, replace=False).tolist())),
+             sample_defectives(300, 47, 2, rng.choice(300, size=60, replace=False), seed=3),
+             view_of(graph, set())]
+    positions = np.tile(np.arange(-1, top + 3), (47, 1))
+    for view in views:
+        for items in (view.items, view.items[::-3], view.items[:0]):
+            want = view.incidence(items)
+            assert all(np.array_equal(a, b) for a, b in zip(view._incidence(items), want))
+        want = view.items_at(np.repeat(np.arange(47), top + 4), positions.ravel())
+        got = view._items_at(np.arange(47)[:, None], positions)
+        assert got.shape == positions.shape and np.array_equal(got.ravel(), want)
+        assert (want >= 0).any() == bool(len(view.items))
+
+
 def test_view_items_must_be_ascending_and_distinct():
     graph = sample_graph(60, 12, 2, seed=3)
     for items in (np.array([7, 3]), np.array([3, 3, 7])):

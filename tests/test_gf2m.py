@@ -4,6 +4,9 @@ GF2m.mul and GF2m.pow are array operations; the checks run over every
 element (or every pair) for b <= 8 and over samples at wider fields.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,61 @@ def test_pow_and_dlog_round_trip():
         power = f.mul(power, a)
         assert np.array_equal(f.pow(a, e), power)
         assert np.array_equal(f.pow(a, -e), f.pow(power, -1))
+
+
+def log_formula_pow(f, a, e):
+    """a^e by a modulo and two gathers per call, which the power tables replace."""
+    a = np.asarray(a, dtype=np.int64)
+    return np.where(a == 0, 0, f.alog_np[(e * f.log_np[a]) % f.order])
+
+
+@pytest.mark.parametrize("degree", range(3, 17))
+def test_pow_tables_equal_the_log_formula(degree):
+    # a new field builds every table here; -1 reads the last element, as
+    # _cubic_roots relies on for its refused rows
+    f = GF2m(degree)
+    a = np.concatenate([elements_or_sample(f, 3000, degree), [0, -1]])
+    half = 1 << (degree - 1)
+    for e in (0, 1, -1, 2, -2, half, -3 * half, f.order, -f.order, 10 ** 12 + 7):
+        assert np.array_equal(f.pow(a, e), log_formula_pow(f, a, e))
+        for x in (0, -1, 1, int(a[3])):
+            got = f.pow(x, e)
+            assert np.shape(got) == () and got == log_formula_pow(f, x, e)
+
+
+def test_first_pow_call_reads_its_argument():
+    # the call that builds an exponent's table returns the reads of a, not
+    # the table, however short a is
+    for degree in (3, 8, 16):
+        f = GF2m(degree)
+        for e in (2, -1, 1 << (degree - 1), 5):
+            a = np.array([3, 0])
+            got = f.pow(a, e)
+            assert got.shape == (2,) and np.array_equal(got, log_formula_pow(f, a, e))
+        assert np.shape(GF2m(degree).pow(5, -1)) == ()
+
+
+def test_pow_holds_one_read_only_table_per_exponent_mod_order():
+    f = GF2m(6)
+    for e in (-1, f.order - 1, 2 * f.order - 1):
+        f.pow(np.arange(5), e)
+    assert list(f._powers) == [f.order - 1]
+    table = f._powers[f.order - 1]
+    assert table.nbytes == 8 * (f.order + 1) and not table.flags.writeable
+
+
+def test_a_field_is_freed_once_make_field_drops_it():
+    # the power tables live on the field itself; a cache on the method would
+    # hold every field it was called on for the life of the process
+    make_field.cache_clear()
+    f = make_field(12)
+    f.pow(np.arange(8), -1)
+    f.pow(3, 2)
+    ref = weakref.ref(f)
+    del f
+    make_field.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("degree", [*range(3, 11), 16])

@@ -99,6 +99,32 @@ def test_items_at_reads_the_right_lists():
     assert g.items_at(empty, empty).shape == (0,)
 
 
+def test_kernels_equal_the_checked_methods(tmp_path):
+    # decode calls _incidence and _items_at on arrays it built itself; on
+    # valid input they answer as incidence and items_at do, for sampled
+    # graphs, loaded ones and ones whose right lists are not ascending
+    rng = np.random.default_rng(23)
+    for n, m, ell in [(25, 5, 3), (11, 4, 2), (300, 47, 2)]:
+        g = sample_graph(n, m, ell, seed=int(rng.integers(1 << 32)))
+        g.save(str(tmp_path / "g.txt"))
+        shuffled = [rng.permutation(adj) for adj in g.right_adj]
+        for h in (g, BiRegularGraph.load(str(tmp_path / "g.txt")),
+                  BiRegularGraph(n, ell, np.concatenate(shuffled), g.degrees())):
+            for items in (np.arange(n), rng.permutation(n)[: n // 2], np.zeros(0, np.int64)):
+                want = h.incidence(items)
+                got = h._incidence(items.astype(np.int64))
+                assert all(a.dtype == np.int64 and np.array_equal(a, b)
+                           for a, b in zip(got, want))
+            # decode's form: a column of groups against a (groups, t) block of
+            # positions, -1 and past each group's end included
+            groups = rng.integers(0, m, size=60)
+            positions = rng.integers(-1, h.max_right_degree + 3, size=(60, 3))
+            want = h.items_at(np.repeat(groups, 3), positions.ravel()).reshape(60, 3)
+            got = h._items_at(groups[:, None], positions)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert (positions == -1).any() and (want == -1).any() and (want >= 0).any()
+
+
 def test_degrees_are_computed_once_and_read_only():
     g = sample_graph(11, 4, 2, seed=3)
     assert g.degrees() is g.degrees()

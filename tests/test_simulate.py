@@ -199,6 +199,15 @@ def test_run_sweep_checks_the_design_as_derive_params():
             run_sweep(**{**args, **kwargs})
 
 
+def test_run_sweep_refuses_a_negative_master_seed():
+    # before any trial: SeedSequence would refuse it without naming it
+    for seed in (-1, -(1 << 70)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"master_seed must be a non-negative integer, got {seed}")):
+            run_sweep(200, 5, 2, [20.0], trials=1, master_seed=seed)
+    assert run_sweep(200, 5, 2, [20.0], trials=1, master_seed=0)[0].trials == 1
+
+
 def test_run_sweep_auto_ell():
     pts = run_sweep(400, 10, 1, [20.0], trials=5, master_seed=1, ell="auto")
     assert len(pts) == 1 and pts[0].trials == 5

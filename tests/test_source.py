@@ -20,6 +20,40 @@ def test_no_assert_statements():
     assert found == []
 
 
+def method_caches(source: str) -> list[int]:
+    """Lines where functools.lru_cache or cache decorates a function in a class."""
+    lines = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in ast.walk(cls):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in fn.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    lines.append(dec.lineno)
+    return lines
+
+
+def test_no_caches_on_methods():
+    # a cache on a method keys on self, so it keeps every instance it saw
+    # alive (a field and its tables, once make_field drops it); tables built
+    # per instance belong on the instance
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in method_caches(path.read_text(encoding="utf-8"))]
+    assert found == []
+    caught = method_caches("import functools\nfrom functools import cache, lru_cache\n"
+                           "class A:\n"
+                           "    @lru_cache\n    def a(self): pass\n"
+                           "    @functools.lru_cache(maxsize=8)\n    def b(self): pass\n"
+                           "    @cache\n    def c(self): pass\n"
+                           "    @staticmethod\n    @functools.cache\n    def d(): pass\n"
+                           "@lru_cache\ndef free(x): pass\n")
+    assert caught == [4, 6, 8, 11]
+
+
 def test_only_bch_names_the_oracle():
     # Berlekamp-Massey with the Chien scan is the tests' oracle: no module but
     # bch.py, and no demo, reaches it; decode_syndromes does not match
