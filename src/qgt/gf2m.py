@@ -5,10 +5,18 @@ GF2m.pow work element-wise on arrays or single ints.  Bit i of an element is
 the coefficient of alpha^i in the polynomial basis, where alpha is a root of
 the fixed primitive polynomial for that degree.  All fields of a given degree
 therefore share one canonical representation.
+
+The power table is built in two levels, with no Python loop over the 2^b
+elements.  With width L = 2^ceil(b/2) and i = qL + r, alpha^i is alpha^r
+times alpha^(qL), so it is the xor of alpha^(r+j) over the set bits j of
+alpha^(qL).  Python steps out only the L + b low powers and the 2^b / L row
+heads alpha^(qL); b masked xors over the (2^b / L) x L table make the rest,
+and the log table is one scatter of the powers' exponents.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -48,6 +56,7 @@ class GF2m:
     """
 
     def __init__(self, degree: int):
+        degree = _integer(degree, "degree")
         if not MIN_DEGREE <= degree <= MAX_DEGREE:
             raise ValueError(f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}")
         primitive_poly = PRIMITIVE_POLY[degree]
@@ -55,22 +64,51 @@ class GF2m:
         self.primitive_poly = primitive_poly
         self.order = (1 << degree) - 1
 
+        # alpha^i for i in [0, order], two-level (see the module docstring).
+        # Multiplying by alpha is linear for any polynomial of degree b, and
+        # alpha^j is the element 1 << j for j < b, so the table is exactly
+        # what stepping x <- x * alpha one power at a time gives, primitive
+        # or not
+        width = 1 << (degree + 1) // 2
+        lows = [1]  # alpha^0 .. alpha^(width + b - 1)
+        for _ in range(width + degree - 1):
+            x = lows[-1] << 1
+            lows.append(x ^ primitive_poly if x >> degree else x)
+        # alpha^(q * width); the next head is the xor of alpha^(width + j)
+        # over the set bits j of this one
+        steps = lows[width:]
+        heads = [1]
+        for _ in range((self.order + 1) // width - 1):
+            x, y = heads[-1], 0
+            for step in steps:
+                if x & 1:
+                    y ^= step
+                x >>= 1
+            heads.append(y)
+        # the narrowest unsigned type that holds every element
+        self._narrow = np.min_scalar_type(self.order)
+        heads = np.array(heads, dtype=self._narrow)
+        lows = np.array(lows, dtype=self._narrow)
+        powers = np.zeros((len(heads), width), dtype=self._narrow)
+        for j in range(degree):
+            np.bitwise_xor(powers, lows[j : j + width], out=powers,
+                           where=((heads >> j) & 1).astype(bool)[:, None])
+        powers = powers.ravel()
+
         # alog[i] = alpha^i for i in [0, order); log[alog[i]] = i.  log[0] =
         # 2*order is a sentinel that mul reads (see product_alog); every other
-        # reader masks the zero element or reduces mod order, giving 0
-        alog = [0] * self.order
-        log = [2 * self.order] * (self.order + 1)
-        x = 1
-        for i in range(self.order):
-            alog[i] = x
-            log[x] = i
-            x <<= 1
-            if x >> degree:
-                x ^= primitive_poly
-        if x != 1 or len(set(alog)) != self.order:
+        # reader masks the zero element or reduces mod order, giving 0.  Every
+        # log written is below order, so the powers are distinct exactly when
+        # order entries of log lost the sentinel
+        alog = powers[:-1].astype(np.int64)
+        log = np.full(self.order + 1, 2 * self.order, dtype=np.int64)
+        log[alog] = np.arange(self.order)
+        if powers[-1] != 1 or np.count_nonzero(log != 2 * self.order) != self.order:
             raise ValueError(f"0b{primitive_poly:b} is not primitive over GF(2^{degree})")
-        self.alog_np = np.array(alog, dtype=np.int64)
-        self.log_np = np.array(log, dtype=np.int64)
+        alog.setflags(write=False)
+        log.setflags(write=False)
+        self.alog_np = alog
+        self.log_np = log
         # weight of each bit position, most significant first
         self._bit_weights = np.int64(1) << np.arange(degree - 1, -1, -1, dtype=np.int64)
         # e mod order -> the table that pow reads for that exponent
@@ -92,8 +130,10 @@ class GF2m:
         One read of a 2^b-entry table of x^(e mod order), built on first use
         of that exponent and held by this field alone (8 * 2^b bytes each).
         Like every table read, a = -1 reads the last element, 2^b - 1.
+        e is any int, numpy integers included; a bool or a float raises
+        ValueError.
         """
-        e %= self.order
+        e = _integer(e, "e") % self.order
         powers = self._powers.get(e)
         if powers is None:
             powers = np.zeros(self.order + 1, dtype=np.int64)
@@ -123,8 +163,12 @@ class GF2m:
         Row j holds the coefficient of alpha^(b-1-j): most significant first.
         """
         b = self.degree
-        shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-        return ((np.asarray(elements, dtype=np.int64)[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+        # the narrow copy keeps the low bits, which hold all b that the rows read
+        shifts = np.arange(b - 1, -1, -1, dtype=self._narrow)
+        narrow = np.asarray(elements, dtype=np.int64).astype(self._narrow)
+        columns = (narrow[None, :] >> shifts[:, None]).astype(np.uint8)
+        columns &= 1
+        return columns
 
     def element_from_bits(self, bits) -> np.ndarray:
         """Inverse of bit_columns, over the last axis of a stack of bit rows.
@@ -170,6 +214,19 @@ class GF2m:
         table[values[hits == 3]] = first[hits == 3]
         table.setflags(write=False)
         return table
+
+
+def _integer(value, name: str) -> int:
+    """value as a Python int, numpy integers included; ValueError naming it otherwise.
+
+    A bool is refused: it would read as 0 or 1.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @lru_cache(maxsize=None)

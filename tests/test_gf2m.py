@@ -24,6 +24,23 @@ def reference_mul(f, a, b):
     return out
 
 
+def loop_tables(degree, primitive_poly):
+    """(alog, log) stepped out one power at a time: the oracle for GF2m's two-level build."""
+    order = (1 << degree) - 1
+    alog = [0] * order
+    log = [2 * order] * (order + 1)
+    x = 1
+    for i in range(order):
+        alog[i] = x
+        log[x] = i
+        x <<= 1
+        if x >> degree:
+            x ^= primitive_poly
+    if x != 1 or len(set(alog)) != order:
+        raise ValueError(f"0b{primitive_poly:b} is not primitive over GF(2^{degree})")
+    return np.array(alog, dtype=np.int64), np.array(log, dtype=np.int64)
+
+
 def elements_or_sample(f, size, seed):
     """Every element for b <= 8, else `size` random ones (0 included)."""
     if f.degree <= 8:
@@ -36,6 +53,55 @@ def elements_or_sample(f, size, seed):
 def test_degree_outside_the_table_raises(degree):
     with pytest.raises(ValueError, match=f"degree must be in \\[3, 16\\], got {degree}"):
         GF2m(degree)
+
+
+@pytest.mark.parametrize("degree", [5.0, True, "5", None, np.float64(5), np.bool_(True)])
+def test_degree_must_be_an_integer(degree):
+    with pytest.raises(ValueError, match="degree must be an integer, got "):
+        GF2m(degree)
+
+
+@pytest.mark.parametrize("degree", [np.int64(5), np.uint8(5), np.int32(5)])
+def test_numpy_integer_degree_builds_the_python_int_field(degree):
+    f = GF2m(degree)
+    assert type(f.degree) is int and f.degree == 5
+    assert np.array_equal(f.alog_np, make_field(5).alog_np)
+
+
+@pytest.mark.parametrize("degree", range(3, 17))
+def test_tables_equal_the_loop_oracle(degree):
+    f = GF2m(degree)
+    alog, log = loop_tables(degree, PRIMITIVE_POLY[degree])
+    assert f.alog_np.dtype == alog.dtype == np.int64 and f.log_np.dtype == log.dtype == np.int64
+    assert np.array_equal(f.alog_np, alog) and np.array_equal(f.log_np, log)
+    assert f.log_np[0] == 2 * f.order
+
+
+@pytest.mark.parametrize("degree, poly", [
+    (4, 0b11111),             # irreducible, but alpha has order 5
+    (4, 0b10001),             # (x + 1)^4
+    (4, 0b10010),             # x (x^3 + 1): constant term 0
+    (16, 0b10000000101010001),  # (x^8 + x^4 + x^3 + x^2 + 1)^2
+    (16, 0b10000000000000011),  # alpha^order is 1, but powers repeat
+])
+def test_non_primitive_polynomials_are_refused(monkeypatch, degree, poly):
+    message = f"0b{poly:b} is not primitive over GF\\(2\\^{degree}\\)"
+    with pytest.raises(ValueError, match=message):
+        loop_tables(degree, poly)
+    monkeypatch.setitem(PRIMITIVE_POLY, degree, poly)
+    with pytest.raises(ValueError, match=message):
+        GF2m(degree)
+
+
+def test_field_tables_are_read_only():
+    # make_field shares one instance per degree, so a write would reach
+    # every later user of that degree
+    f = make_field(8)
+    for table in (f.alog_np, f.log_np):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[3] = 0
+    assert f.alog_np[3] == 8 and f.log_np[8] == 3
 
 
 def test_degree_3_uses_canonical_polynomial():
@@ -146,6 +212,31 @@ def test_first_pow_call_reads_its_argument():
         assert np.shape(GF2m(degree).pow(5, -1)) == ()
 
 
+@pytest.mark.parametrize("e", [2.0, True, False, np.float64(2), np.bool_(True), "2", None])
+def test_pow_refuses_non_integer_exponents_in_any_call_order(e):
+    # 2.0 == 2 and True == 1 as dict keys, so a table built for the int must
+    # not answer for them
+    f = GF2m(5)
+    with pytest.raises(ValueError, match="e must be an integer, got "):
+        f.pow(3, e)
+    f.pow(np.arange(4), 2)
+    f.pow(np.arange(4), 1)
+    f.pow(np.arange(4), 0)
+    with pytest.raises(ValueError, match="e must be an integer, got "):
+        f.pow(3, e)
+
+
+def test_numpy_integer_exponents_share_the_int_table():
+    f = GF2m(6)
+    a = np.arange(f.order + 1)
+    want = f.pow(a, 2)
+    for e in (np.int64(2), np.uint8(2), np.int32(2 + f.order), np.array(2)):
+        assert np.array_equal(f.pow(a, e), want)
+    assert np.array_equal(f.pow(a, np.int16(-1)), f.pow(a, -1))
+    assert sorted(f._powers) == [2, f.order - 1]
+    assert all(type(e) is int for e in f._powers)
+
+
 def test_pow_holds_one_read_only_table_per_exponent_mod_order():
     f = GF2m(6)
     for e in (-1, f.order - 1, 2 * f.order - 1):
@@ -195,6 +286,20 @@ def test_bit_column_is_msb_first():
     cols = f.bit_columns([1, f.alog_np[5], 0, f.alog_np[6]])
     assert cols.dtype == np.uint8
     assert cols.T.tolist() == [[0, 0, 1], [1, 1, 1], [0, 0, 0], [1, 0, 1]]
+
+
+@pytest.mark.parametrize("degree", range(3, 17))
+def test_bit_columns_equal_the_int64_formula(degree):
+    # every element, 0 and 2^b - 1 included, and int64 values outside the
+    # field, whose low b bits the rows read
+    f = make_field(degree)
+    elements = np.concatenate([np.arange(f.order + 1), [-1, -f.order, f.order + 1, (1 << 40) + 5]])
+    shifts = np.arange(degree - 1, -1, -1, dtype=np.int64)
+    want = ((elements[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+    got = f.bit_columns(elements)
+    assert got.dtype == np.uint8 and got.shape == (degree, len(elements))
+    assert np.array_equal(got, want)
+    assert np.array_equal(f.bit_columns(elements.tolist()), want)
 
 
 def test_bit_column_round_trip():
