@@ -229,7 +229,20 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@lru_cache(maxsize=None)
 def make_field(degree: int) -> GF2m:
-    """Shared GF(2^degree) instance with the canonical primitive polynomial."""
+    """Shared GF(2^degree) instance with the canonical primitive polynomial.
+
+    The degree passes _integer before the cache: lru_cache would key a numpy
+    integer apart from the equal int and build the field twice.  cache_clear
+    and cache_info are the cache's.
+    """
+    return _shared_field(_integer(degree, "degree"))
+
+
+@lru_cache(maxsize=None)
+def _shared_field(degree: int) -> GF2m:
     return GF2m(degree)
+
+
+make_field.cache_clear = _shared_field.cache_clear
+make_field.cache_info = _shared_field.cache_info

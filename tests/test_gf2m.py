@@ -260,6 +260,20 @@ def test_a_field_is_freed_once_make_field_drops_it():
     assert ref() is None
 
 
+def test_make_field_shares_one_field_per_degree_whatever_the_integer_type():
+    # lru_cache keyed np.int64(8) apart from 8 and built a second GF(2^8)
+    make_field.cache_clear()
+    f = make_field(8)
+    for degree in (np.int64(8), np.uint8(8), np.int32(8)):
+        assert make_field(degree) is f
+    info = make_field.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    for degree in (True, np.bool_(True), 8.0, np.float64(8), "8"):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            make_field(degree)
+    assert make_field.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("degree", [*range(3, 11), 16])
 def test_field_axioms_random(degree):
     # every pair (and every triple) for b <= 8, samples above: mul agrees

@@ -66,3 +66,26 @@ def test_only_bch_names_the_oracle():
              for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if oracle.search(line)]
     assert found == []
+
+
+def integers_calls_outside(source: str, owner: str) -> list[int]:
+    """Lines of .integers( calls that lie outside the class named owner."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == owner
+              for node in ast.walk(cls)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "integers" and id(node) not in inside]
+
+
+def test_graphs_draw_integers_only_through_the_draw_helper():
+    # _Draws takes rng.integers values in bulk and rewinds the generator to
+    # where scalar calls would have left it; a stray call elsewhere in
+    # graphs.py would draw out of turn and shift every later draw
+    source = (SRC / "graphs.py").read_text(encoding="utf-8")
+    assert integers_calls_outside(source, "_Draws") == []
+    assert "class _Draws" in source
+    caught = integers_calls_outside("class _Draws:\n    def a(self): self.rng.integers(3)\n"
+                                    "def f(rng):\n    return rng.integers(5, size=2)\n", "_Draws")
+    assert caught == [4]
