@@ -19,6 +19,7 @@ import numpy as np
 from .gf2m import GF2m, make_field
 
 MAX_T = 4  # the paper's decoding radii; analysis in density goes to 8
+_ZERO_ONE = np.array([0, 1])  # z and z + 1, the count-2 quadratic's two roots
 
 
 class DecodeFailure(Exception):
@@ -213,43 +214,45 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
     row at a time.  A row that is no such syndrome may pass too, so callers
     check the positions against what they hold.
 
-    Every count 0..t is solved over the whole stack.  The locators
-    X = alpha^j of a weight-w pattern are the roots of
-    x^w + sigma1 x^(w-1) + ... + sigma_w, with sigma1 = S1.  Count 1 has
-    X = S1.  For count 2, x = S1 z turns the quadratic into
-    z^2 + z = (S3 + S1^3)/S1^3, read from the field's quadratic table.
-    Counts 3 and 4 reduce to table reads too (see _locators_3 and
-    _locators_4), each on its own rows.
+    Counts 1 and 2 are solved over the whole stack, and each row picks the
+    positions of its own count with np.where.  The locators X = alpha^j of
+    a weight-w pattern are the roots of x^w + sigma1 x^(w-1) + ... + sigma_w,
+    with sigma1 = S1.  Count 1 has X = S1.  For count 2, x = S1 z turns the
+    quadratic into z^2 + z = (S3 + S1^3)/S1^3, read from the field's
+    quadratic table; the positions log S1 + log z and log S1 + log(z + 1)
+    never leave the log domain.  Counts 3 and 4 reduce to table reads too
+    (see _locators_3 and _locators_4), each on its own rows only.
     """
     f, t = spec.field, spec.t
-    n = f.order
+    n, log, alog = f.order, f.log_np, f.alog_np
     syn = np.asarray(syndromes, dtype=np.int64).reshape(-1, t)
     counts = np.asarray(counts, dtype=np.int64)
-    roots = np.zeros((len(counts), t), dtype=np.int64)  # 0: empty slot
-    ok = (counts >= 0) & (counts <= t) & ((counts != 0) | ~syn.any(axis=1))
+    ok = syn.any(axis=1) <= (counts != 0)  # count 0 needs a zero syndrome
     s1 = syn[:, 0]
-    one = counts == 1
-    roots[one, 0] = s1[one]
-
-    two = np.flatnonzero((counts == 2) & ok)
-    if two.size:
-        l1 = f.log_np[s1[two]]
-        cube_term = syn[two, 1] ^ f.alog_np[(3 * l1) % n]  # S1 sigma2
-        z = f.quadratic_table[f.alog_np[(f.log_np[cube_term] - 3 * l1) % n]]
-        ok[two] &= (s1[two] != 0) & (cube_term != 0) & (z >= 0)
-        roots[two, 0] = f.alog_np[(l1 + f.log_np[z]) % n]
-        roots[two, 1] = f.alog_np[(l1 + f.log_np[z ^ 1]) % n]
+    l1 = log[s1]
+    nonzero = s1 != 0
+    positions = np.full((len(counts), t), -1, dtype=np.int64)  # -1: empty slot
+    positions[:, 0] = np.where((counts == 1) & nonzero, l1, -1)
+    if t > 1:
+        l3 = 3 * l1
+        cube_term = syn[:, 1] ^ alog[l3 % n]  # S1 sigma2
+        z = f.quadratic_table[alog[(log[cube_term] - l3) % n]]
+        two = counts == 2
+        ok = np.where(two, nonzero & (cube_term != 0) & (z >= 0), ok)
+        pair = (l1[:, None] + log[z[:, None] ^ _ZERO_ONE]) % n
+        positions[:, :2] = np.where(two[:, None], pair, positions[:, :2])
 
     for count, locators in zip(range(3, t + 1), (_locators_3, _locators_4)):
-        rows = np.flatnonzero(ok & (counts == count))
+        rows = (ok & (counts == count)).nonzero()[0]
         if rows.size:
-            roots[rows, :count], solved = locators(f, *syn[rows, :count].T)
+            roots, solved = locators(f, *syn[rows, :count].T)
+            positions[rows, :count] = np.where(roots != 0, log[roots], -1)
             ok[rows] &= solved
 
-    filled = roots != 0
-    ok &= filled.sum(axis=1) == counts
-    positions = np.where(filled, f.log_np[roots], -1)
-    ok &= (positions < spec.r).all(axis=1)
+    # a row fills at most its count of slots, so counting the slots inside
+    # [0, r) (an empty slot's -1 reads as 2^64 - 1) refuses a short row, a
+    # row past the shortened range and every count outside 0..t
+    ok &= (positions.view(np.uint64) < spec.r).sum(axis=1) == counts
     return positions, ok
 
 
@@ -269,7 +272,8 @@ def _cubic_roots(f: GF2m, p, q) -> tuple[np.ndarray, np.ndarray]:
     # table entries from the end below, and three leaves it out
     y1 = f.cubic_table[f.mul(q, f.pow(p, -3 * half))]
     y2 = f.mul(y1, f.quadratic_table[f.pow(y1, -2) ^ 1])
-    w1, w2 = f.mul(f.pow(p, half)[:, None], np.stack([y1, y2], axis=1)).T
+    sqrt_p = f.pow(p, half)
+    w1, w2 = f.mul(sqrt_p, y1), f.mul(sqrt_p, y2)
     roots, three = np.stack([w1, w2, w1 ^ w2], axis=1), y1 >= 0
     cube = p == 0
     if n % 3 == 0 and cube.any():

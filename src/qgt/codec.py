@@ -136,6 +136,7 @@ class Signature:
         parity = build_parity_columns(bch)
         self.matrix = np.vstack([np.ones((1, bch.r), dtype=np.uint8), parity])
         self.matrix.setflags(write=False)
+        self.s, self.r = self.matrix.shape
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -164,14 +165,6 @@ class Signature:
         slots = np.ascontiguousarray(slots[:, :w])
         slots.setflags(write=False)
         return slots
-
-    @property
-    def s(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.bch.r
 
 
 @lru_cache(maxsize=8)
@@ -260,12 +253,13 @@ def _column_sums(sig: Signature, rows: np.ndarray, positions: np.ndarray,
                  n_rows: int) -> np.ndarray:
     """(n_rows, s) integer sums of the columns at positions, by row.
 
-    rows broadcasts against positions; position r adds nothing.  One
-    bincount counts every (row, set slot) pair over an n_rows x (s + 1)
-    grid whose last column takes the slot table's padding and is dropped.
+    rows broadcasts against positions; position r adds nothing, and so
+    does -1, which wraps to it.  One bincount counts every (row, set slot)
+    pair over an n_rows x (s + 1) grid whose last column takes the slot
+    table's padding and is dropped.
     """
     width = sig.s + 1
-    keys = (rows * width)[..., None] + np.take(sig.slots, positions, axis=0)
+    keys = (rows * width)[..., None] + sig.slots.take(positions, axis=0, mode="wrap")
     sums = np.bincount(keys.ravel(), minlength=n_rows * width)
     return sums.reshape(n_rows, width)[:, :-1]
 
@@ -274,24 +268,45 @@ def resolve_node(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]
     """Positions of the defectives inside a stack of group slices.
 
     z is an integer array of shape (f, s), one group's residual per row
-    (count in slot 0); any other dtype or shape raises ValueError.
-    Returns (positions, ok): positions has shape (f, t), -1 marking an
-    empty slot, as bch.decode_syndromes gives them, and ok marks the rows
-    that resolve: those whose parity bits decode at their count and whose
-    decoded columns integer-sum back to the slice exactly.
+    (count in slot 0); any other dtype or shape, or a value beyond int64,
+    raises ValueError.  Returns (positions, ok): positions has shape (f, t),
+    -1 marking an empty slot, as bch.decode_syndromes gives them, and ok
+    marks the rows that resolve: those whose parity bits decode at their
+    count and whose decoded columns integer-sum back to the slice exactly.
     """
     z = np.asarray(z)
-    if z.dtype.kind not in "iu":  # as in decode: a cast would truncate a float
-        raise ValueError(f"slices must hold integers, got dtype {z.dtype}")
-    z = z.astype(np.int64, copy=False)
+    if z.dtype != np.int64:  # decode's stacks are int64 already
+        z = _int64_array(z, "slices")
     if z.ndim != 2 or z.shape[1] != sig.s:
         raise ValueError(f"expected a stack of slices of length {sig.s}, got shape {z.shape}")
     syndromes = syndrome_from_bits(sig.bch, z[:, 1:] & 1)
     positions, ok = decode_syndromes(sig.bch, syndromes, z[:, 0])
-    # integer re-check of the whole slice; an empty slot reads the padding row
-    look = np.where(ok[:, None] & (positions >= 0), positions, sig.r)
-    ok &= (_column_sums(sig, np.arange(len(z))[:, None], look, len(z)) == z).all(axis=1)
+    # integer re-check of the whole slice.  An empty slot's -1 wraps to the
+    # padding row; a refused row may read any row, and its ok stays False
+    ok &= (_column_sums(sig, np.arange(len(z))[:, None], positions, len(z)) == z).all(axis=1)
     return positions, ok
+
+
+def _int64_array(values, name: str) -> np.ndarray:
+    """values as an int64 array, or ValueError unless it holds integers that fit.
+
+    Checked before the cast, which would truncate a float or wrap a uint64
+    at 2^63 or above.  numpy holds a list with an integer beyond int64 as
+    float64 or object; that integer is named rather than the dtype.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        try:
+            ints = [operator.index(v) for v in np.array(values, dtype=object).ravel().tolist()]
+        except (TypeError, ValueError):
+            ints = []
+        big = [v for v in ints if not -(1 << 63) <= v < 1 << 63]
+        if big:
+            raise ValueError(f"{name}: {big[0]} does not fit in int64")
+        raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
+    if array.dtype == np.uint64 and array.size and array.max() >= 1 << 63:
+        raise ValueError(f"{name}: {int(array.max())} does not fit in int64")
+    return array.astype(np.int64, copy=False)
 
 
 def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
@@ -318,52 +333,57 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
     trace(round_idx, residual, recovered) is called after each round when
     provided.
 
-    y and sig are checked here, once; each round passes the graph's
-    _items_at and _incidence kernels arrays that decode built itself, which
-    are int64, in range and distinct.
+    y and sig are checked here, once, and a value of y beyond int64 raises
+    ValueError; each round passes the graph's _items_at and _incidence
+    kernels arrays that decode built itself, which are int64, in range and
+    distinct.
     """
     m, s = graph.n_right, sig.s
-    y = np.asarray(y)
-    if y.dtype.kind not in "iu":
-        raise ValueError(f"test vector must hold integers, got dtype {y.dtype}")
+    y = _int64_array(y, "test vector")
     if y.shape != (m * s + 1,):
         raise ValueError(f"test vector has shape {y.shape}, expected ({m * s + 1},)")
     _check_covers(graph, sig)
     t = sig.bch.t
-    residual = y[1:].reshape(m, s).astype(np.int64)
-    resolved = np.zeros(m, dtype=bool)
+    residual = y[1:].reshape(m, s).copy()
+    counts = residual[:, 0]  # a view, which follows the residual
+    unresolved = np.ones(m, dtype=bool)
     recovered = np.zeros(0, dtype=np.int64)
-    frontier = np.flatnonzero(residual[:, 0] <= t)
+    frontier = (counts <= t).nonzero()[0]
     iterations = 0
     while frontier.size:
         iterations += 1
-        counts = residual[frontier, 0]
-        empty = frontier[counts == 0]
-        resolved[empty[~residual[empty].any(axis=1)]] = True
-        frontier = frontier[counts != 0]
+        at = counts[frontier]
+        if not at.all():
+            empty = frontier[at == 0]
+            unresolved[empty[~residual[empty].any(axis=1)]] = False
+            frontier = frontier[at != 0]
         if frontier.size:
             positions, ok = resolve_node(residual[frontier], sig)
             items = graph._items_at(frontier[:, None], positions)
             # a padding column, or a position a view does not hold, leaves
             # the group unresolved; neither happens on genuine input
             ok &= ((items >= 0) | (positions < 0)).all(axis=1)
-            resolved[frontier[ok]] = True
+            unresolved[frontier[ok]] = False
             # distinct items, -1 slots dropped, that no earlier round recovered
-            found = np.sort(items[ok], axis=None)
-            new = _distinct(found[found >= 0])
-            new = new[np.searchsorted(recovered, new) == np.searchsorted(recovered, new, "right")]
-            recovered = np.sort(np.concatenate([recovered, new]))
+            found = items[ok].ravel()
+            found.sort()
+            new = _distinct(found[found.searchsorted(0):])
+            if recovered.size:
+                new = new[recovered.searchsorted(new) == recovered.searchsorted(new, "right")]
+            recovered = np.concatenate([recovered, new])
+            recovered.sort()
             rights, positions = graph._incidence(new)
             residual -= _column_sums(sig, rights, positions, m)
             touched = np.zeros(m, dtype=bool)
             touched[rights] = True
-            frontier = np.flatnonzero(touched & ~resolved & (residual[:, 0] <= t))
+            touched &= unresolved
+            touched &= counts <= t
+            frontier = touched.nonzero()[0]
         if trace is not None:
             trace(iterations, residual.copy(), set(recovered.tolist()))
-    unresolved = int((~resolved).sum())
     success = len(recovered) == int(y[0]) and not residual.any()
     return DecodeOutcome(recovered=set(recovered.tolist()), iterations=iterations,
-                         unresolved_right=unresolved, success=success)
+                         unresolved_right=int(unresolved.sum()), success=success)
 
 
 def measurement_matrix(graph: BiRegularGraph, sig: Signature) -> np.ndarray:

@@ -179,7 +179,7 @@ class GF2m:
         bits = np.asarray(bits)
         if bits.ndim == 0 or bits.shape[-1] != self.degree:
             raise ValueError(f"expected {self.degree} bits in the last axis, got shape {bits.shape}")
-        return bits.astype(np.int64) @ self._bit_weights
+        return bits.astype(np.int64, copy=False) @ self._bit_weights
 
     # -- root tables --------------------------------------------------------
 

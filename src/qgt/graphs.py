@@ -337,7 +337,7 @@ class DefectiveView:
 
     def _incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """incidence of int64 items that the view holds, unchecked."""
-        rows = np.searchsorted(self.items, items)
+        rows = self.items.searchsorted(items)
         return self._rights[rows], self._positions[rows]
 
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -348,7 +348,7 @@ class DefectiveView:
         """items_at of int64 groups in [0, M) and int64 positions, unchecked;
         groups broadcasts against positions."""
         edges = _edge_index(self._degrees, self._starts, groups, positions)
-        rows = np.searchsorted(self._edges, edges)
+        rows = self._edges.searchsorted(edges)
         return np.where(self._edges[rows] == edges, self._edge_items[rows], -1)
 
 

@@ -1,5 +1,6 @@
 """BCH parity columns, separability, and syndrome decoding."""
 
+import hashlib
 import itertools
 import random
 
@@ -404,3 +405,51 @@ def test_narrow_fields_solve_in_closed_form(t, monkeypatch):
     monkeypatch.setattr(bch, "find_error_locator", _refuse("Berlekamp-Massey"))
     b, ok = _decode_count_three_plus(400, t, seed=1)
     assert b == 8 and ok
+
+
+def garbage_stack(spec, rng, rows):
+    """(syndromes, counts) of mostly invalid rows, counts -1..t+1.
+
+    A quarter each: uniform garbage; the syndrome of 1..t positions of the
+    unshortened code (repeats allowed, some past r), at that count 70% of
+    the time; the same with one power sum changed; and zero syndromes.
+    """
+    f, t, n = spec.field, spec.t, spec.n
+    kind = rng.integers(0, 4, size=rows)
+    weight = rng.integers(1, t + 1, size=rows)
+    picks = rng.integers(0, n, size=(rows, t))
+    used = np.arange(t) < weight[:, None]
+    odd = 2 * np.arange(t) + 1
+    terms = f.alog_np[(odd[:, None, None] * picks[None]) % n] * used[None]
+    genuine = np.bitwise_xor.reduce(terms, axis=2).T
+    changed = genuine.copy()
+    slot = rng.integers(0, t, size=rows)
+    changed[np.arange(rows), slot] ^= rng.integers(1, n + 1, size=rows)
+    syn = np.select([kind[:, None] == 0, kind[:, None] == 1, kind[:, None] == 2],
+                    [rng.integers(0, n + 1, size=(rows, t)), genuine, changed], 0)
+    counts = rng.integers(-1, t + 2, size=rows)
+    counts = np.where((kind % 3 != 0) & (rng.random(rows) < 0.7), weight, counts)
+    return syn, counts
+
+
+def test_decode_syndromes_pinned_on_garbage_stacks():
+    # positions and ok on every row, refused rows included, at every radius
+    # over narrow and wide fields and three lengths; any change to what
+    # decode_syndromes returns on any row changes this digest
+    rng = np.random.default_rng(2026)
+    digest = hashlib.sha256()
+    seen = set()
+    for t in range(1, bch.MAX_T + 1):
+        for degree in (4, 5, 8, 11, 15, 16):
+            for r in (1, 7, (1 << degree) - 1):
+                spec = make_bch(degree, t, r)
+                syn, counts = garbage_stack(spec, rng, 3000)
+                positions, ok = decode_syndromes(spec, syn, counts)
+                assert positions.shape == (3000, t) and ok.shape == (3000,)
+                digest.update(repr((t, degree, r, str(positions.dtype), str(ok.dtype))).encode())
+                digest.update(positions.tobytes())
+                digest.update(ok.tobytes())
+                seen |= {(int(c), bool(good)) for c, good in zip(counts, ok)}
+    # every count resolves somewhere and is refused somewhere
+    assert {(c, good) for c in range(bch.MAX_T + 1) for good in (True, False)} <= seen
+    assert digest.hexdigest() == "65864208cd51151b89b46b4737066e4a56beb9219bf7c875d1c9ed0a96994454"

@@ -457,6 +457,31 @@ def test_decode_takes_integer_test_vectors_only():
         assert decode(g, sig, good) == want
 
 
+def test_decode_refuses_values_beyond_int64():
+    # a uint64 count at 2^63 or above would wrap to a negative count, and a
+    # list holding a larger Python int is held as float64 or object: each is
+    # refused by what does not fit, as load_test_vector refuses it
+    g = graph_14()
+    sig = build_signature(1, 7)
+    wide = Y_14.astype(np.uint64)
+    wide[2] = 1 << 63
+    listed = Y_14.tolist()
+    listed[5] = 2 ** 70
+    for bad, value in ((wide, 1 << 63), (listed, 2 ** 70), (listed[:5] + [2 ** 64] + listed[6:], 2 ** 64)):
+        with pytest.raises(ValueError, match=f"{value} does not fit in int64"):
+            decode(g, sig, bad)
+    # a uint64 vector below 2^63 decodes as the int64 one does
+    assert decode(g, sig, Y_14.astype(np.uint64)) == decode(g, sig, Y_14)
+    cols = sig.matrix.astype(np.int64)
+    stack = cols[None, :, 4].astype(np.uint64)
+    stack[0, 1] = (1 << 64) - 1
+    with pytest.raises(ValueError, match=f"{(1 << 64) - 1} does not fit in int64"):
+        resolve_node(stack, sig)
+    with pytest.raises(ValueError, match=f"{2 ** 70} does not fit in int64"):
+        resolve_node([[1, 2 ** 70, 0, 0]], sig)
+    assert resolved(cols[None, :, 4].astype(np.uint64), sig) == [frozenset({4})]
+
+
 def test_decode_malformed_count_terminates():
     y = Y_14.copy()
     y[0] = 5  # count-all slot no longer matches

@@ -9,6 +9,7 @@ could peel an item twice).
 """
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from qgt.bch import DecodeFailure, decode_syndrome, syndrome_from_bits
 from qgt.codec import DecodeOutcome, build_signature, decode, encode, resolve_node
 from qgt.density import lambda_threshold
-from qgt.graphs import BiRegularGraph, sample_graph
+from qgt.graphs import BiRegularGraph, sample_defectives, sample_graph
 
 
 def alpha(f, e):
@@ -309,6 +310,51 @@ def test_counts_three_and_four_match_oracle_across_fields(t):
         assert corrupted and any(g is not None and len(g) >= 3 for g in got), b
 
 
+@pytest.mark.parametrize("t, r_max", [(1, 5), (2, 40), (3, 100), (4, 200), (2, 3000)])
+def test_resolve_node_on_garbage_at_shortened_codes(t, r_max):
+    # a shortened code's refused rows may carry positions past r, which the
+    # integer re-check must not read as columns: resolve_node never raises,
+    # an ok row's columns integer-sum to its slice, and a count-0 row is ok
+    # exactly when its slice is zero
+    sig = build_signature(t, r_max)
+    f, n, r = sig.bch.field, sig.bch.n, sig.r
+    assert r < n
+    rng = np.random.default_rng(r_max)
+    rows = []
+    for _ in range(400):
+        count = int(rng.integers(-1, t + 2))
+        kind = int(rng.integers(4))
+        if kind == 0:  # the syndrome of positions of the unshortened code
+            picked = rng.integers(0, n, size=int(rng.integers(1, t + 1)))
+            sums = [np.bitwise_xor.reduce(f.alog_np[(2 * k + 1) * picked % n])
+                    for k in range(t)]
+            z = slice_with_syndrome(sig, len(picked) if rng.random() < 0.7 else count, sums)
+        elif kind == 1:  # genuine columns, perhaps corrupted
+            picked = rng.choice(r, size=min(max(count, 0), t), replace=False)
+            z = sig.matrix[:, picked].sum(axis=1, dtype=np.int64)
+            z[0] = count
+            if rng.random() < 0.5:
+                z = corrupt(z, sig, rng)
+        elif kind == 2:
+            z = rng.integers(-1, 4, size=sig.s)
+        else:  # zero, or one stray parity bit
+            z = np.zeros(sig.s, dtype=np.int64)
+            z[0] = count
+            if rng.random() < 0.5:
+                z[int(rng.integers(1, sig.s))] = 1
+        rows.append(z)
+    stack = np.array(rows)
+    positions, ok = resolve_node(stack, sig)
+    assert positions.shape == (len(stack), t) and ok.shape == (len(stack),)
+    for z, row, good in zip(stack, positions, ok):
+        if good:
+            assert (row < r).all()
+            assert np.array_equal(sig.matrix[:, row[row >= 0]].sum(axis=1, dtype=np.int64), z)
+        if z[0] == 0:
+            assert good == (not z.any())
+    assert ok.any() and (positions[~ok] >= r).any()
+
+
 def test_padding_column_is_never_peeled():
     # group 0 holds 3 items but the signature has 7 columns; a slice that
     # decodes to column 5 names no item, so the group stays unresolved
@@ -391,3 +437,54 @@ def test_an_item_decoded_twice_is_peeled_once():
     assert out.recovered == {v, w} and not out.success and not drifted
     oracle_out, oracle_drifted = drift(sequential_decode)
     assert oracle_out.recovered == {v, w} and oracle_drifted
+
+
+def calls_per_round(graph, sig, y):
+    """Python-level calls (sys.setprofile "call" events) per round of one decode.
+
+    A first decode builds the field's cached tables, so that only the rounds
+    are counted.
+    """
+    decode(graph, sig, y)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        out = decode(graph, sig, y)
+    finally:
+        sys.setprofile(previous)
+    assert out.success and out.iterations >= 5
+    return calls / out.iterations
+
+
+def seeded_view_decode():
+    # a sweep-fresh trial's shape: N = 2^16, M = 69, K = 100, t = 2
+    support = sorted(np.random.default_rng(7).choice(1 << 16, size=100, replace=False).tolist())
+    view = sample_defectives(1 << 16, 69, 2, support, seed=11)
+    sig = build_signature(2, view.max_right_degree)
+    return view, sig, encode(view, sig, support)
+
+
+def seeded_graph_decode():
+    # a whole graph at t = 3, where count-3 groups take the cubic's tables
+    graph = sample_graph(1 << 12, 60, 2, seed=5)
+    sig = build_signature(3, graph.max_right_degree)
+    support = np.random.default_rng(150).choice(1 << 12, size=150, replace=False).tolist()
+    return graph, sig, encode(graph, sig, support)
+
+
+# 25% above the counts when set: 27.9 and 51.1 calls per round (numpy 2.4)
+@pytest.mark.parametrize("instance, ceiling", [(seeded_view_decode, 35),
+                                               (seeded_graph_decode, 64)])
+def test_calls_per_round_stay_under_ceiling(instance, ceiling):
+    per_round = calls_per_round(*instance())
+    assert per_round <= ceiling, (
+        f"{per_round:.1f} Python-level calls per peeling round, above the ceiling of "
+        f"{ceiling}: this test guards decode's fixed per-round cost, which sets a "
+        "decode's time at these sizes; a round should stay a few array operations "
+        "with no numpy wrapper that a method or a ufunc call can replace")
