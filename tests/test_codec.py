@@ -31,6 +31,7 @@ from qgt.density import design_constant, lambda_threshold, paper_test_count
 from qgt.density import tests_needed as analytic_test_count
 from qgt.graphs import BiRegularGraph, sample_defectives, sample_graph
 from qgt.simulate import TrialConfig
+from test_repair import oracle_sample_graph
 
 # independent transcription of the 14-item worked instance (the library has
 # its own copy in qgt.reference; the two must stay in agreement)
@@ -133,6 +134,8 @@ def pinned_encodes():
     t cycles through 1..4, odd cases run on a defectives-only view and even
     ones on a whole graph, and K runs up to 8 M, so most groups hold several
     defectives.  Every third support is a Python set, the rest int64 arrays.
+    Whole graphs come from test_repair.oracle_sample_graph, which keeps the
+    graphs of the row-by-row repair, so the digest pins encode alone.
     """
     rng = np.random.default_rng(20261019)
     rows = []
@@ -154,7 +157,7 @@ def pinned_encodes():
         if on_view:
             graph = sample_defectives(n, m, ell, sorted(support), seed=seed)
         else:
-            graph = sample_graph(n, m, ell, seed=seed)
+            graph = oracle_sample_graph(n, m, ell, seed=seed)
         sig = build_signature(t, graph.max_right_degree)
         rows.append((t, sig.bch.field.degree, encode(graph, sig, support)))
     return rows
@@ -398,7 +401,8 @@ def pinned_outcomes():
     t cycles through 1..4, blocks of four alternate a whole graph with a
     defectives-only view, and the last 16 have one entry of y moved by
     +-1 or +-2.  Loads straddle the threshold, so clean decodes both stall
-    and complete.
+    and complete.  Whole graphs come from test_repair.oracle_sample_graph,
+    as in pinned_encodes.
     """
     rng = np.random.default_rng(20261018)
     rows = []
@@ -415,7 +419,7 @@ def pinned_outcomes():
         if on_view:
             graph = sample_defectives(n, m, ell, support, seed=seed)
         else:
-            graph = sample_graph(n, m, ell, seed=seed)
+            graph = oracle_sample_graph(n, m, ell, seed=seed)
         sig = build_signature(t, graph.max_right_degree)
         y = encode(graph, sig, support)
         if idx >= 24:

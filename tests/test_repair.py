@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from qgt import graphs
-from qgt.graphs import sample_defectives, sample_graph
-from test_graphs import PINNED_GRAPHS
+from qgt.graphs import BiRegularGraph, sample_defectives, sample_graph
+from test_graphs import PINNED_GRAPHS, _graph_digest
 
 
 def oracle_duplicates(loc, blocks):
@@ -86,6 +86,50 @@ def oracle_repair(stubs, loc, blocks, rng, events: Counter) -> bool:
                     row_y.sort()
                     loc[y] = row_y
     return False
+
+
+def oracle_sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGraph:
+    """sample_graph with oracle_repair in _repair's place: the permutation,
+    loc, per-block sort and resamples of sample_graph, so the whole graphs
+    that seeded digests were pinned on."""
+    blocks = graphs._Blocks(n_left, n_right, ell)
+    if blocks.forced:
+        edges = np.tile(np.arange(n_left), n_right)
+        return BiRegularGraph(n_left, ell, edges, blocks.degrees, seed=seed)
+    n_edges = n_left * ell
+    rng = np.random.default_rng(seed)
+    for attempt in range(graphs.MAX_RESAMPLES):
+        perm = rng.permutation(n_edges)
+        stubs = perm // ell
+        loc = np.empty(n_edges, dtype=np.int64)
+        loc[perm] = np.arange(n_edges)
+        loc = np.sort(loc.reshape(n_left, ell), axis=1)
+        if oracle_repair(stubs, loc, blocks, rng, Counter()):
+            for lo, hi in zip(blocks.bounds[:-1], blocks.bounds[1:]):
+                stubs[lo:hi].sort()
+            return BiRegularGraph(n_left, ell, stubs, blocks.degrees, seed=seed,
+                                  retries=attempt)
+    raise RuntimeError(f"oracle repair failed after {graphs.MAX_RESAMPLES} resamples")
+
+
+# PINNED_GRAPHS' shapes and seeds with the digests of the row-by-row repair
+ORACLE_GRAPHS = [
+    ((1 << 16, 47, 2), 1, "8f7ecc95bbc016fe"),
+    ((1 << 16, 86, 2), 2, "920e830602a8b95c"),
+    ((1 << 16, 525, 3), 1901, "aed62691c5c2dee3"),
+    ((14, 4, 2), 7, "1f98b78eab34399b"),
+    ((50, 11, 3), 9, "cc9f1c629161e652"),
+    ((120, 60, 4), 5, "480831b82c380053"),
+    ((20, 10, 8), 0, "24d0c850ca9b724d"),
+    ((4, 7, 6), 12, "f2a97ed6a93507f5"),
+    ((7, 9, 8), 0, "ad82201ec55e538e"),
+    ((4, 4, 2), 1, "d806fc0d034670c6"),
+]
+
+
+@pytest.mark.parametrize("shape,seed,digest", ORACLE_GRAPHS)
+def test_oracle_sampler_keeps_the_pinned_graphs(shape, seed, digest):
+    assert _graph_digest(oracle_sample_graph(*shape, seed=seed)) == digest
 
 
 class CheckedRepair:
