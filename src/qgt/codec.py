@@ -22,7 +22,7 @@ from .bch import (BchSpec, build_parity_columns, check_radius, decode_syndromes,
                   syndrome_from_bits)
 from .density import design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE
-from .graphs import BiRegularGraph, DefectiveView
+from .graphs import BiRegularGraph, DefectiveView, _int64_array
 
 DEFAULT_BETA = 1.35
 
@@ -285,28 +285,6 @@ def resolve_node(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]
     # padding row; a refused row may read any row, and its ok stays False
     ok &= (_column_sums(sig, np.arange(len(z))[:, None], positions, len(z)) == z).all(axis=1)
     return positions, ok
-
-
-def _int64_array(values, name: str) -> np.ndarray:
-    """values as an int64 array, or ValueError unless it holds integers that fit.
-
-    Checked before the cast, which would truncate a float or wrap a uint64
-    at 2^63 or above.  numpy holds a list with an integer beyond int64 as
-    float64 or object; that integer is named rather than the dtype.
-    """
-    array = np.asarray(values)
-    if array.dtype.kind not in "iu":
-        try:
-            ints = [operator.index(v) for v in np.array(values, dtype=object).ravel().tolist()]
-        except (TypeError, ValueError):
-            ints = []
-        big = [v for v in ints if not -(1 << 63) <= v < 1 << 63]
-        if big:
-            raise ValueError(f"{name}: {big[0]} does not fit in int64")
-        raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
-    if array.dtype == np.uint64 and array.size and array.max() >= 1 << 63:
-        raise ValueError(f"{name}: {int(array.max())} does not fit in int64")
-    return array.astype(np.int64, copy=False)
 
 
 def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,

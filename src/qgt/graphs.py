@@ -33,6 +33,8 @@ what a graph returns to encode and decode is int64.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # repair passes per stub layout, and layouts drawn, before sampling gives up
@@ -150,7 +152,7 @@ class BiRegularGraph:
         int64 whatever the tables' width: int32 arrays in decode's peeling
         rounds cost about 3% of a decode (N = 2^20, K = 100, t = 2).
         """
-        items = _integers(items, "items").astype(np.int64, copy=False)
+        items = _int64_array(items, "items")
         if items.size and items.min() < 0:  # take would read it from the end
             raise IndexError(f"item {int(items.min())} is out of range")
         return self._incidence(items)
@@ -169,8 +171,9 @@ class BiRegularGraph:
     def _items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """items_at of int64 groups in [0, M) and int64 positions, unchecked;
         groups broadcasts against positions."""
-        edges = _edge_index(self._degrees, self._starts, groups, positions)
-        return np.where(edges >= 0, self._edges[edges].astype(np.int64), -1)
+        inside = (positions >= 0) & (positions < self._degrees[groups])
+        edges = self._edges.take(self._starts[groups] + positions, mode="wrap")
+        return np.where(inside, edges, np.int64(-1))
 
     # -- text serialization --------------------------------------------------
     # line 1: "N M ell seed"; then one line per right node with its ascending
@@ -327,7 +330,7 @@ class DefectiveView:
         self._edge_items = np.append(np.repeat(self.items, edges.shape[1])[by_edge], -1)
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        items = _integers(items, "items").astype(np.int64, copy=False)
+        items = _int64_array(items, "items")
         rows = np.searchsorted(self.items, items)
         held = rows < len(self.items)
         held[held] = self.items[rows[held]] == items[held]
@@ -371,7 +374,7 @@ def _pairs(groups, positions) -> tuple[np.ndarray, np.ndarray]:
     integers; IndexError for a negative group, which numpy would read from
     the end (a group past the last raises IndexError when it is read).
     """
-    groups = _integers(groups, "groups").astype(np.int64, copy=False)
+    groups = _int64_array(groups, "groups")
     if groups.size and groups.min() < 0:
         raise IndexError(f"group {int(groups.min())} is out of range")
     return groups, _integers(positions, "positions").astype(np.int64, copy=False)
@@ -394,6 +397,28 @@ def _integers(values, name: str) -> np.ndarray:
     if values.size and values.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
     return values
+
+
+def _int64_array(values, name: str) -> np.ndarray:
+    """values as an int64 array, or ValueError unless it holds integers that fit.
+
+    Checked before the cast, which would truncate a float or wrap a uint64
+    at 2^63 or above.  numpy holds a list with an integer beyond int64 as
+    float64 or object; that integer is named rather than the dtype.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        try:
+            ints = [operator.index(v) for v in np.array(values, dtype=object).ravel().tolist()]
+        except (TypeError, ValueError):
+            ints = []
+        big = [v for v in ints if not -(1 << 63) <= v < 1 << 63]
+        if big:
+            raise ValueError(f"{name}: {big[0]} does not fit in int64")
+        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    if array.dtype == np.uint64 and array.size and array.max() >= 1 << 63:
+        raise ValueError(f"{name}: {int(array.max())} does not fit in int64")
+    return array.astype(np.int64, copy=False)
 
 
 def _index_dtype(n_edges: int) -> type:

@@ -85,6 +85,8 @@ def test_view_items_at_agrees_with_its_graph():
                                         ([True], [1], "groups")):
             with pytest.raises(ValueError, match=f"{name} must be integers"):
                 holder.items_at(np.array(groups), np.array(positions))
+        with pytest.raises(ValueError, match=f"groups: {1 << 63} does not fit in int64"):
+            holder.items_at(np.array([3, 1 << 63], dtype=np.uint64), np.array([0, 0]))
 
 
 def test_view_kernels_equal_the_checked_methods():
@@ -272,6 +274,11 @@ def test_encode_rejects_an_item_not_in_the_view():
     for items in ([3.0, 50.0], [3.4], [3.0]):
         with pytest.raises(ValueError, match="items must be integers"):
             view.incidence(np.array(items))
+    # so is a uint64 at 2^63 or above, by its own value rather than the
+    # negative item that a cast to int64 makes of it
+    for big in (1 << 63, (1 << 63) + 1, (1 << 64) - 1):
+        with pytest.raises(ValueError, match=f"items: {big} does not fit in int64"):
+            view.incidence(np.array([3, big], dtype=np.uint64))
 
 
 ITEMS = list(range(0, 120, 3))

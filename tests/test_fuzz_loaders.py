@@ -6,11 +6,13 @@ one-line error), never with an uncaught exception.  So is every number: any
 float given to `qgt design --beta` or `qgt simulate --grid`, and any small
 integer K, t or ell given to `qgt simulate`, exits 0 or 2.  Any int, float
 or bool array of items is either held, as given, by a DefectiveView and by
-sample_defectives, or refused with ValueError.
+sample_defectives, or refused with ValueError, and a graph's incidence
+answers for it or refuses it by a value it holds.
 """
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -21,6 +23,7 @@ from qgt import codec, graphs
 from qgt.cli import main, parse_grid
 
 GRAPH = graphs.sample_graph(30, 6, 2, seed=3)
+EVERY_ITEM = graphs.sample_defectives(30, 6, 2, np.arange(30), seed=3)
 SUPPORT = {1, 7, 20}
 
 
@@ -151,6 +154,11 @@ item_arrays = st.sampled_from(["int64", "int32", "uint8", "uint64", "float64", "
         lambda values: np.array(values, dtype=dtype)))
 
 
+def in_range(items: np.ndarray, n: int) -> bool:
+    """Whether items are integers in [0, n), repeats allowed."""
+    return items.dtype.kind in "iu" and all(0 <= v < n for v in items.tolist())
+
+
 def holdable(items: np.ndarray, n: int) -> bool:
     """Whether a view may hold items: distinct integers in [0, n), any empty array."""
     values = items.tolist()
@@ -181,3 +189,14 @@ def test_views_hold_exactly_the_valid_items(items):
                      items, holdable(items, 30) and ascending)
     _held_or_refused(lambda: graphs.sample_defectives(30, 6, 2, items, seed=1),
                      np.sort(items), holdable(items, 30))
+    # a whole graph and a view of every item answer for integers in [0, 30)
+    # and refuse anything else without naming a negative item not given
+    for holder in (GRAPH, EVERY_ITEM):
+        try:
+            holder.incidence(items)
+        except (ValueError, IndexError) as exc:
+            assert not in_range(items, 30), items
+            named = [int(v) for v in re.findall(r"-\d+", str(exc))]
+            assert set(named) <= set(items.tolist()), (items, exc)
+        else:
+            assert in_range(items, 30), items

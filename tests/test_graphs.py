@@ -218,6 +218,14 @@ def test_explicit_lists_validate(tmp_path):
     for items in ([3.0, 1.0], [3.4], [3.0]):  # refused as on a DefectiveView
         with pytest.raises(ValueError, match="items must be integers"):
             g.incidence(np.array(items))
+    # a uint64 at 2^63 or above is refused by its own value, not by the
+    # negative number that a cast to int64 makes of it
+    for big in (1 << 63, (1 << 64) - 1):
+        wide = np.array([1, big], dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"items: {big} does not fit in int64"):
+            sample_graph(100, 10, 2, seed=1).incidence(wide)
+        with pytest.raises(ValueError, match=f"groups: {big} does not fit in int64"):
+            g.items_at(wide, np.zeros(2, dtype=np.int64))
     # position 2 is past the end
     assert g.items_at(np.full(3, 3), np.arange(3)).tolist() == [3, 2, -1]
     for n, ell, adj, degrees, message in INVALID_GRAPHS:
