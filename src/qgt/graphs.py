@@ -18,12 +18,13 @@ groups its edges by left node with one argsort into an N x ell table of
 indices into that array, the form in which a DefectiveView holds a few
 items' rows, and passes the same vectorised O(N*ell) checks.
 
-The repair swaps each duplicate stub, one at a time, with a position drawn
-uniformly from [0, N*ell) where it fits.  On a large graph it takes those
-draws in bulk and makes runs of such swaps in one numpy update, yet it makes
-the same swaps from the same draws as the one-at-a-time loop with one scalar
-rng.integers call per draw, and leaves the generator where those calls
-would; a seeded graph does not depend on how the repair was computed.
+The repair swaps each duplicate stub with a position drawn uniformly from
+[0, N*ell) where it fits.  A whole graph swaps in rounds: every duplicate
+proposes one position, and the fitting proposals that share no position or
+item with an earlier one swap together in one numpy update.  What the rounds
+leave, and a view's duplicates, are swapped one at a time, each from scalar
+rng.integers draws.  tests/test_uniformity.py pins the chi-squared against
+uniform of both on shapes small enough to enumerate.
 
 Every per-edge array, in the sampler and in the graph, is int32 while N*ell
 < 2^31 and int64 beyond (_index_dtype), so a graph holds 8 bytes per edge
@@ -41,21 +42,9 @@ import numpy as np
 MAX_REPAIR_PASSES = 200
 MAX_RESAMPLES = 8
 
-# the bulk repair (_swap_run) starts on a whole graph of at least _BULK_ITEMS
-# items whose pass has at least _BULK_ROWS duplicates: a run ends at the first
-# row that reads what an earlier row reads, after ~sqrt(N) rows, and a shorter
-# one costs more than it saves.  It tries _BULK_ROWS rows first and doubles
-# up to _CHUNK while whole chunks go through, tests _WINDOW draws per row, and
-# leaves the pass to go on row by row after a run below _SHORT_RUN
-_BULK_ROWS = 64
-_BULK_ITEMS = 4096
-_CHUNK = 512
-_WINDOW = 8
-_SHORT_RUN = 16
-# draws a repair takes by scalar calls before it draws in bulk, and the most
-# it draws at once
-_SCALAR_DRAWS = 16
-_DRAW_BLOCK = 4096
+# a whole graph's pass swaps in rounds while it has at least this many
+# duplicates (_swap_rounds)
+_ROUND_ROWS = 16
 
 
 class BiRegularGraph:
@@ -495,62 +484,86 @@ def _repair(stubs, loc: np.ndarray, blocks: _Blocks, rng) -> bool:
     this block, outgoing row absent from the target block); a free stub has
     no row and fits wherever the outgoing row does.  Whether row x sits in
     block i is read exactly from x's ell stub positions in loc, which every
-    swap keeps current.  Random probes find such a target quickly in sparse
-    blocks; a linear scan backs them up in dense ones, and a blind swap
-    breaks ties when no clean target exists at all.  A pass of clean swaps
-    alone leaves the graph simple, so only a blind swap calls for another
-    look.
+    swap keeps current.
 
-    The duplicates are repaired one at a time, in _duplicates' order, each
-    from the next uniform draws of [0, N*ell) (_repair_rows).  On a whole
-    graph with many duplicates, _swap_run makes the same swaps from the same
-    draws a run of rows at a time, and the pass goes on row by row once its
-    runs turn short, as on dense shapes.  _Draws takes the draws in bulk but
-    leaves the generator where one scalar call per draw would, whether the
-    repair succeeds or not, so the graphs and the draws after a repair (a
-    failed layout's resample) are those of the row-by-row loop.
+    A whole graph's pass first swaps in rounds (_swap_rounds); what they
+    leave, and a view's duplicates, are repaired one at a time, in
+    _duplicates' order (_repair_rows).  There random probes find a target
+    quickly in sparse blocks; a linear scan backs them up in dense ones, and
+    a blind swap breaks ties when no clean target exists at all.  Clean swaps
+    alone leave the graph simple, so only a blind swap calls for another
+    pass.
     """
-    draws = _Draws(rng, blocks.bounds[-1])
-    try:
-        simple = False
-        for _ in range(MAX_REPAIR_PASSES):
-            if simple:  # the last pass swapped cleanly: nothing is left to find
-                return True
-            dup_pos, dup_block = _duplicates(loc, blocks)
-            if not len(dup_pos):
-                return True
-            simple = True
-            done = 0
-            if (isinstance(stubs, np.ndarray) and len(dup_pos) >= _BULK_ROWS
-                    and len(loc) >= _BULK_ITEMS):
-                chunk = _BULK_ROWS
-                while done < len(dup_pos):
-                    rows = slice(done, done + chunk)
-                    run = _swap_run(stubs, loc, blocks, draws, dup_pos[rows], dup_block[rows])
-                    done += run
-                    if run == chunk:
-                        chunk = min(2 * chunk, _CHUNK)
-                        continue
-                    if done == len(dup_pos) or run < _SHORT_RUN:
-                        break
-                    rows = slice(done, done + 1)
-                    simple &= _repair_rows(stubs, loc, blocks, draws,
-                                           dup_pos[rows], dup_block[rows])
-                    done += 1
-            simple &= _repair_rows(stubs, loc, blocks, draws, dup_pos[done:], dup_block[done:])
-        return False
-    finally:
-        draws.rewind()
+    simple = False
+    for _ in range(MAX_REPAIR_PASSES):
+        if simple:  # the last pass swapped cleanly: nothing is left to find
+            return True
+        dup_pos, dup_block = _duplicates(loc, blocks)
+        if isinstance(stubs, np.ndarray):
+            dup_pos, dup_block = _swap_rounds(stubs, loc, blocks, rng, dup_pos, dup_block)
+        if not len(dup_pos):
+            return True
+        simple = _repair_rows(stubs, loc, blocks, rng, dup_pos, dup_block)
+    return False
 
 
-def _repair_rows(stubs, loc: np.ndarray, blocks: _Blocks, draws: _Draws,
+def _swap_rounds(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng,
+                 pos: np.ndarray, blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Swap the duplicates at pos (in blocks blk) in rounds; return those left.
+
+    In a round every duplicate, stub p of item x in block i, draws one
+    position q, held by item y in block j, all in one rng.integers call, and
+    _repair_rows' three tests run on every row at once.  A fitting proposal
+    that shares p, q, x or y with an earlier fitting one waits; the rest swap
+    in one update of stubs and loc.  No swap then touches an item or position
+    that another one read, so none makes a new duplicate, and the duplicates
+    left are those of the rows' items that did not swap.  Rounds go on while
+    one swaps and at least _ROUND_ROWS duplicates are left: below that, a
+    round's fixed numpy cost outweighs the row loop's probes.
+    """
+    n = blocks.bounds[-1]
+    while len(pos) >= _ROUND_ROWS:
+        x = stubs[pos]
+        q = rng.integers(n, size=len(pos))
+        j = blocks.of_all(q)
+        y = stubs[q]
+        fit = ((j != blk)
+               & ~(blocks.of_all(loc[y]) == blk[:, None]).any(axis=1)
+               & ~(blocks.of_all(loc[x]) == j[:, None]).any(axis=1))
+        rows = fit.nonzero()[0]
+        # a row's four keys, items offset past the positions; a stable sort
+        # puts each key's earliest reader first
+        keys = np.stack([pos[rows], q[rows], x[rows], y[rows]], axis=1).astype(np.int64)
+        keys[:, 2:] += n
+        keys = keys.ravel()
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
+        swap = np.ones(len(rows), dtype=bool)
+        swap[order[1:][ranked[1:] == ranked[:-1]] // 4] = False
+        if not swap.any():
+            break
+        rows = rows[swap]
+        p, q, sx, sy = pos[rows], q[rows], x[rows], y[rows]
+        stubs[p] = sy
+        stubs[q] = sx
+        for item, old, new in ((sx, p, q), (sy, q, p)):
+            row_loc = loc[item]
+            row_loc[row_loc == old[:, None]] = new
+            row_loc.sort(axis=1)
+            loc[item] = row_loc
+        left = np.ones(len(pos), dtype=bool)
+        left[rows] = False
+        pos, blk = _duplicates(loc[np.unique(x[left])], blocks)
+    return pos, blk
+
+
+def _repair_rows(stubs, loc: np.ndarray, blocks: _Blocks, rng,
                  dup_pos: np.ndarray, dup_block: np.ndarray) -> bool:
-    """Repair the given duplicates one at a time, in order; False if one took
-    a blind swap."""
+    """Repair the given duplicates one at a time, in order, each from the
+    next scalar rng.integers draws; False if one took a blind swap."""
     bnd = blocks.bounds
     n = bnd[-1]
     of = blocks.of
-    take = draws.take
 
     def fits(q, i, row_x):
         j = of(q)
@@ -577,19 +590,19 @@ def _repair_rows(stubs, loc: np.ndarray, blocks: _Blocks, draws: _Draws,
             continue  # already fixed by an earlier swap this pass
         q_found = -1
         for _try in range(32):
-            q = take()
+            q = int(rng.integers(n))
             if fits(q, i, row_x):
                 q_found = q
                 break
         if q_found < 0:
-            start = take()
+            start = int(rng.integers(n))
             for off in range(n):
                 q = (start + off) % n
                 if fits(q, i, row_x):
                     q_found = q
                     break
         if q_found < 0:
-            q_found = take()  # blind swap, better than stalling
+            q_found = int(rng.integers(n))  # blind swap, better than stalling
             clean = False
         y = int(stubs[q_found])
         if y != x:
@@ -603,145 +616,3 @@ def _repair_rows(stubs, loc: np.ndarray, blocks: _Blocks, draws: _Draws,
                 row_y.sort()
                 loc[y] = row_y
     return clean
-
-
-def _swap_run(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, draws: _Draws,
-              pos: np.ndarray, blk: np.ndarray) -> int:
-    """Make _repair_rows' swaps for the leading duplicates of pos (in blocks
-    blk) in one update, from the same draws; return how many rows it made.
-
-    Each row's three fits tests run on a window of _WINDOW consecutive draws,
-    starting where its first probe falls if every earlier row that needs a
-    swap takes one draw; a row already fixed takes none.  A row that finds
-    its fit d draws into its window pushes the rows after it d draws further
-    in.  The run stops before the first row with no fit left in its window,
-    and before the first row that reads a position or item that an earlier
-    row of the run reads (_first_clash), since the tests read the state
-    before the run.  The row it stops at is _repair_rows'.  Its temporaries
-    hold _WINDOW * ell entries per row of the chunk.
-    """
-    n = blocks.bounds[-1]
-    rows = len(pos)
-    x = stubs[pos]
-    own = blocks.of_all(loc[x])
-    need = (own == blk[:, None]).sum(axis=1) > 1
-    first = np.cumsum(need) - need
-    q = draws.ahead(int(first[-1] + need[-1]) + _WINDOW)[first[:, None] + np.arange(_WINDOW)]
-    j = blocks.of_all(q)
-    y = stubs[q]
-    fit = ((j != blk[:, None])
-           & ~(blocks.of_all(loc[y]) == blk[:, None, None]).any(axis=2)
-           & ~(own[:, None, :] == j[:, :, None]).any(axis=2))
-    fit[~need] = True
-    # hit[r]: the window column of row r's fit, where row r + 1 starts probing
-    hit = np.zeros(rows, dtype=np.intp)
-    stop = rows
-    col = row = 0
-    while row < rows:
-        miss = ~fit[row:, col]
-        end = row + int(miss.argmax()) if miss.any() else rows
-        hit[row:end] = col
-        if end == rows:
-            break
-        later = fit[end, col + 1:]
-        if not later.any():
-            stop = end
-            break
-        col += 1 + int(later.argmax())
-        hit[end] = col
-        row = end + 1
-    if stop:
-        stop = min(stop, _first_clash(pos, x, q, y, need, hit, stop, n))
-    swap = np.flatnonzero(need[:stop])
-    p, x = pos[swap], x[swap]
-    q, y = q[swap, hit[swap]], y[swap, hit[swap]]
-    stubs[p] = y
-    stubs[q] = x
-    for item, old, new in ((x, p, q), (y, q, p)):
-        row_loc = loc[item]
-        row_loc[row_loc == old[:, None]] = new
-        row_loc.sort(axis=1)
-        loc[item] = row_loc
-    draws.skip(len(swap) + (int(hit[stop - 1]) if stop else 0))
-    return stop
-
-
-def _first_clash(pos, x, q, y, need, hit, stop: int, n: int) -> int:
-    """The first of the rows before stop that reads a position or item (keyed
-    past the n positions) that an earlier one also reads, or stop.  A swap
-    writes only what its row reads, so no row before it reads a change."""
-    begin = np.concatenate([[0], hit[:stop - 1]])
-    cols = np.arange(_WINDOW)
-    by, at = np.nonzero(need[:stop, None] & (cols >= begin[:, None])
-                        & (cols <= hit[:stop, None]))
-    rows = np.arange(stop)
-    values = np.concatenate([pos[:stop], q[by, at], n + x[:stop].astype(np.int64),
-                             n + y[by, at].astype(np.int64)])
-    value, reader = np.divmod(np.sort(values * stop + np.concatenate([rows, by, rows, by])),
-                              stop)
-    clash = (value[1:] == value[:-1]) & (reader[1:] != reader[:-1])
-    return int(reader[1:][clash].min()) if clash.any() else stop
-
-
-class _Draws:
-    """rng.integers(n) values in order, leaving rng as scalar calls would.
-
-    The first _SCALAR_DRAWS values are scalar calls, so a short repair, such
-    as a view's one or two duplicates, pays for nothing more.  After them, or
-    once _swap_run looks ahead, the values come from a buffer that
-    integers(n, size=k) fills: it returns exactly the values of k scalar
-    calls, and leaves the generator in the same state
-    (tests/test_repair.py checks numpy for both).  The generator then runs
-    ahead of the values used, so rewind restores its state from before the
-    first bulk draw and redraws the count used.  The only calls to
-    rng.integers in this module are here.
-    """
-
-    def __init__(self, rng, n: int):
-        self.rng = rng
-        self.n = n
-        self.scalar = 0
-        self.state = None  # the generator's state before the first bulk draw
-        self.buf = np.empty(0, dtype=np.int64)
-        self.values = []  # buf as ints, which take reads faster; [] until it does
-        self.at = 0  # the next unused value in buf
-        self.used = 0  # values used since state, before buf
-
-    def take(self) -> int:
-        if self.at < len(self.values):
-            self.at += 1
-            return self.values[self.at - 1]
-        if self.state is None and self.scalar < _SCALAR_DRAWS:
-            self.scalar += 1
-            return int(self.rng.integers(self.n))
-        if self.at == len(self.buf):
-            self.ahead(1)
-        if not self.values:  # listed once per bulk draw, when take reads it
-            self.values = self.buf.tolist()
-        self.at += 1
-        return self.values[self.at - 1]
-
-    def ahead(self, k: int) -> np.ndarray:
-        """The next k values, without using them."""
-        if self.state is None:
-            self.state = self.rng.bit_generator.state
-        if self.at + k > len(self.buf):
-            # the first bulk draws are few, as a repair may need no more
-            size = max(k, min(_DRAW_BLOCK, 2 * len(self.buf) or 256))
-            fresh = self.rng.integers(self.n, size=size)
-            self.used += self.at
-            self.buf = np.concatenate([self.buf[self.at:], fresh])
-            self.values = []
-            self.at = 0
-        return self.buf[self.at:self.at + k]
-
-    def skip(self, k: int) -> None:
-        self.at += k
-
-    def rewind(self) -> None:
-        if self.state is None:
-            return
-        self.rng.bit_generator.state = self.state
-        used = self.used + self.at
-        for done in range(0, used, _DRAW_BLOCK):
-            self.rng.integers(self.n, size=min(_DRAW_BLOCK, used - done))

@@ -399,17 +399,20 @@ def _graph_digest(g):
 # sampler's output (adjacency, left incidence, retries) bit for bit.  The
 # shapes cover the sweep budgets at N=2^16, a t=3 design, dense blocks where
 # the linear scan (20, 10, 8) and the blind swap (4, 7, 6) and (7, 9, 8)
-# fire, and the forced complete graph (4, 4, 2).
+# fire, and the forced complete graph (4, 4, 2).  The first three, (20, 10, 8)
+# and (7, 9, 8) have enough duplicates to be swapped in rounds; the others go
+# to the row loop alone.  test_repair.ORACLE_GRAPHS keeps the digests of the
+# row-by-row repair, which the codec digests were pinned on.
 PINNED_GRAPHS = [
-    ((1 << 16, 47, 2), 1, "8f7ecc95bbc016fe"),
-    ((1 << 16, 86, 2), 2, "920e830602a8b95c"),
-    ((1 << 16, 525, 3), 1901, "aed62691c5c2dee3"),
+    ((1 << 16, 47, 2), 1, "08d5d0f0949934bc"),
+    ((1 << 16, 86, 2), 2, "6f5cbd3edad5f046"),
+    ((1 << 16, 525, 3), 1901, "73ac93c6feeb8ee6"),
     ((14, 4, 2), 7, "1f98b78eab34399b"),
     ((50, 11, 3), 9, "cc9f1c629161e652"),
     ((120, 60, 4), 5, "480831b82c380053"),
-    ((20, 10, 8), 0, "24d0c850ca9b724d"),
+    ((20, 10, 8), 0, "dea629e3e1fe97f8"),
     ((4, 7, 6), 12, "f2a97ed6a93507f5"),
-    ((7, 9, 8), 0, "ad82201ec55e538e"),
+    ((7, 9, 8), 0, "a162dd02e6161fd0"),
     ((4, 4, 2), 1, "d806fc0d034670c6"),
 ]
 

@@ -1,9 +1,13 @@
-"""The duplicate repair against the row-by-row loop it replaced.
+"""The duplicate repair against the row-by-row loop that views still run.
 
-graphs._repair draws ahead in bulk and makes runs of swaps in one numpy
-update, but every seeded graph rests on it making the swaps, the draws and
-the generator state of oracle_repair below: the loop as it stood before,
-which repaired one duplicate at a time from scalar rng.integers calls.
+graphs._repair repairs a view's duplicates one at a time from scalar
+rng.integers draws, and every seeded view rests on it making the swaps, the
+draws and the generator state of oracle_repair below, the loop as it stood
+before whole graphs were repaired in rounds.  A whole graph's rounds draw
+differently, so a whole graph is checked by what it must be: a simple layout
+with ell stubs per item and _Blocks' degrees, the same for the same seed,
+and a fresh layout after a failed repair.  oracle_sample_graph keeps the
+whole graphs of the row-by-row loop, on which the codec digests are pinned.
 """
 
 import copy
@@ -132,36 +136,60 @@ def test_oracle_sampler_keeps_the_pinned_graphs(shape, seed, digest):
     assert _graph_digest(oracle_sample_graph(*shape, seed=seed)) == digest
 
 
+def check_layout(stubs: np.ndarray, loc: np.ndarray, blocks, simple: bool) -> None:
+    """stubs and loc are one layout: item x holds the ell positions loc[x],
+    ascending, and no others.  A repair that returned True left no item
+    twice in a block."""
+    n_left, ell = loc.shape
+    assert np.all(loc[:, 1:] > loc[:, :-1])
+    assert np.array_equal(stubs[loc], np.repeat(np.arange(n_left), ell).reshape(n_left, ell))
+    assert np.array_equal(np.bincount(stubs, minlength=n_left), np.full(n_left, ell))
+    if simple:
+        assert oracle_duplicates(loc, blocks) == ([], [])
+
+
+def check_graph(g) -> None:
+    """g is simple, with _Blocks' right degrees and ell edges per item."""
+    assert np.array_equal(g.degrees(), graphs._Blocks(g.n_left, g.n_right, g.ell).degrees)
+    assert all(np.all(adj[1:] > adj[:-1]) for adj in g.right_adj)
+    counts = np.bincount(np.concatenate(g.right_adj), minlength=g.n_left)
+    assert np.array_equal(counts, np.full(g.n_left, g.ell))
+
+
 class CheckedRepair:
-    """Stands in for graphs._repair: runs the oracle on copies of its inputs,
-    then the repair itself, and asserts that both leave the same stubs, loc,
-    return value and generator state.  It counts the oracle's events, the
-    rows that _swap_run made in bulk, and the calls that returned False."""
+    """Stands in for graphs._repair.  On a view it runs the oracle on copies
+    of its inputs, then the repair itself, and asserts that both leave the
+    same stubs, loc, return value and generator state; on a whole graph it
+    checks the layout the repair leaves (check_layout).  It counts the
+    oracle's events, the duplicates that rounds fixed and left to the row
+    loop, and the calls that returned False."""
 
     def __init__(self, monkeypatch):
         self.repair = graphs._repair
-        self.swap_run = graphs._swap_run
+        self.rounds = graphs._swap_rounds
         self.events = Counter()
         monkeypatch.setattr(graphs, "_repair", self)
-        monkeypatch.setattr(graphs, "_swap_run", self._counted_run)
+        monkeypatch.setattr(graphs, "_swap_rounds", self._counted_rounds)
 
-    def _counted_run(self, *args):
-        run = self.swap_run(*args)
-        self.events["bulk rows"] += run
-        return run
+    def _counted_rounds(self, stubs, loc, blocks, rng, pos, blk):
+        left = self.rounds(stubs, loc, blocks, rng, pos, blk)
+        self.events["round rows"] += len(pos) - len(left[0])
+        self.events["rows left"] += len(left[0])
+        return left
 
     def __call__(self, stubs, loc, blocks, rng):
-        twin = (stubs.copy() if isinstance(stubs, np.ndarray) else graphs._Held(stubs),
-                loc.copy(), copy.deepcopy(rng))
-        want = oracle_repair(*twin[:2], blocks, twin[2], self.events)
-        got = self.repair(stubs, loc, blocks, rng)
-        assert got == want
-        assert np.array_equal(loc, twin[1])
         if isinstance(stubs, np.ndarray):
-            assert np.array_equal(stubs, twin[0])
+            got = self.repair(stubs, loc, blocks, rng)
+            check_layout(stubs, loc, blocks, got)
         else:
+            twin = (graphs._Held(stubs), loc.copy(), copy.deepcopy(rng))
+            want = oracle_repair(*twin[:2], blocks, twin[2], self.events)
+            got = self.repair(stubs, loc, blocks, rng)
+            assert got == want
+            assert np.array_equal(loc, twin[1])
             assert stubs == twin[0]
-        assert rng.bit_generator.state == twin[2].bit_generator.state
+            assert rng.bit_generator.state == twin[2].bit_generator.state
+            self.events["views"] += 1
         self.events["calls"] += 1
         self.events["failed"] += not got
         return got
@@ -170,16 +198,20 @@ class CheckedRepair:
 def test_pinned_shapes_repair_as_the_oracle(monkeypatch):
     checked = CheckedRepair(monkeypatch)
     for shape, seed, _ in PINNED_GRAPHS:
-        sample_graph(*shape, seed=seed)
-    # (20, 10, 8) reaches the linear scan, (4, 7, 6) and (7, 9, 8) the blind swap
-    assert checked.events["scan"] and checked.events["blind"]
-    assert checked.events["bulk rows"]
+        check_graph(sample_graph(*shape, seed=seed))
+        sample_defectives(*shape, np.arange(shape[0]), seed=seed)
+    # a view of every item has a whole graph's duplicates, all for the row
+    # loop, and reaches the linear scan (RESAMPLED_VIEWS reach the blind
+    # swap).  The forced complete graph (4, 4, 2) needs no repair
+    assert checked.events["views"] >= 9
+    assert checked.events["scan"]
+    assert checked.events["round rows"] and checked.events["rows left"]
 
 
 def random_shapes(count: int, seed: int):
     """(N, M, ell) with ell in 2..8; every other shape dense (M <= 4*ell),
-    and one in four with N >= 4096 and ell <= 3, where the bulk repair may
-    start (the sparse ones with M <= 120, so that it does)."""
+    and one in four with N >= 4096 and ell <= 3 (the sparse ones with
+    M <= 120, so that they have many duplicates)."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         ell = int(rng.integers(2, 9))
@@ -197,109 +229,104 @@ def random_shapes(count: int, seed: int):
 
 
 def test_random_shapes_repair_as_the_oracle(monkeypatch):
+    # whole graphs, and views of a third of the items, every item, or one
     checked = CheckedRepair(monkeypatch)
     shapes = list(random_shapes(304, seed=25))
     dense = sum(m <= 4 * ell for _, m, ell in shapes)
     assert 140 <= dense <= 170 and {ell for _, _, ell in shapes} == set(range(2, 9))
     for k, shape in enumerate(shapes):
-        sample_graph(*shape, seed=k)
-    # a forced complete graph (M = ell) needs no repair
-    assert checked.events["calls"] == sum(m > ell for _, m, ell in shapes)
+        g = sample_graph(*shape, seed=k)
+        check_graph(g)
+        assert g.retries == 0
+        items = np.arange(shape[0])[::(3, 1, shape[0])[k % 3]]
+        sample_defectives(*shape, items, seed=k)
+    # a forced complete graph (M = ell) needs no repair, nor does a view
+    # without duplicates
+    assert checked.events["views"] > 200
+    assert checked.events["calls"] - checked.events["views"] == sum(m > ell for _, m, ell in shapes)
     assert checked.events["scan"]
-    assert checked.events["bulk rows"] > 5_000
+    assert checked.events["round rows"] > 5_000 and checked.events["rows left"]
 
 
 @pytest.mark.parametrize("n_left", [1 << 18, 1 << 20])
 def test_large_graphs_repair_as_the_oracle(n_left, monkeypatch):
     checked = CheckedRepair(monkeypatch)
-    sample_graph(n_left, 81, 2, seed=7)
-    # nearly every duplicate is swapped in bulk
-    assert checked.events["bulk rows"] > n_left / 81 * 0.9
+    g = sample_graph(n_left, 81, 2, seed=7)
+    check_graph(g)
+    assert np.array_equal(g.right_adj[80], sample_graph(n_left, 81, 2, seed=7).right_adj[80])
+    # nearly every duplicate is swapped in rounds
+    assert checked.events["round rows"] > n_left / 81 * 0.9
+    items = np.random.default_rng(n_left).choice(n_left, size=n_left // 64, replace=False)
+    sample_defectives(n_left, 81, 2, items, seed=7)
+    assert checked.events["views"] == 1
 
 
 def test_views_of_every_item_repair_as_the_oracle(monkeypatch):
     # a view holding all N items repairs as many duplicates as a whole graph,
-    # one at a time, from bulk draws once it has taken enough
+    # one at a time, and draws no rounds
     checked = CheckedRepair(monkeypatch)
     for k, (n, m, ell) in enumerate([(60, 7, 3), (200, 9, 2), (500, 20, 4), (40, 9, 8),
                                      (5000, 81, 2)]):
         sample_defectives(n, m, ell, np.arange(n), seed=k)
     assert checked.events["calls"] == 5 and checked.events["scan"]
-    assert checked.events["bulk rows"] == 0
+    assert checked.events["round rows"] == 0
 
 
-# (shape, seed): with one repair pass, (30, 20, 2) seed 12 resamples 7 times;
-# with two, (4, 7, 6) seed 12 and (7, 9, 8) seed 6 resample once after a
-# blind swap.  The two larger shapes fail every layout in one pass, the first
-# after bulk runs
+# (shape, seed): with one repair pass, whole graphs of (2^14, 47, 2) seed 0
+# and (30, 20, 2) seed 12 resample 2 and 7 times, and every view of every
+# item with a duplicate fails; with two, whole graphs of (4, 7, 6) seed 12
+# and (7, 9, 8) seed 6 resample once after a blind swap, and so do views of
+# every item of (4, 7, 6) at seeds 3 and 32
 RESAMPLED = [((1 << 14, 47, 2), 0), ((6000, 8, 3), 1), ((30, 20, 2), 12),
              ((4, 7, 6), 12), ((7, 9, 8), 6)]
+RESAMPLED_VIEWS = [((4, 7, 6), 3), ((4, 7, 6), 32)]
+
+
+def resample(make):
+    """make()'s retries, or MAX_RESAMPLES if every layout failed."""
+    try:
+        return make().retries
+    except RuntimeError:
+        return graphs.MAX_RESAMPLES
 
 
 @pytest.mark.parametrize("passes", [0, 1, 2])
 def test_failed_repairs_leave_the_oracle_state(passes, monkeypatch):
-    # a failed layout's resample reads the generator next, so a repair that
-    # fails must leave it where the oracle does
+    # a failed layout's resample reads the generator next, so a view's
+    # repair that fails must leave it where the oracle does, and a whole
+    # graph's must leave a layout that the next draw replaces
     monkeypatch.setattr(graphs, "MAX_REPAIR_PASSES", passes)
     checked = CheckedRepair(monkeypatch)
-    retries = []
-    for shape, seed in RESAMPLED:
+    retries = [resample(lambda: sample_graph(*shape, seed=seed)) for shape, seed in RESAMPLED]
+    views = RESAMPLED + RESAMPLED_VIEWS
+    for shape, seed in views:
         try:
-            retries.append(sample_graph(*shape, seed=seed).retries)
+            sample_defectives(*shape, np.arange(shape[0]), seed=seed)
         except RuntimeError:
-            retries.append(graphs.MAX_RESAMPLES)
-    assert checked.events["failed"] > 0
-    if passes:
-        assert any(0 < r < graphs.MAX_RESAMPLES for r in retries)
-        assert checked.events["bulk rows"]
+            pass
+    assert checked.events["views"] >= len(views) and checked.events["failed"] > 0
+    want = {0: [8] * 5, 1: [2, 8, 7, 8, 8], 2: [0, 0, 0, 1, 1]}
+    assert retries == want[passes]
 
 
 def test_resampled_graphs_equal_the_oracles(monkeypatch):
-    # end to end: the graphs sampled with the oracle in _repair's place
+    # end to end: views sampled with the oracle in _repair's place, a blind
+    # swap and a resample included, and whole graphs sampled twice
     monkeypatch.setattr(graphs, "MAX_REPAIR_PASSES", 2)
-    got = [sample_graph(*shape, seed=seed) for shape, seed in RESAMPLED]
-    monkeypatch.setattr(graphs, "_repair", lambda *args: oracle_repair(*args, Counter()))
-    for (shape, seed), g in zip(RESAMPLED, got):
+    views = RESAMPLED + RESAMPLED_VIEWS
+    got = [sample_defectives(*shape, np.arange(shape[0]), seed=seed) for shape, seed in views]
+    graphs_got = [sample_graph(*shape, seed=seed) for shape, seed in RESAMPLED]
+    assert [g.retries for g in graphs_got] == [0, 0, 0, 1, 1]
+    for (shape, seed), g in zip(RESAMPLED, graphs_got):
+        check_graph(g)
         h = sample_graph(*shape, seed=seed)
         assert h.retries == g.retries
         assert all(np.array_equal(a, b) for a, b in zip(g.right_adj, h.right_adj))
-    assert [g.retries for g in got] == [0, 0, 0, 1, 1]
-
-
-@pytest.mark.parametrize("n", [3, 1 << 21, 1 << 31, (1 << 32) + 1, (1 << 33) + 5])
-def test_bulk_draws_are_the_scalar_draws(n):
-    # graphs._Draws takes rng.integers(n) values in bulk and rewinds the
-    # generator by redrawing their count; both rest on this property of numpy
-    bulk, scalar = np.random.default_rng(n), np.random.default_rng(n)
-    values = bulk.integers(n, size=1001)
-    singles = [int(scalar.integers(n)) for _ in range(1001)]
-    assert values.tolist() == singles, (
-        f"Generator.integers({n}, size=k) no longer returns the values of k "
-        "scalar integers(n) calls, so graphs._Draws would change every seeded graph")
-    assert bulk.bit_generator.state == scalar.bit_generator.state, (
-        f"Generator.integers({n}, size=k) leaves the generator in another state "
-        "than k scalar calls, so graphs._Draws would shift every later draw")
-
-
-@pytest.mark.parametrize("n", [3, 1 << 21, (1 << 33) + 5])
-def test_draws_rewind_to_the_scalar_state(n):
-    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    draws = graphs._Draws(rng, n)
-    got = [draws.take() for _ in range(graphs._SCALAR_DRAWS + 3)]
-    got += draws.ahead(40)[:25].tolist()
-    draws.skip(25)
-    got += [draws.take() for _ in range(5000)]
-    draws.ahead(7)  # looked at, not used
-    draws.rewind()
-    assert got == [int(twin.integers(n)) for _ in range(len(got))]
-    assert rng.bit_generator.state == twin.bit_generator.state
-
-
-def test_short_repairs_draw_one_value_at_a_time():
-    # a view's one or two duplicates take no snapshot and no bulk draw
-    draws = graphs._Draws(np.random.default_rng(1), 100)
-    for _ in range(graphs._SCALAR_DRAWS):
-        draws.take()
-    assert draws.state is None and len(draws.buf) == 0
-    draws.take()
-    assert draws.state is not None
+    events = Counter()
+    monkeypatch.setattr(graphs, "_repair", lambda *args: oracle_repair(*args, events))
+    for (shape, seed), view in zip(views, got):
+        want = sample_defectives(*shape, np.arange(shape[0]), seed=seed)
+        items = np.arange(shape[0])
+        assert all(np.array_equal(a, b) for a, b in zip(view.incidence(items),
+                                                        want.incidence(items)))
+    assert events["blind"]

@@ -252,7 +252,7 @@ PINNED_SWEEPS = [
     ((4096, 20, 2, None, [10, 13, 16], 20, 5, False),
      "61ea7f2cb20de079a6c845c5fa9bc492779d471a133fdb738756a68e957c3fc4"),
     ((4096, 20, 2, None, [10, 13, 16], 20, 11, True),
-     "a711ff446b11ff1eb4860e1fe4473c07c0a3cc2c37dbcd8974713790fa24acc2"),
+     "5925158df7432dc7a0e3167c5b712ad529fc3840637fb2698d23c6d4490e3874"),
     ((65536, 1000, 3, None, [12, 14], 10, 3, False),
      "1859fd59be4abd6891560e1d1259e43c7926ee093fd50bf17e02b40e9fd7949c"),
     ((300, 10, 4, None, [30], 30, 2, True),
@@ -264,7 +264,7 @@ PINNED_SWEEPS = [
     ((65536, 1000, 3, None, [11], 10, 3, False),
      "037696085a54fcd8fd82acbc7da74fe89ceadf63267949e15cce9374b64c3abf"),
     ((300, 10, 4, None, [14], 30, 2, True),
-     "8c28918ec0ad9ff3433f054cd631a2aeb8ebf575eb0a6b3883ed914cbe30968b"),
+     "8362ea645602d9a538f704104461c1c11c6bb0b60e717d293d65b90fc7bcb4a6"),
     ((64, 5, 2, 3, [16], 20, 0, False),
      "6bc1d97644cf51d0093eb5486f7dd16bdc2f79c64059bd76f466b3ed24b5c1a7"),
 ]

@@ -68,24 +68,31 @@ def test_only_bch_names_the_oracle():
     assert found == []
 
 
-def integers_calls_outside(source: str, owner: str) -> list[int]:
-    """Lines of .integers( calls that lie outside the class named owner."""
+def integers_calls(source: str) -> dict[str, list[int]]:
+    """Lines of .integers( calls, by the name of the function that holds
+    each ("" at module level)."""
     tree = ast.parse(source)
-    inside = {id(node) for cls in ast.walk(tree)
-              if isinstance(cls, ast.ClassDef) and cls.name == owner
-              for node in ast.walk(cls)}
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "integers" and id(node) not in inside]
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner.setdefault(id(node), fn.name)
+    found = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "integers"):
+            found.setdefault(owner.get(id(node), ""), []).append(node.lineno)
+    return found
 
 
-def test_graphs_draw_integers_only_through_the_draw_helper():
-    # _Draws takes rng.integers values in bulk and rewinds the generator to
-    # where scalar calls would have left it; a stray call elsewhere in
-    # graphs.py would draw out of turn and shift every later draw
+def test_graphs_draw_integers_only_in_the_repair_loops():
+    # a view's repair draws its positions by scalar calls in the row loop,
+    # in the order the seeded views rest on, and a whole graph's rounds draw
+    # one position per duplicate; a stray call elsewhere in graphs.py would
+    # draw out of turn and shift every later draw
     source = (SRC / "graphs.py").read_text(encoding="utf-8")
-    assert integers_calls_outside(source, "_Draws") == []
-    assert "class _Draws" in source
-    caught = integers_calls_outside("class _Draws:\n    def a(self): self.rng.integers(3)\n"
-                                    "def f(rng):\n    return rng.integers(5, size=2)\n", "_Draws")
-    assert caught == [4]
+    assert set(integers_calls(source)) == {"_repair_rows", "_swap_rounds"}
+    caught = integers_calls("def f(rng):\n    return rng.integers(5, size=2)\n"
+                            "class A:\n    def g(self):\n        self.rng.integers(3)\n"
+                            "x = rng.integers(2)\n")
+    assert caught == {"f": [2], "g": [5], "": [6]}
