@@ -339,7 +339,8 @@ class DefectiveView:
     def _items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """items_at of int64 groups in [0, M) and int64 positions, unchecked;
         groups broadcasts against positions."""
-        edges = _edge_index(self._degrees, self._starts, groups, positions)
+        inside = (positions >= 0) & (positions < self._degrees[groups])
+        edges = np.where(inside, self._starts[groups] + positions, -1)
         rows = self._edges.searchsorted(edges)
         return np.where(self._edges[rows] == edges, self._edge_items[rows], -1)
 
@@ -367,13 +368,6 @@ def _pairs(groups, positions) -> tuple[np.ndarray, np.ndarray]:
     if groups.size and groups.min() < 0:
         raise IndexError(f"group {int(groups.min())} is out of range")
     return groups, _integers(positions, "positions").astype(np.int64, copy=False)
-
-
-def _edge_index(degrees: np.ndarray, starts: np.ndarray, groups: np.ndarray,
-                positions: np.ndarray) -> np.ndarray:
-    """The right-major edge index of each (group, position); -1 outside the group."""
-    inside = (positions >= 0) & (positions < degrees[groups])
-    return np.where(inside, starts[groups] + positions, -1)
 
 
 def _integers(values, name: str) -> np.ndarray:
@@ -533,7 +527,7 @@ def _swap_rounds(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng,
         rows = fit.nonzero()[0]
         # a row's four keys, items offset past the positions; a stable sort
         # puts each key's earliest reader first
-        keys = np.stack([pos[rows], q[rows], x[rows], y[rows]], axis=1).astype(np.int64)
+        keys = np.stack([pos[rows], q[rows], x[rows], y[rows]], axis=1, dtype=np.int64)
         keys[:, 2:] += n
         keys = keys.ravel()
         order = keys.argsort(kind="stable")
@@ -553,7 +547,10 @@ def _swap_rounds(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng,
             loc[item] = row_loc
         left = np.ones(len(pos), dtype=bool)
         left[rows] = False
-        pos, blk = _duplicates(loc[np.unique(x[left])], blocks)
+        # the rows' items once each, ascending; np.unique's hash table would
+        # leave ~6 MB of heap resident after a 2^19-item graph (numpy 2.4)
+        items = np.sort(x[left])
+        pos, blk = _duplicates(loc[items[np.diff(items, prepend=-1) > 0]], blocks)
     return pos, blk
 
 
