@@ -361,8 +361,9 @@ def _view_items(items, n_left: int) -> np.ndarray:
 
 def _pairs(groups, positions) -> tuple[np.ndarray, np.ndarray]:
     """(group, position) arrays as int64, or ValueError unless both hold
-    integers; IndexError for a negative group, which numpy would read from
-    the end (a group past the last raises IndexError when it is read).
+    integers and the groups fit in int64; IndexError for a negative group,
+    which numpy would read from the end (a group past the last raises
+    IndexError when it is read).
     """
     groups = _int64_array(groups, "groups")
     if groups.size and groups.min() < 0:
