@@ -1,13 +1,13 @@
-"""The duplicate repair against the row-by-row loop that views still run.
+"""The duplicate repair against a plain row-by-row loop.
 
 graphs._repair repairs a view's duplicates one at a time from scalar
 rng.integers draws, and every seeded view rests on it making the swaps, the
-draws and the generator state of oracle_repair below, the loop as it stood
-before whole graphs were repaired in rounds.  A whole graph's rounds draw
-differently, so a whole graph is checked by what it must be: a simple layout
-with ell stubs per item and _Blocks' degrees, the same for the same seed,
-and a fresh layout after a failed repair.  oracle_sample_graph keeps the
-whole graphs of the row-by-row loop, on which the codec digests are pinned.
+draws and the generator state of oracle_repair below.  A whole graph is
+first swapped in rounds, which draw differently, so a whole graph is checked
+by what it must be: a simple layout with ell stubs per item and _Blocks'
+degrees, the same for the same seed, and a fresh layout after a failed
+repair.  oracle_sample_graph samples whole graphs with the row-by-row loop
+alone; the codec digests are pinned on its graphs.
 """
 
 import copy
