@@ -8,6 +8,7 @@ corrupted input it must keep its own invariant, which the loop did not (it
 could peel an item twice).
 """
 
+import hashlib
 import itertools
 import sys
 
@@ -353,6 +354,60 @@ def test_resolve_node_on_garbage_at_shortened_codes(t, r_max):
         if z[0] == 0:
             assert good == (not z.any())
     assert ok.any() and (positions[~ok] >= r).any()
+
+
+def garbage_slices(sig, rng, rows):
+    """A stack of mostly invalid slices, counts -1..t+1.
+
+    A fifth each: sums of 1..t columns (repeats allowed) at that count 70%
+    of the time; the same with one slot moved by -1, +1 or +2; uniform
+    slots in -1..3; the parity bits of 1..t positions of the unshortened
+    code (some past r); and zero slices, some with one stray parity bit.
+    """
+    f, t, n, s = sig.bch.field, sig.bch.t, sig.bch.n, sig.s
+    kind = rng.integers(0, 5, size=rows)
+    weight = rng.integers(1, t + 1, size=rows)
+    used = np.arange(t) < weight[:, None]
+    columns = sig.matrix.T.astype(np.int64)[rng.integers(0, sig.r, size=(rows, t))]
+    genuine = (columns * used[..., None]).sum(axis=1)
+    counts = np.where(rng.random(rows) < 0.7, weight, rng.integers(-1, t + 2, size=rows))
+    genuine[:, 0] = counts
+    moved = genuine.copy()
+    moved[np.arange(rows), rng.integers(0, s, size=rows)] += rng.choice([-1, 1, 2], size=rows)
+    uniform = rng.integers(-1, 4, size=(rows, s))
+    picks = rng.integers(0, n, size=(rows, t))
+    odd = 2 * np.arange(t) + 1
+    sums = np.bitwise_xor.reduce(f.alog_np[(odd[:, None, None] * picks[None]) % n]
+                                 * used[None], axis=2)
+    unshortened = np.zeros((rows, s), dtype=np.int64)
+    unshortened[:, 0] = counts
+    unshortened[:, 1:] = np.concatenate([f.bit_columns(v) for v in sums]).T
+    stray = np.zeros((rows, s), dtype=np.int64)
+    stray[:, 0] = rng.integers(-1, t + 2, size=rows)
+    stray[np.arange(rows), rng.integers(1, s, size=rows)] = rng.integers(0, 2, size=rows)
+    return np.choose(kind[:, None], [genuine, moved, uniform, unshortened, stray])
+
+
+def test_resolve_node_pinned_on_garbage_stacks():
+    # positions and ok on every row, refused rows included, at every radius
+    # over shortened codes from GF(2^3) to GF(2^16); any change to what
+    # resolve_node returns on any row changes this digest
+    rng = np.random.default_rng(2027)
+    digest = hashlib.sha256()
+    seen = set()
+    for t in range(1, 5):
+        for r_max in (5, 40, 200, 3000, 40000):
+            sig = build_signature(t, r_max)
+            stack = garbage_slices(sig, rng, 2000)
+            positions, ok = resolve_node(stack, sig)
+            assert positions.shape == (2000, t) and ok.shape == (2000,)
+            digest.update(repr((t, r_max, str(positions.dtype), str(ok.dtype))).encode())
+            digest.update(positions.tobytes())
+            digest.update(ok.tobytes())
+            seen |= {(int(c), bool(good)) for c, good in zip(stack[:, 0], ok)}
+    # every count resolves somewhere and is refused somewhere
+    assert {(c, good) for c in range(5) for good in (True, False)} <= seen
+    assert digest.hexdigest() == "16b89509b3b83e2115eafebfc14a5967cdabe19edaa6c52fce90f8c99ff2021c"
 
 
 def test_padding_column_is_never_peeled():
