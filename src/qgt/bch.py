@@ -5,8 +5,11 @@ of alpha^j, alpha^(3j), ..., alpha^((2t-1)j), stacked most significant bit
 first.  Any two distinct integer sums of at most t columns differ, which is
 what lets a column subset of size <= t be recovered from its binary syndrome.
 Codes are shortened by keeping the first r columns only.
-decode_syndromes decodes in closed form at every radius 1..MAX_T.
-Berlekamp-Massey and the Chien scan (decode_syndrome) are the test oracle.
+decode_syndromes decodes in closed form at every radius 1..MAX_T; each
+step of the closed forms that depends on one field element is a read of a
+table that the field builds on first use (see gf2m), so a stack costs a few
+table reads, adds and product_alog reads per count.  Berlekamp-Massey and
+the Chien scan (decode_syndrome) are the test oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from .gf2m import GF2m, make_field
 
 MAX_T = 4  # the paper's decoding radii; analysis in density goes to 8
-_ZERO_ONE = np.array([0, 1])  # z and z + 1, the count-2 quadratic's two roots
 
 
 class DecodeFailure(Exception):
@@ -214,32 +216,60 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
     row at a time.  A row that is no such syndrome may pass too, so callers
     check the positions against what they hold.
 
+    Any count is accepted, and one outside 0..t is refused row by row; a
+    non-integer dtype (bools included), another shape, or a syndrome that
+    is no element of GF(2^b) raises ValueError.  _decode_syndromes is the
+    unchecked kernel that codec.resolve_node calls on syndromes it packed.
+    """
+    syn, counts = np.asarray(syndromes), np.asarray(counts)
+    for name, values in (("syndromes", syn), ("counts", counts)):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got {values.ravel()[:1].tolist()[0]!r} "
+                             f"(dtype {values.dtype})")
+    if syn.ndim != 2 or syn.shape[1] != spec.t or counts.shape != syn.shape[:1]:
+        raise ValueError(f"expected syndromes of shape (f, {spec.t}) and counts of shape "
+                         f"(f,), got {syn.shape} and {counts.shape}")
+    outside = syn[(syn < 0) | (syn > spec.n)]
+    if outside.size:
+        raise ValueError(f"syndrome {int(outside[0])} is not an element of "
+                         f"GF(2^{spec.field.degree})")
+    return _decode_syndromes(spec, syn.astype(np.int64, copy=False),
+                             counts.astype(np.int64, copy=False))
+
+
+def _decode_syndromes(spec: BchSpec, syn: np.ndarray,
+                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """decode_syndromes of int64 syndromes of shape (f, t), each an element,
+    and int64 counts of shape (f,); unchecked.
+
     Counts 1 and 2 are solved over the whole stack, and each row picks the
     positions of its own count with np.where.  The locators X = alpha^j of
     a weight-w pattern are the roots of x^w + sigma1 x^(w-1) + ... + sigma_w,
     with sigma1 = S1.  Count 1 has X = S1.  For count 2, x = S1 z turns the
-    quadratic into z^2 + z = (S3 + S1^3)/S1^3, read from the field's
-    quadratic table; the positions log S1 + log z and log S1 + log(z + 1)
-    never leave the log domain.  Counts 3 and 4 reduce to table reads too
-    (see _locators_3 and _locators_4), each on its own rows only.
+    quadratic into z^2 + z = u = (S3 + S1^3)/S1^3.  Both steps by S1, its
+    cube and the log of its inverse cube, are field tables, so log u is one
+    add; the field's quadratic_logs then give log z and log(z + 1) by log u,
+    and the positions log S1 + log z and log S1 + log(z + 1) never leave the
+    log domain.  Counts 3 and 4 reduce to table reads too (see _locators_3
+    and _locators_4), each on its own rows only.
     """
     f, t = spec.field, spec.t
-    n, log, alog = f.order, f.log_np, f.alog_np
-    syn = np.asarray(syndromes, dtype=np.int64).reshape(-1, t)
-    counts = np.asarray(counts, dtype=np.int64)
-    ok = syn.any(axis=1) <= (counts != 0)  # count 0 needs a zero syndrome
+    n, log = f.order, f.log_np
+    # row sums over t slots by a product with ones, cheaper than a reduction
+    # along so short an axis; a row of elements sums to 0 only when all are 0
+    ones = np.ones(t, dtype=np.uint8)
+    ok = (syn @ ones == 0) | (counts != 0)  # count 0 needs a zero syndrome
     s1 = syn[:, 0]
     l1 = log[s1]
     nonzero = s1 != 0
     positions = np.full((len(counts), t), -1, dtype=np.int64)  # -1: empty slot
     positions[:, 0] = np.where((counts == 1) & nonzero, l1, -1)
     if t > 1:
-        l3 = 3 * l1
-        cube_term = syn[:, 1] ^ alog[l3 % n]  # S1 sigma2
-        z = f.quadratic_table[alog[(log[cube_term] - l3) % n]]
+        cube_term = syn[:, 1] ^ f.cube_by_log[s1]  # S1 sigma2
+        log_u = (log[cube_term] + f.neg_cube_log[s1]) % n
         two = counts == 2
-        ok = np.where(two, nonzero & (cube_term != 0) & (z >= 0), ok)
-        pair = (l1[:, None] + log[z[:, None] ^ _ZERO_ONE]) % n
+        ok = np.where(two, nonzero & (cube_term != 0) & f.quadratic_solvable[log_u], ok)
+        pair = (l1[:, None] + f.quadratic_logs[log_u]) % n
         positions[:, :2] = np.where(two[:, None], pair, positions[:, :2])
 
     for count, locators in zip(range(3, t + 1), (_locators_3, _locators_4)):
@@ -252,7 +282,7 @@ def decode_syndromes(spec: BchSpec, syndromes, counts) -> tuple[np.ndarray, np.n
     # a row fills at most its count of slots, so counting the slots inside
     # [0, r) (an empty slot's -1 reads as 2^64 - 1) refuses a short row, a
     # row past the shortened range and every count outside 0..t
-    ok &= (positions.view(np.uint64) < spec.r).sum(axis=1) == counts
+    ok &= (positions.view(np.uint64) < spec.r) @ ones == counts
     return positions, ok
 
 
@@ -261,20 +291,22 @@ def _cubic_roots(f: GF2m, p, q) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (roots, three), roots of shape (rows, 3); three marks the rows
     whose cubic has three distinct roots in the field.  With p != 0,
-    w = sqrt(p) y gives y^3 + y = q / p^(3/2), whose root y1 the field's
+    w = sqrt(p) y gives y^3 + y = c = q / p^(3/2), whose root y1 the field's
     cubic table holds.  The other two solve y^2 + y1 y + y1^2 + 1 = 0, and
     y = y1 z turns that into z^2 + z = 1 + 1/y1^2, a quadratic-table read.
-    With p = 0, w^3 = q has three cube roots exactly when 3 divides both the
-    group order (the degree is even) and log q.
+    All of that is a function of c alone, which the field tabulates as the
+    logs of y1, y2 and y1 + y2 (cubic_logs) and as whether there are three
+    roots (cubic_splits); with log sqrt(p) from a table too, each root is
+    one add and a product_alog read.  With p = 0, w^3 = q has three cube
+    roots exactly when 3 divides both the group order (the degree is even)
+    and log q.
     """
-    n, half = f.order, 1 << (f.degree - 1)  # a^half is the square root of a
-    # -1 where there are not three roots, p = 0 among them: such a row reads
-    # table entries from the end below, and three leaves it out
-    y1 = f.cubic_table[f.mul(q, f.pow(p, -3 * half))]
-    y2 = f.mul(y1, f.quadratic_table[f.pow(y1, -2) ^ 1])
-    sqrt_p = f.pow(p, half)
-    w1, w2 = f.mul(sqrt_p, y1), f.mul(sqrt_p, y2)
-    roots, three = np.stack([w1, w2, w1 ^ w2], axis=1), y1 >= 0
+    n = f.order
+    # a row without three roots, p = 0 among them, reads the tables' entries
+    # for -1, and three leaves it out
+    c = f.product_alog[f.log_np[q] + f.cubic_scale_log[p]]
+    roots = f.product_alog[f.sqrt_log[p, None] + f.cubic_logs[c]]
+    three = f.cubic_splits[c]
     cube = p == 0
     if n % 3 == 0 and cube.any():
         cube &= (q != 0) & (f.log_np[q] % 3 == 0)
@@ -290,10 +322,11 @@ def _locators_3(f: GF2m, s1, s3, s5) -> tuple[np.ndarray, np.ndarray]:
     sigma3 = den + S1 sigma2, so x = S1 + w turns the locator into
     w^3 + (S1^2 + sigma2) w + den.  A zero den leaves w = 0 a root, so
     _cubic_roots refuses the row, as a true syndrome never has den = 0.
+    S1^2, S1^3 and log(1/den) are table reads.
     """
-    s1_2 = f.mul(s1, s1)
-    den = s3 ^ f.mul(s1_2, s1)
-    sigma2 = f.mul(f.mul(s1_2, s3) ^ s5, f.pow(den, -1))
+    s1_2 = f.squares[s1]
+    den = s3 ^ f.cubes[s1]
+    sigma2 = f.product_alog[f.log_np[f.mul(s1_2, s3) ^ s5] + f.inverse_log[den]]
     w, three = _cubic_roots(f, s1_2 ^ sigma2, den)
     return w ^ s1[:, None], three
 
@@ -319,9 +352,9 @@ def _locators_4(f: GF2m, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
     then Q(u) = v give one solution u0 by two quadratic-table reads, and the
     four are u0 plus the kernel.
     """
-    s1_2 = f.mul(s1, s1)
-    s1_4 = f.mul(s1_2, s1_2)
-    den = s3 ^ f.mul(s1_2, s1)
+    s1_2 = f.squares[s1]
+    s1_4 = f.squares[s1_2]
+    den = s3 ^ f.cubes[s1]
     num = f.mul(s1_2, s3) ^ s5
     d2 = s5 ^ f.mul(s1_4, s1)
     r2 = s7 ^ f.mul(s1, f.mul(s3, s3)) ^ f.mul(s1_4, den)  # S1^4 S3 + S1^7 = S1^4 den

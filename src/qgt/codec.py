@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bch import (BchSpec, build_parity_columns, check_radius, decode_syndromes, make_bch,
+from .bch import (BchSpec, _decode_syndromes, build_parity_columns, check_radius, make_bch,
                   syndrome_from_bits)
 from .density import design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE
@@ -280,7 +280,7 @@ def resolve_node(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]
     if z.ndim != 2 or z.shape[1] != sig.s:
         raise ValueError(f"expected a stack of slices of length {sig.s}, got shape {z.shape}")
     syndromes = syndrome_from_bits(sig.bch, z[:, 1:] & 1)
-    positions, ok = decode_syndromes(sig.bch, syndromes, z[:, 0])
+    positions, ok = _decode_syndromes(sig.bch, syndromes, z[:, 0])
     # integer re-check of the whole slice.  An empty slot's -1 wraps to the
     # padding row; a refused row may read any row, and its ok stays False
     ok &= (_column_sums(sig, np.arange(len(z))[:, None], positions, len(z)) == z).all(axis=1)

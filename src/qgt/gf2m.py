@@ -12,6 +12,12 @@ times alpha^(qL), so it is the xor of alpha^(r+j) over the set bits j of
 alpha^(qL).  Python steps out only the L + b low powers and the 2^b / L row
 heads alpha^(qL); b masked xors over the (2^b / L) x L table make the rest,
 and the log table is one scatter of the powers' exponents.
+
+Every other table is a cached property, built on first use and read-only:
+product_alog for mul, the quadratic and cubic root tables, and the steps of
+bch's closed-form decoder that depend on one element (its cube, the log of
+its inverse, the logs of a cubic's roots by its constant, ...), so that the
+decoder reads each such step instead of computing it with mul and pow.
 """
 
 from __future__ import annotations
@@ -136,11 +142,16 @@ class GF2m:
         e = _integer(e, "e") % self.order
         powers = self._powers.get(e)
         if powers is None:
-            powers = np.zeros(self.order + 1, dtype=np.int64)
-            powers[1:] = self.alog_np[(e * self.log_np[1:]) % self.order]
+            powers = self._power_table(e)
             powers.setflags(write=False)
             self._powers[e] = powers
         return powers[a]
+
+    def _power_table(self, e: int) -> np.ndarray:
+        """x^e for every element x, 0 at x = 0, as int64; not cached."""
+        powers = np.zeros(self.order + 1, dtype=np.int64)
+        powers[1:] = self.alog_np[(e * self.log_np[1:]) % self.order]
+        return powers
 
     @cached_property
     def product_alog(self) -> np.ndarray:
@@ -187,33 +198,147 @@ class GF2m:
     def quadratic_table(self) -> np.ndarray:
         """Table of z with z^2 + z = u and bit 0 clear, indexed by u; -1 if none.
 
-        The other solution is z ^ 1.  Built on first use by squaring every
-        even element at once: z and z ^ 1 share their u, so the even half of
-        the field reaches each solvable u exactly once.  Read-only, as the
-        other cached tables.
+        The other solution is z ^ 1.  Read-only, as the other cached tables;
+        see _quadratic_solutions.
         """
-        z = np.arange(0, self.order + 1, 2, dtype=np.int64)
-        table = np.full(self.order + 1, -1, dtype=np.int64)
-        table[self.pow(z, 2) ^ z] = z
-        table.setflags(write=False)
-        return table
+        return _read_only(self._quadratic_solutions())
 
     @cached_property
     def cubic_table(self) -> np.ndarray:
         """Table of the smallest y with y^3 + y = c, indexed by c; -1 unless three.
 
         An entry is set only when y^3 + y = c has three distinct roots in the
-        field; the other two solve y'^2 + y y' + y^2 + 1 = 0.  Built on first
-        use by cubing every element at once.  For c != 0 the cubic is
-        separable, so 0, 1 or 3 elements reach c; c = 0 has the roots 0 and a
-        double root 1, and two elements reach it.  Read-only.
+        field; the other two solve y'^2 + y y' + y^2 + 1 = 0.  Read-only; see
+        _cubic_solutions.
+        """
+        return _read_only(self._cubic_solutions())
+
+    def _quadratic_solutions(self) -> np.ndarray:
+        """quadratic_table, built without caching it or any power table.
+
+        Squaring every even element at once: z and z ^ 1 share their u, so
+        the even half of the field reaches each solvable u exactly once.
+        """
+        z = np.arange(0, self.order + 1, 2, dtype=np.int64)
+        table = np.full(self.order + 1, -1, dtype=np.int64)
+        table[self._power_table(2)[z] ^ z] = z
+        return table
+
+    def _cubic_solutions(self) -> np.ndarray:
+        """cubic_table, built without caching it or any power table.
+
+        Cubing every element at once: for c != 0 the cubic is separable, so
+        0, 1 or 3 elements reach c; c = 0 has the roots 0 and a double root
+        1, and two elements reach it.
         """
         y = np.arange(self.order + 1, dtype=np.int64)
-        values, first, hits = np.unique(self.pow(y, 3) ^ y, return_index=True, return_counts=True)
+        values, first, hits = np.unique(self._power_table(3) ^ y, return_index=True,
+                                        return_counts=True)
         table = np.full(self.order + 1, -1, dtype=np.int64)
         table[values[hits == 3]] = first[hits == 3]
-        table.setflags(write=False)
         return table
+
+    # -- steps of the closed-form decoder (bch.decode_syndromes) -------------
+    #
+    # Each table is one step of the decoder's closed forms that depends on a
+    # single element, evaluated at every element and built on first use.
+    # Its entries are exactly what the step computes with mul, pow and the
+    # tables above, the entries read at x = 0 and at -1 (the last element)
+    # included, so a refused row reads what it always did.  A log here is as
+    # log_np has it, 2*order at 0, unless the table says "mod order".  All
+    # are read-only.  The count-2 tables are all that a t = 2 decode builds,
+    # so they take the narrowest unsigned dtype; the count-3 and count-4
+    # tables, built once a count-3 row appears, are int64 like log_np,
+    # because their reads feed index arithmetic, where a narrow read would
+    # be cast on every use.
+
+    @cached_property
+    def cube_by_log(self) -> np.ndarray:
+        """alpha^(3 log x mod order) for every x: x^3, but 1 at x = 0.
+
+        The count-2 step forms S1^3 this way; at S1 = 0 the sentinel log is
+        a multiple of order, so it reads alpha^0.
+        """
+        return _narrow(self.alog_np[(3 * self.log_np) % self.order])
+
+    @cached_property
+    def neg_cube_log(self) -> np.ndarray:
+        """(-3 log x) mod order for every x: the log of x^-3, and 0 at x = 0."""
+        return _narrow((-3 * self.log_np) % self.order)
+
+    @cached_property
+    def quadratic_logs(self) -> np.ndarray:
+        """log z and log(z ^ 1) mod order, for u = alpha^e; shape (order, 2).
+
+        Indexed by the exponent e of u, z is quadratic_table[u].  Where
+        z^2 + z = u has no solution, z = -1 reads the logs of the last two
+        elements.
+        """
+        z = self._quadratic_solutions()[self.alog_np]
+        return _narrow(self.log_np[z[:, None] ^ np.array([0, 1])] % self.order)
+
+    @cached_property
+    def quadratic_solvable(self) -> np.ndarray:
+        """Whether z^2 + z = alpha^e has a solution, indexed by e; bool."""
+        return _read_only(self._quadratic_solutions()[self.alog_np] >= 0)
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """x^2 for every x."""
+        return _read_only(self._power_table(2))
+
+    @cached_property
+    def cubes(self) -> np.ndarray:
+        """x^3 for every x."""
+        return _read_only(self._power_table(3))
+
+    @cached_property
+    def inverse_log(self) -> np.ndarray:
+        """log x^-1 for every x; 2*order at x = 0, where pow(x, -1) reads 0."""
+        return _read_only(self.log_np[self._power_table(-1)])
+
+    @cached_property
+    def sqrt_log(self) -> np.ndarray:
+        """log sqrt(x) = log x^(2^(b-1)) for every x; 2*order at x = 0."""
+        return _read_only(self.log_np[self._power_table(1 << (self.degree - 1))])
+
+    @cached_property
+    def cubic_scale_log(self) -> np.ndarray:
+        """log x^(-3 * 2^(b-1)), the log of x^(-3/2), for every x; 2*order at 0.
+
+        w = sqrt(p) y turns w^3 + p w + q into y^3 + y = q / p^(3/2).
+        """
+        return _read_only(self.log_np[self._power_table(-3 << (self.degree - 1))])
+
+    @cached_property
+    def cubic_logs(self) -> np.ndarray:
+        """The logs of y1, y2 and y1 + y2 for y^3 + y = c, by c; shape (2^b, 3).
+
+        y1 is cubic_table[c], -1 reading as the last element where there are
+        not three roots, and y2 = y1 z with z = quadratic_table[y1^-2 + 1]
+        (see bch._cubic_roots), so a product by sqrt(p) of each is one add
+        and a product_alog read.
+        """
+        log = self.log_np
+        y1 = self._cubic_solutions() & self.order  # -1 reads as the last element
+        z = self._quadratic_solutions()[self._power_table(-2)[y1] ^ 1]
+        y2 = self.product_alog[log[y1] + log[z]]
+        return _read_only(log[np.stack([y1, y2, y1 ^ y2], axis=1)])
+
+    @cached_property
+    def cubic_splits(self) -> np.ndarray:
+        """Whether y^3 + y = c has three distinct roots, indexed by c; bool."""
+        return _read_only(self._cubic_solutions() >= 0)
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers in the narrowest unsigned dtype that holds them, read-only."""
+    return _read_only(values.astype(np.min_scalar_type(values.max())))
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 def _integer(value, name: str) -> int:

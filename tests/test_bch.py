@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -453,3 +454,35 @@ def test_decode_syndromes_pinned_on_garbage_stacks():
     # every count resolves somewhere and is refused somewhere
     assert {(c, good) for c in range(bch.MAX_T + 1) for good in (True, False)} <= seen
     assert digest.hexdigest() == "65864208cd51151b89b46b4737066e4a56beb9219bf7c875d1c9ed0a96994454"
+
+
+def test_decode_syndromes_refuses_what_is_no_field_element():
+    # GF(2^3) holds 0..7: a syndrome outside it, or a float or bool that a
+    # cast would truncate, is refused by name instead of decoded or raising
+    # numpy's IndexError
+    spec = make_bch(3, 2, 5)
+    cases = [([[-7, 1]], [1], "syndrome -7 is not an element of GF(2^3)"),
+             ([[1 << 20, 3]], [2], "syndrome 1048576 is not an element of GF(2^3)"),
+             ([[8, 0]], [1], "syndrome 8 is not"),
+             (np.array([[1 << 63, 0]], dtype=np.uint64), [1], f"syndrome {1 << 63} is not"),
+             ([[1.9, 1.2]], [1], "syndromes must be integers, got 1.9"),
+             ([[1 << 70, 1]], [1], "syndromes must be integers"),
+             ([[True, False]], [1], "syndromes must be integers, got True"),
+             ([[1, 1]], [1.7], "counts must be integers, got 1.7"),
+             ([[1, 1]], [True], "counts must be integers, got True"),
+             ([1, 1], [1], "expected syndromes of shape (f, 2)"),
+             ([[1, 1, 1]], [1], "expected syndromes of shape"),
+             ([[1, 1]], [1, 2], "expected syndromes of shape"),
+             ([[1, 1]], 1, "expected syndromes of shape")]
+    for syndromes, counts, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode_syndromes(spec, syndromes, counts)
+    # the largest element, every integer dtype and an empty stack still decode
+    f = spec.field
+    syn = [[7, int(f.pow(7, 3))]]
+    for dtype in (np.uint8, np.int16, np.uint64):
+        positions, ok = decode_syndromes(spec, np.array(syn, dtype=dtype),
+                                         np.array([1], dtype=dtype))
+        assert ok.tolist() == [f.log_np[7] < spec.r]
+    positions, ok = decode_syndromes(spec, np.zeros((0, 2), dtype=int), [])
+    assert positions.shape == (0, 2) and ok.shape == (0,)

@@ -410,3 +410,84 @@ def test_cubic_table_is_built_once():
     c = np.flatnonzero(table >= 0)
     y = table[c]
     assert np.array_equal(f.mul(f.mul(y, y), y) ^ y, c)
+
+
+# -- the closed-form decoder's step tables ------------------------------------
+
+STEP_TABLES = ("cube_by_log", "neg_cube_log", "quadratic_logs", "quadratic_solvable",
+               "squares", "cubes", "inverse_log", "sqrt_log", "cubic_scale_log",
+               "cubic_logs", "cubic_splits")
+
+
+@pytest.mark.parametrize("degree", range(3, 17))
+def test_step_tables_match_the_chains_they_replace(degree):
+    # every entry, those that refused rows read included (x = 0, and the -1
+    # that an unsolvable quadratic or cubic reads as the last element), is
+    # what the mul/pow chain that bch.decode_syndromes ran before gives
+    f = GF2m(degree)
+    n, log, alog = f.order, f.log_np, f.alog_np
+    half = 1 << (degree - 1)
+    x = np.arange(n + 1)
+    e = np.arange(n)
+    for name in STEP_TABLES:
+        table = getattr(f, name)
+        assert table is getattr(f, name) and not table.flags.writeable  # built once
+        if name in STEP_TABLES[:3]:  # count 2's, held at t = 2: the narrowest dtype
+            assert table.dtype == np.min_scalar_type(table.max())
+        elif table.dtype != bool:
+            assert table.dtype == np.int64
+    # count 2: S1^3 and S1^-3 in the log forms that step read, then by log u
+    assert np.array_equal(f.cube_by_log, alog[(3 * log[x]) % n])
+    assert np.array_equal(f.cube_by_log[1:], f.mul(f.mul(x, x), x)[1:]) and f.cube_by_log[0] == 1
+    assert np.array_equal(f.neg_cube_log, (-3 * log[x]) % n)
+    assert np.array_equal(f.neg_cube_log[1:], log[f.pow(x, -3)][1:]) and f.neg_cube_log[0] == 0
+    z = f.quadratic_table[alog[e]]
+    assert np.array_equal(f.quadratic_logs, log[z[:, None] ^ np.array([0, 1])] % n)
+    assert np.array_equal(f.quadratic_solvable, z >= 0)
+    assert 0 < f.quadratic_solvable.sum() < n
+    # counts 3 and 4
+    assert np.array_equal(f.squares, f.mul(x, x))
+    assert np.array_equal(f.cubes, f.mul(f.mul(x, x), x))
+    assert np.array_equal(f.inverse_log, log[f.pow(x, -1)])
+    assert np.array_equal(f.sqrt_log, log[f.pow(x, half)])
+    assert np.array_equal(f.cubic_scale_log, log[f.pow(x, -3 * half)])
+    y1 = f.cubic_table[x]
+    y2 = f.mul(y1, f.quadratic_table[f.pow(y1, -2) ^ 1])
+    assert np.array_equal(f.cubic_logs[:, 0], log[y1])
+    assert np.array_equal(f.cubic_logs[:, 1], log[y2])
+    assert np.array_equal(f.cubic_splits, y1 >= 0)
+    # a product by sqrt(p) of y1 + y2 is the sum of the two products, for
+    # every c and a spread of p, p = 0 among them
+    for p in (0, 1, 2, n // 3, n):
+        sqrt_p = f.pow(p, half)
+        assert np.array_equal(f.product_alog[int(f.sqrt_log[p]) + f.cubic_logs[:, 2].astype(int)],
+                              f.mul(sqrt_p, y1) ^ f.mul(sqrt_p, y2))
+
+
+def _table_bytes(f):
+    """Bytes of the tables a field has built since construction."""
+    built = [v for k, v in vars(f).items()
+             if isinstance(v, np.ndarray) and k not in ("alog_np", "log_np", "_bit_weights")]
+    return sum(a.nbytes for a in built + list(f._powers.values()))
+
+
+def test_a_t2_decode_builds_fewer_table_bytes_than_the_quadratic_table_did():
+    # a count-2 decode at b = 15 holds its four step tables and no power
+    # table; before them it held quadratic_table and the power table of
+    # exponent 2 that building it left, 8 * 2^b bytes each
+    from qgt.bch import make_bch
+    from qgt.codec import build_signature, decode, encode
+    from qgt.graphs import sample_defectives
+
+    for cache in (make_field, make_bch, build_signature):
+        cache.cache_clear()
+    support = [5, 7000, 20000, 31000]
+    view = sample_defectives(1 << 15, 4, 2, support, seed=3)
+    sig = build_signature(2, view.max_right_degree)
+    f = sig.bch.field
+    assert f.degree == 15 and _table_bytes(f) == 0
+    out = decode(view, sig, encode(view, sig, support))
+    assert out.success and out.recovered == set(support)
+    assert {"cube_by_log", "quadratic_logs"} <= set(vars(f))
+    assert not f._powers and "quadratic_table" not in vars(f)
+    assert _table_bytes(f) <= 2 * 8 * (f.order + 1)
