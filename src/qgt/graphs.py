@@ -38,6 +38,8 @@ import operator
 
 import numpy as np
 
+from .gf2m import _integer
+
 # repair passes per stub layout, and layouts drawn, before sampling gives up
 MAX_REPAIR_PASSES = 200
 MAX_RESAMPLES = 8
@@ -200,10 +202,13 @@ class BiRegularGraph:
 def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGraph:
     """Draw a simple left-regular graph; deterministic for a given seed.
 
-    Raises ValueError for infeasible shapes (see _Blocks) and RuntimeError
-    if repair fails across MAX_RESAMPLES resamples, which is astronomically
-    unlikely for feasible shapes.
+    seed is an int (numpy integers included), recorded on the graph as an
+    int; a bool or any other type raises ValueError.  Raises ValueError for
+    infeasible shapes (see _Blocks) and RuntimeError if repair fails across
+    MAX_RESAMPLES resamples, which is astronomically unlikely for feasible
+    shapes.
     """
+    seed = _integer(seed, "seed")
     blocks = _Blocks(n_left, n_right, ell)
     n_edges = n_left * ell
     if blocks.forced:
@@ -254,8 +259,10 @@ def sample_defectives(n_left: int, n_right: int, ell: int, items,
     This is the configuration model's marginal on the items, up to the
     repairs that the other N - K items would have made; cost and memory grow
     with len(items)*ell, not N.  Shapes, errors and the forced complete
-    graph are as in sample_graph; items, once sorted, must pass _view_items.
+    graph are as in sample_graph, and so is the seed; items, once sorted,
+    must pass _view_items.
     """
+    seed = _integer(seed, "seed")
     blocks = _Blocks(n_left, n_right, ell)
     items = _view_items(np.sort(np.asarray(items)), n_left)
     k = len(items)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bch import check_radius
 from .codec import build_signature, decode, design_ell, encode, group_shape
-from .gf2m import MIN_DEGREE
+from .gf2m import MIN_DEGREE, _integer
 from .graphs import sample_defectives, sample_graph
 
 CSV_COLUMNS = ["m_over_K", "t", "ell", "N", "K", "trials",
@@ -98,9 +98,11 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
 
     Each grid point inverts its budget to the largest feasible M, then runs
     `trials` independent trials.  fixed_graph reuses one graph per grid point
-    instead of resampling per trial.  master_seed is a non-negative int, the
-    entropy of every trial's SeedSequence.
+    instead of resampling per trial.  master_seed is a non-negative int
+    (numpy integers included, a bool refused), the entropy of every trial's
+    SeedSequence.
     """
+    master_seed = _integer(master_seed, "master_seed")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if master_seed < 0:

@@ -260,6 +260,11 @@ def test_sampler_is_seeded():
     items = np.array([5, 99, 500])
     assert all(np.array_equal(x, y) for x, y in zip(a.incidence(items), b.incidence(items)))
     assert not all(np.array_equal(x, y) for x, y in zip(a.incidence(items), c.incidence(items)))
+    d = sample_defectives(1000, 40, 2, [5, 99, 500], seed=np.int32(3))
+    assert all(np.array_equal(x, y) for x, y in zip(a.incidence(items), d.incidence(items)))
+    for seed in (True, 3.0, None):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            sample_defectives(1000, 40, 2, [5, 99, 500], seed=seed)
 
 
 def test_encode_rejects_an_item_not_in_the_view():

@@ -51,6 +51,21 @@ def test_determinism_and_seed_sensitivity():
     assert any(not np.array_equal(x, y) for x, y in zip(a.right_adj, c.right_adj))
 
 
+def test_seed_is_an_int_or_refused_by_name(tmp_path):
+    # a bool would draw as 0 or 1 and be recorded as True, which the saved
+    # header cannot load; a float would reach numpy's TypeError
+    for seed in (True, np.bool_(False), 1.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            sample_graph(100, 10, 2, seed=seed)
+    g = sample_graph(100, 10, 2, seed=np.int64(1))
+    assert type(g.seed) is int and g.seed == 1
+    h = sample_graph(100, 10, 2, seed=1)
+    assert all(np.array_equal(x, y) for x, y in zip(g.right_adj, h.right_adj))
+    g.save(str(tmp_path / "g.txt"))
+    assert BiRegularGraph.load(str(tmp_path / "g.txt")).seed == 1
+    assert sample_graph(6, 2, 2, seed=np.uint8(4)).seed == 4  # the forced complete graph
+
+
 def test_neighbor_lists_sorted():
     g = sample_graph(60, 7, 3, seed=5)
     for adj in g.right_adj:

@@ -208,6 +208,16 @@ def test_run_sweep_refuses_a_negative_master_seed():
     assert run_sweep(200, 5, 2, [20.0], trials=1, master_seed=0)[0].trials == 1
 
 
+def test_run_sweep_refuses_a_bool_or_float_master_seed():
+    # True would run as seed 1 and be written as True in the CSV seed column
+    for seed in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"master_seed must be an integer, got {seed!r}")):
+            run_sweep(200, 5, 2, [20.0], trials=1, master_seed=seed)
+    assert (run_sweep(200, 5, 2, [20.0], trials=2, master_seed=np.int64(1))
+            == run_sweep(200, 5, 2, [20.0], trials=2, master_seed=1))
+
+
 def test_run_sweep_auto_ell():
     pts = run_sweep(400, 10, 1, [20.0], trials=5, master_seed=1, ell="auto")
     assert len(pts) == 1 and pts[0].trials == 5
