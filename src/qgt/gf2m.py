@@ -259,12 +259,12 @@ class GF2m:
         The count-2 step forms S1^3 this way; at S1 = 0 the sentinel log is
         a multiple of order, so it reads alpha^0.
         """
-        return _narrow(self.alog_np[(3 * self.log_np) % self.order])
+        return _narrowest(self.alog_np[(3 * self.log_np) % self.order])
 
     @cached_property
     def neg_cube_log(self) -> np.ndarray:
         """(-3 log x) mod order for every x: the log of x^-3, and 0 at x = 0."""
-        return _narrow((-3 * self.log_np) % self.order)
+        return _narrowest((-3 * self.log_np) % self.order)
 
     @cached_property
     def quadratic_logs(self) -> np.ndarray:
@@ -275,7 +275,7 @@ class GF2m:
         elements.
         """
         z = self._quadratic_solutions()[self.alog_np]
-        return _narrow(self.log_np[z[:, None] ^ np.array([0, 1])] % self.order)
+        return _narrowest(self.log_np[z[:, None] ^ np.array([0, 1])] % self.order)
 
     @cached_property
     def quadratic_solvable(self) -> np.ndarray:
@@ -331,7 +331,7 @@ class GF2m:
         return _read_only(self._cubic_solutions() >= 0)
 
 
-def _narrow(values: np.ndarray) -> np.ndarray:
+def _narrowest(values: np.ndarray) -> np.ndarray:
     """Non-negative integers in the narrowest unsigned dtype that holds them, read-only."""
     return _read_only(values.astype(np.min_scalar_type(values.max())))
 

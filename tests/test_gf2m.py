@@ -423,7 +423,7 @@ STEP_TABLES = ("cube_by_log", "neg_cube_log", "quadratic_logs", "quadratic_solva
 def test_step_tables_match_the_chains_they_replace(degree):
     # every entry, those that refused rows read included (x = 0, and the -1
     # that an unsolvable quadratic or cubic reads as the last element), is
-    # what the mul/pow chain that bch.decode_syndromes ran before gives
+    # what the step's chain of mul, pow and root-table reads gives
     f = GF2m(degree)
     n, log, alog = f.order, f.log_np, f.alog_np
     half = 1 << (degree - 1)
@@ -473,8 +473,8 @@ def _table_bytes(f):
 
 def test_a_t2_decode_builds_fewer_table_bytes_than_the_quadratic_table_did():
     # a count-2 decode at b = 15 holds its four step tables and no power
-    # table; before them it held quadratic_table and the power table of
-    # exponent 2 that building it left, 8 * 2^b bytes each
+    # table: no more than quadratic_table and the exponent-2 power table
+    # that the quadratic step would otherwise hold, 8 * 2^b bytes each
     from qgt.bch import make_bch
     from qgt.codec import build_signature, decode, encode
     from qgt.graphs import sample_defectives
