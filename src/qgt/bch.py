@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import GF2m, make_field
+from .gf2m import GF2m, _integer, make_field
 
 MAX_T = 4  # the paper's decoding radii; analysis in density goes to 8
 
@@ -40,6 +40,10 @@ class BchSpec:
         Guaranteed decoding radius, 1 <= t <= MAX_T = 4 and t < 2^(b-1).
     r : int
         Number of columns kept, 1 <= r <= n.
+
+    t and r are integers, numpy integers included.  A bool or a float is
+    refused by name, so make_bch's cache, which keys 2.0 and True as the
+    equal ints 2 and 1, never holds a spec built from one.
     """
 
     field: GF2m
@@ -48,6 +52,7 @@ class BchSpec:
 
     def __post_init__(self):
         check_radius(self.t)
+        _integer(self.r, "r")
         if self.t >= 1 << (self.field.degree - 1):
             raise ValueError(
                 f"t={self.t} too large for GF(2^{self.field.degree}); need t < 2^(b-1)"
@@ -65,8 +70,9 @@ class BchSpec:
 
 
 def check_radius(t: int) -> None:
-    """Raise ValueError unless t is a decoding radius, 1 <= t <= MAX_T."""
-    if not 1 <= t <= MAX_T:
+    """Raise ValueError unless t is a decoding radius: an integer (not a
+    bool), 1 <= t <= MAX_T."""
+    if not 1 <= _integer(t, "t") <= MAX_T:
         raise ValueError(f"t must be in 1..{MAX_T} to decode, got t={t}")
 
 
@@ -291,10 +297,10 @@ def _cubic_roots(f: GF2m, p, q) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (roots, three), roots of shape (rows, 3); three marks the rows
     whose cubic has three distinct roots in the field.  With p != 0,
-    w = sqrt(p) y gives y^3 + y = c = q / p^(3/2), whose root y1 the field's
-    cubic table holds.  The other two solve y^2 + y1 y + y1^2 + 1 = 0, and
-    y = y1 z turns that into z^2 + z = 1 + 1/y1^2, a quadratic-table read.
-    All of that is a function of c alone, which the field tabulates as the
+    w = sqrt(p) y gives y^3 + y = c = q / p^(3/2), with one root y1 where
+    there are three.  The other two solve y^2 + y1 y + y1^2 + 1 = 0, and
+    y = y1 z turns that into z^2 + z = 1 + 1/y1^2, a quadratic.  All of
+    that is a function of c alone, which the field tabulates as the
     logs of y1, y2 and y1 + y2 (cubic_logs) and as whether there are three
     roots (cubic_splits); with log sqrt(p) from a table too, each root is
     one add and a product_alog read.  With p = 0, w^3 = q has three cube

@@ -21,7 +21,7 @@ import numpy as np
 from .bch import (BchSpec, _decode_syndromes, build_parity_columns, check_radius, make_bch,
                   syndrome_from_bits)
 from .density import design_constant, paper_test_count
-from .gf2m import MAX_DEGREE, MIN_DEGREE
+from .gf2m import MAX_DEGREE, MIN_DEGREE, _integer
 from .graphs import BiRegularGraph, DefectiveView, _int64_array
 
 DEFAULT_BETA = 1.35
@@ -76,10 +76,13 @@ def group_shape(n_items: int, ell: int, m_groups: int, t: int) -> tuple[int, int
 
 def design_ell(n_items: int, k: int, t: int, ell: int | str = "auto") -> int:
     """ell for N items, K defectives at radius t: the one check of a design's
-    inputs.  'auto' gives ell* of design_constant(t); any other ell is an int
-    >= 2, and N*ell stays below 2^63 so that every stub index fits in int64.
+    inputs.  N, K and t are integers (numpy integers included, a bool or a
+    float refused by name).  'auto' gives ell* of design_constant(t); any
+    other ell is an int >= 2, and N*ell stays below 2^63 so that every stub
+    index fits in int64.
     """
     check_radius(t)
+    n_items, k = _integer(n_items, "n_items"), _integer(k, "k")
     if not 1 <= k < n_items:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")
     if ell == "auto":
@@ -195,8 +198,10 @@ def encode(graph: BiRegularGraph | DefectiveView, sig: Signature, support) -> np
     encode reaches the graph only through n_left, n_right, max_right_degree
     and incidence, and decode through n_right, max_right_degree and the
     unchecked kernels _items_at and _incidence behind items_at and
-    incidence, so a DefectiveView holding the support serves as well as the
-    whole graph.
+    incidence.  n_right, max_right_degree and items_at come from the group
+    layout that both graph classes share (graphs._Groups), and both split
+    an edge into its group by its one rule, so a DefectiveView holding the
+    support serves as well as the whole graph.
     """
     items = _support_items(support, graph.n_left)
     _check_covers(graph, sig)

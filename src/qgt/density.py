@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .gf2m import _integer
+
 
 # The fixed point is reached once a round moves p by less than FIXED_POINT_TOL,
 # counts as zero below P_ZERO, and is given up after MAX_ITERS rounds.
@@ -182,8 +184,9 @@ DESIGN_TABLE = {
 
 
 def design_constant(t: int) -> tuple[float, int]:
-    """(c(t), ell_star) from the frozen table."""
-    if t not in DESIGN_TABLE:
+    """(c(t), ell_star) from the frozen table; t is an integer (a bool or a
+    float, which would find the equal int's row, is refused by name)."""
+    if _integer(t, "t") not in DESIGN_TABLE:
         raise ValueError(f"no tabulated constant for t={t}")
     c, ell_star, _ = DESIGN_TABLE[t]
     return c, ell_star

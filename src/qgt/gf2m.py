@@ -203,16 +203,6 @@ class GF2m:
         """
         return _read_only(self._quadratic_solutions())
 
-    @cached_property
-    def cubic_table(self) -> np.ndarray:
-        """Table of the smallest y with y^3 + y = c, indexed by c; -1 unless three.
-
-        An entry is set only when y^3 + y = c has three distinct roots in the
-        field; the other two solve y'^2 + y y' + y^2 + 1 = 0.  Read-only; see
-        _cubic_solutions.
-        """
-        return _read_only(self._cubic_solutions())
-
     def _quadratic_solutions(self) -> np.ndarray:
         """quadratic_table, built without caching it or any power table.
 
@@ -225,11 +215,14 @@ class GF2m:
         return table
 
     def _cubic_solutions(self) -> np.ndarray:
-        """cubic_table, built without caching it or any power table.
+        """The smallest y with y^3 + y = c, indexed by c; -1 unless three.
 
-        Cubing every element at once: for c != 0 the cubic is separable, so
-        0, 1 or 3 elements reach c; c = 0 has the roots 0 and a double root
-        1, and two elements reach it.
+        An entry is set only when y^3 + y = c has three distinct roots in the
+        field; the other two solve y'^2 + y y' + y^2 + 1 = 0.  Built without
+        caching it or any power table, by cubing every element at once: for
+        c != 0 the cubic is separable, so 0, 1 or 3 elements reach c; c = 0
+        has the roots 0 and a double root 1, and two elements reach it.
+        cubic_logs and cubic_splits are what a decode reads of it.
         """
         y = np.arange(self.order + 1, dtype=np.int64)
         values, first, hits = np.unique(self._power_table(3) ^ y, return_index=True,
@@ -314,10 +307,10 @@ class GF2m:
     def cubic_logs(self) -> np.ndarray:
         """The logs of y1, y2 and y1 + y2 for y^3 + y = c, by c; shape (2^b, 3).
 
-        y1 is cubic_table[c], -1 reading as the last element where there are
-        not three roots, and y2 = y1 z with z = quadratic_table[y1^-2 + 1]
-        (see bch._cubic_roots), so a product by sqrt(p) of each is one add
-        and a product_alog read.
+        y1 is _cubic_solutions()[c], -1 reading as the last element where
+        there are not three roots, and y2 = y1 z with
+        z = quadratic_table[y1^-2 + 1] (see bch._cubic_roots), so a product
+        by sqrt(p) of each is one add and a product_alog read.
         """
         log = self.log_np
         y1 = self._cubic_solutions() & self.order  # -1 reads as the last element

@@ -18,6 +18,12 @@ groups its edges by left node with one argsort into an N x ell table of
 indices into that array, the form in which a DefectiveView holds a few
 items' rows, and passes the same vectorised O(N*ell) checks.
 
+A graph and a view share that right-major layout through one base class,
+_Groups: it checks the right degrees, holds the group starts and ends, and
+owns _split, the one rule from an edge index to its group and position.  A
+graph splits its table's rows on each incidence call; a view splits its
+rows once, when it is built.
+
 The repair swaps each duplicate stub with a position drawn uniformly from
 [0, N*ell) where it fits.  A whole graph swaps in rounds: every duplicate
 proposes one position, and the fitting proposals that share no position or
@@ -49,44 +55,93 @@ MAX_RESAMPLES = 8
 _ROUND_ROWS = 16
 
 
-class BiRegularGraph:
+class _Groups:
+    """The right-major layout of a graph's N*ell edges, shared by
+    BiRegularGraph and DefectiveView: group i holds degrees[i] consecutive
+    edge indices, _starts[i] to _ends[i] - 1.
+
+    Built from the right degrees and N*ell, or ValueError unless some
+    left-regular graph of that size has them: integers (a non-integer array
+    is refused under `name`), at least one group, every degree >= 1, at most
+    two adjacent values, and a sum of N*ell.  _split is the one rule from an
+    edge index to its group and position.
+    """
+
+    def __init__(self, degrees, n_edges: int, name: str):
+        degrees = _integers(degrees, name).astype(np.int64)
+        if len(degrees) < 1:
+            raise ValueError("graph must have at least one node on each side")
+        low, high = int(degrees.min()), int(degrees.max())
+        if low < 1:
+            raise ValueError("every right node needs at least one edge")
+        if high - low > 1:
+            raise ValueError("right degrees must take at most two adjacent values")
+        bounds = np.concatenate([[0], np.cumsum(degrees)])
+        if bounds[-1] != n_edges:
+            raise ValueError(f"right degrees sum to {bounds[-1]}, not {n_edges}")
+        # edge e lies in group _buckets[e >> _shift] or the next one:
+        # 2^_shift <= the smallest degree, so no bucket spans three groups.
+        # Bucket j starts at edge j * 2^_shift, so ceil(bound / 2^_shift)
+        # buckets start below a bound, and group i is the group of as many
+        # buckets as start inside it: at most 4.  int64 like the degrees and
+        # starts, as an index of another width would be cast on every lookup
+        self._shift = low.bit_length() - 1
+        self._buckets = np.repeat(np.arange(len(degrees)), np.diff(-(-bounds >> self._shift)))
+        for array in (degrees, bounds, self._buckets):
+            array.setflags(write=False)
+        self._degrees = degrees
+        self._starts = bounds[:-1]
+        self._ends = bounds[1:]
+        self.n_right = len(degrees)
+        self.max_right_degree = high
+
+    def degrees(self) -> np.ndarray:
+        """Right degrees, read-only."""
+        return self._degrees
+
+    def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The left node at each (group, position) pair; -1 past the group's
+        end, and in a view where it holds no item."""
+        return self._items_at(*_pairs(groups, positions))
+
+    def _split(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Groups and positions of int64 edge indices in [0, N*ell), unchecked."""
+        rights = self._buckets[edges >> self._shift]
+        rights += edges >= self._ends[rights]
+        return rights, edges - self._starts[rights]
+
+
+class BiRegularGraph(_Groups):
     """Bipartite graph with N left nodes of degree ell and M right nodes.
 
     right_adj[i] is the neighbor list of right node i, ascending left
     indices for sampled graphs (file order for loaded ones).  The index of v
     inside right_adj[i] is the "position" of edge (i, v); signature columns
     are assigned by position.  The lists are read-only views of one flat
-    edge array, right node by right node: `edges`, degrees[i] of them for
-    right node i.  An edges ndarray at the graph's index width (_index_dtype)
-    is adopted, not copied, and made read-only; any other is copied.  The
-    only other per-edge array is the N x ell table whose row v holds v's
-    edge indices in ascending order; incidence reads each edge's right node
-    from a table of at most 4 entries per right node, so a graph holds 8
-    bytes per edge at int32.
+    edge array laid out as _Groups has it: `edges`, degrees[i] of them for
+    right node i.  An edges ndarray at the graph's index width
+    (_index_dtype) is adopted, not copied, and made read-only; any other is
+    copied.  The only other per-edge array is the N x ell table whose row v
+    holds v's edge indices in ascending order; incidence is _split of those
+    rows, so a graph holds 8 bytes per edge at int32.
     """
 
     def __init__(self, n_left: int, ell: int, edges, degrees,
                  seed: int = -1, retries: int = 0):
-        degrees = _integers(degrees, "right degrees").astype(np.int64)
-        self.n_left = n_left
-        self.n_right = len(degrees)
-        self.ell = ell
-        self.seed = seed
-        self.retries = retries
+        n_left, ell = _integer(n_left, "n_left"), _integer(ell, "ell")
         if ell < 2:
             raise ValueError(f"ell must be >= 2, got {ell}")
-        if self.n_right < 1 or n_left < 1:
+        if n_left < 1:
             raise ValueError("graph must have at least one node on each side")
-        if degrees.min() < 1:
-            raise ValueError("every right node needs at least one edge")
-        if degrees.max() - degrees.min() > 1:
-            raise ValueError("right degrees must take at most two adjacent values")
         vals = _integers(edges, "edges")
         n_edges = len(vals)
         if n_edges != n_left * ell:
             raise ValueError(f"edge count {n_edges} != N*ell = {n_left * ell}")
-        if degrees.sum() != n_edges:
-            raise ValueError(f"right degrees sum to {degrees.sum()}, not {n_edges}")
+        super().__init__(degrees, n_edges, "right degrees")
+        self.n_left = n_left
+        self.ell = ell
+        self.seed = seed
+        self.retries = retries
         # range-check at the caller's width: narrowing first would wrap an
         # index such as 2^32 + 2 into range
         if not (vals.min() >= 0 and vals.max() < n_left):
@@ -95,7 +150,6 @@ class BiRegularGraph:
         vals = vals.astype(width, copy=False)
         if np.any(np.bincount(vals, minlength=n_left) != ell):
             raise ValueError("left degrees are not all equal to ell")
-        bounds = np.concatenate([[0], np.cumsum(degrees)])
         # group the edges by left node, each node's right nodes ascending: row
         # v of left_edges holds v's edge indices, as a DefectiveView's rows
         # do.  The key (left node, right node) is int32 while N*M < 2^31 (and
@@ -105,7 +159,7 @@ class BiRegularGraph:
         # each temporary is dropped once used.
         key = vals.astype(_index_dtype(n_left * self.n_right))
         key *= self.n_right
-        key += np.repeat(np.arange(self.n_right, dtype=key.dtype), degrees)
+        key += np.repeat(np.arange(self.n_right, dtype=key.dtype), self._degrees)
         ranked = np.sort(key)
         if np.any(ranked[1:] == ranked[:-1]):
             raise ValueError("parallel edge: left node repeated in a right list")
@@ -114,28 +168,11 @@ class BiRegularGraph:
         del key
         left_edges = order.astype(width).reshape(n_left, ell)
         del order
-        # edge e lies in right node buckets[e >> shift] or the next one:
-        # 2^shift <= the smallest degree, so no bucket spans three nodes.  At
-        # most 4 buckets per right node, int64 like the degrees and starts, as
-        # an index of another width would be cast on every lookup
-        shift = int(degrees.min()).bit_length() - 1
-        buckets = np.searchsorted(bounds[1:], np.arange(0, n_edges, 1 << shift),
-                                  side="right")
-        for array in (vals, degrees, bounds, left_edges, buckets):
+        for array in (vals, left_edges):
             array.setflags(write=False)
         self._edges = vals
-        self._degrees = degrees
-        self._starts = bounds[:-1]
-        self._ends = bounds[1:]
-        self.max_right_degree = int(degrees.max())
-        self.right_adj = [vals[lo:lo + d] for lo, d in zip(bounds[:-1].tolist(), degrees.tolist())]
+        self.right_adj = [vals[lo:hi] for lo, hi in zip(self._starts.tolist(), self._ends.tolist())]
         self._left_edges = left_edges
-        self._buckets = buckets
-        self._shift = shift
-
-    def degrees(self) -> np.ndarray:
-        """Right degrees, read-only."""
-        return self._degrees
 
     def incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Right nodes and positions of the given left nodes, ell per row.
@@ -150,14 +187,7 @@ class BiRegularGraph:
 
     def _incidence(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """incidence of int64 items in [0, N), unchecked."""
-        edges = self._left_edges.take(items, axis=0).astype(np.int64)
-        rights = self._buckets[edges >> self._shift]
-        rights += edges >= self._ends[rights]
-        return rights, edges - self._starts[rights]
-
-    def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """The left node at each (group, position) pair; -1 past the group's end."""
-        return self._items_at(*_pairs(groups, positions))
+        return self._split(self._left_edges.take(items, axis=0).astype(np.int64))
 
     def _items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """items_at of int64 groups in [0, M) and int64 positions, unchecked;
@@ -283,30 +313,30 @@ def sample_defectives(n_left: int, n_right: int, ell: int, items,
     )
 
 
-class DefectiveView:
+class DefectiveView(_Groups):
     """A few left nodes of a left-regular graph: their rows and the group sizes.
 
     It answers what encode and decode ask of a graph (n_left, n_right,
-    max_right_degree, incidence, items_at, and the unchecked kernels
-    _incidence and _items_at that decode calls) for supports inside `items`.
-    incidence rejects any other item; items_at maps a position the view does
-    not hold to -1, so decode leaves that group unresolved.  items pass
-    _view_items; edges[k] holds the right-major edge indices of items[k] in
-    ascending order, as in a BiRegularGraph of these right degrees: integers
-    in [0, sum(degrees)), one row per item, no group twice in a row and no
-    edge held twice.
+    max_right_degree, degrees, incidence, items_at, and the unchecked
+    kernels _incidence and _items_at that decode calls) for supports inside
+    `items`.  incidence rejects any other item; items_at maps a position the
+    view does not hold to -1, so decode leaves that group unresolved.  items
+    pass _view_items; edges[k] holds the right-major edge indices of
+    items[k] in ascending order, as in a BiRegularGraph of these right
+    degrees: integers in [0, N*ell), one row of ell per item, no group twice
+    in a row and no edge held twice.  The degrees pass the graph's checks
+    (_Groups), and each row's groups and positions come from the graph's
+    _split, once, into per-row tables.
     """
 
     def __init__(self, n_left: int, degrees: np.ndarray, items: np.ndarray, edges: np.ndarray):
-        self.items = _view_items(items, n_left)
-        self.n_left = n_left
-        self._degrees = _integers(degrees, "a view's degrees").astype(np.int64, copy=False)
-        self.n_right = len(self._degrees)
-        self.max_right_degree = int(self._degrees.max())
+        self.n_left = _integer(n_left, "n_left")
+        self.items = _view_items(items, self.n_left)
         edges = np.asarray(edges)
         if edges.dtype.kind not in "iu" or edges.ndim != 2 or len(edges) != len(self.items):
             raise ValueError("a view needs one row of integer edges per item")
-        n_edges = int(self._degrees.sum())
+        n_edges = self.n_left * edges.shape[1]
+        super().__init__(degrees, n_edges, "a view's degrees")
         by_edge = np.argsort(edges, axis=None)
         held = edges.ravel()[by_edge]
         # range-check at the caller's width, before a cast could wrap
@@ -314,13 +344,10 @@ class DefectiveView:
             raise ValueError(f"a view's edges must lie in [0, {n_edges})")
         if np.any(held[1:] == held[:-1]):
             raise ValueError("two of a view's items hold the same edge")
-        edges = edges.astype(np.int64, copy=False)
-        self._starts = np.concatenate([[0], np.cumsum(self._degrees)[:-1]])
-        self._rights = np.searchsorted(self._starts, edges, side="right") - 1
+        self._rights, self._positions = self._split(edges.astype(np.int64, copy=False))
         if np.any(self._rights[:, 1:] <= self._rights[:, :-1]):
             raise ValueError("a view's rows must name ascending groups, none twice "
                              "(a parallel edge)")
-        self._positions = edges - self._starts[self._rights]
         # a last edge above every other lets each lookup read a real entry
         self._edges = np.append(held.astype(np.int64, copy=False), np.iinfo(np.int64).max)
         self._edge_items = np.append(np.repeat(self.items, edges.shape[1])[by_edge], -1)
@@ -338,10 +365,6 @@ class DefectiveView:
         """incidence of int64 items that the view holds, unchecked."""
         rows = self.items.searchsorted(items)
         return self._rights[rows], self._positions[rows]
-
-    def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """The held item at each (group, position) pair; -1 where none is held."""
-        return self._items_at(*_pairs(groups, positions))
 
     def _items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """items_at of int64 groups in [0, M) and int64 positions, unchecked;
@@ -434,6 +457,8 @@ class _Blocks:
     """
 
     def __init__(self, n_left: int, n_right: int, ell: int):
+        n_left, n_right = _integer(n_left, "n_left"), _integer(n_right, "n_right")
+        ell = _integer(ell, "ell")
         if ell < 2:
             raise ValueError(f"ell must be >= 2, got {ell}")
         if ell > n_right:

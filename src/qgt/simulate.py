@@ -76,8 +76,10 @@ def run_trial(cfg: TrialConfig, trial_seed, graph=None) -> tuple[bool, float]:
 def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
     """Largest M with M * s(M) + 1 <= m_budget.  Fewer groups are larger, so
     s(M) only grows as M falls: if M overspends at s, so does every M' above
-    (m_budget - 1) // s, which is below M and the next M tried.
+    (m_budget - 1) // s, which is below M and the next M tried.  t and
+    m_budget are integers (a bool or a float refused by name).
     """
+    t, m_budget = _integer(t, "t"), _integer(m_budget, "m_budget")
     m = min((m_budget - 1) // (t * MIN_DEGREE + 1), n_items * ell)  # s >= t*MIN_DEGREE + 1
     while m >= max(ell, 1):
         try:
@@ -103,7 +105,7 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
     SeedSequence.
     """
     master_seed = _integer(master_seed, "master_seed")
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from qgt.codec import (
 from qgt.density import design_constant, lambda_threshold, paper_test_count
 from qgt.density import tests_needed as analytic_test_count
 from qgt.graphs import BiRegularGraph, sample_defectives, sample_graph
-from qgt.simulate import TrialConfig
+from qgt.simulate import TrialConfig, groups_within_budget
 from test_repair import oracle_sample_graph
 
 # independent transcription of the 14-item worked instance (the library has
@@ -566,6 +567,35 @@ def test_decoding_radius_outside_one_to_four_is_rejected(t):
             make()
 
 
+def test_a_float_or_bool_radius_or_size_is_refused_and_cached_nowhere():
+    # make_bch's cache keys 2.0 and True as the equal ints 2 and 1, so a spec
+    # built from one of them answered every later call for the int, and a
+    # float t failed only in range() once a signature was built from it
+    make_bch.cache_clear()
+    build_signature.cache_clear()
+    for t, r_max, name, bad in ((2.0, 100, "t", 2.0), (2, 100.0, "r", 100.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            build_signature(t, r_max)
+    t = build_signature(2, 100).bch.t
+    assert t == 2 and type(t) is int
+    for t in (2.0, True, np.float64(3.0)):
+        for make in (lambda: derive_params(2 ** 16, 100, t), lambda: design_ell(2 ** 16, 100, t),
+                     lambda: make_bch(8, t, 255),
+                     lambda: TrialConfig(n_items=4096, k=20, t=t, ell=2, m_groups=60),
+                     lambda: analytic_test_count(2 ** 16, 100, t),
+                     lambda: design_constant(t),
+                     lambda: groups_within_budget(4096, t, 2, 400)):
+            with pytest.raises(ValueError, match=re.escape(f"t must be an integer, got {t!r}")):
+                make()
+    with pytest.raises(ValueError, match="r must be an integer, got 255.0"):
+        make_bch(8, 2, 255.0)
+    with pytest.raises(ValueError, match="m_budget must be an integer, got 400.0"):
+        groups_within_budget(4096, 2, 2, 400.0)
+    # numpy integers are integers
+    assert design_constant(np.int64(2)) == design_constant(2)
+    assert groups_within_budget(4096, np.int64(2), 2, np.int64(400)) == 21
+
+
 def test_derive_params_explicit_ell_and_beta():
     p = derive_params(1000, 5, 2, ell=4, beta=1.5)
     assert p.ell == 4
@@ -587,6 +617,13 @@ def test_design_ell_is_the_one_check_of_a_design():
     for n, k in ((100, 100), (100, 0), (100, 101)):
         with pytest.raises(ValueError, match=f"need 1 <= K < N, got K={k}, N={n}"):
             design_ell(n, k, 2)
+    # a float N was kept as the design's n_items, and a float K sized M
+    for n, k, name, bad in ((65536.0, 100, "n_items", 65536.0), (65536, 100.5, "k", 100.5),
+                            (65536, True, "k", True)):
+        for make in (lambda: design_ell(n, k, 2), lambda: derive_params(n, k, 2)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+                make()
+    assert derive_params(np.int64(65536), np.int64(100), 2) == derive_params(65536, 100, 2)
     # every stub index must fit in int64
     assert design_ell(2 ** 62 - 1, 5, 2) == 2
     for make in (lambda: design_ell(2 ** 62, 5, 2), lambda: derive_params(2 ** 62, 5, 2)):

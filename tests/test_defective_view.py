@@ -46,6 +46,7 @@ def test_view_of_a_graph_encodes_and_decodes_as_the_graph():
         view = view_of(graph, support)
         assert (view.n_left, view.n_right, view.max_right_degree) == \
             (graph.n_left, graph.n_right, graph.max_right_degree)
+        assert np.array_equal(view.degrees(), graph.degrees())
         sig = build_signature(t, graph.max_right_degree)
         y = encode(graph, sig, support)
         assert np.array_equal(encode(view, sig, support), y)
@@ -133,6 +134,60 @@ def test_view_refuses_non_integer_degrees():
             DefectiveView(graph.n_left, degrees, items, edges_of(graph, items))
 
 
+def test_view_refuses_degrees_that_no_graph_of_its_size_has():
+    # a view checks its degrees as a graph does, against N*ell for its N and
+    # its rows' ell; each of the first three was once held, and decoded
+    for n, degrees, message in ((4, [0, 4, 4], "every right node needs at least one edge"),
+                                (4, [2, 6], "at most two adjacent values"),
+                                (2, [3, 3], "right degrees sum to 6, not 4"),
+                                (4, [], "at least one node on each side")):
+        with pytest.raises(ValueError, match=message):
+            DefectiveView(n, degrees, np.array([1]), np.array([[0, 3]]))
+
+
+def oracle_split(degrees, edges):
+    """Groups and positions of right-major edge indices by the rule views
+    used before they shared the graph's: a binary search of the starts."""
+    starts = np.concatenate([[0], np.cumsum(degrees)[:-1]])
+    rights = np.searchsorted(starts, edges, side="right") - 1
+    return rights, edges - starts[rights]
+
+
+def test_views_and_graphs_split_edges_as_the_searchsorted_rule():
+    # random shapes, with their groups also in random order, as a loaded
+    # file's right lists may come; K from 0 to N; the forced complete graph
+    # (M = ell); and sampled views
+    rng = np.random.default_rng(29)
+    shapes = [(5, 3, 3), (4, 2, 2), (60, 12, 2), (300, 47, 2)]
+    shapes += [(int(n), int(rng.integers(ell, n * ell + 1)), int(ell))
+               for n, ell in zip(rng.integers(4, 300, 40), rng.integers(2, 6, 40))]
+    for n, m, ell in shapes:
+        seed = int(rng.integers(1 << 40))
+        sampled = sample_graph(n, m, ell, seed=seed)
+        order = rng.permutation(m)
+        shuffled = BiRegularGraph(n, ell, np.concatenate([sampled.right_adj[i] for i in order]),
+                                  sampled.degrees()[order])
+        for graph in (sampled, shuffled):
+            degrees = graph.degrees()
+            want = oracle_split(degrees, graph._left_edges.astype(np.int64))
+            got = graph.incidence(np.arange(n))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            for k in (0, 1, n // 2, n):
+                items = np.sort(rng.choice(n, size=k, replace=False))
+                edges = edges_of(graph, items)
+                view = DefectiveView(n, degrees, items, edges)
+                assert all(np.array_equal(a, b) for a, b in
+                           zip((view._rights, view._positions), oracle_split(degrees, edges)))
+        for k in (0, 1, n // 2, n):
+            items = rng.choice(n, size=k, replace=False)
+            drawn = sample_defectives(n, m, ell, items, seed=seed + k)
+            degrees = drawn.degrees()
+            edges = np.concatenate([[0], np.cumsum(degrees)[:-1]])[drawn._rights]
+            edges += drawn._positions
+            assert all(np.array_equal(a, b) for a, b in
+                       zip((drawn._rights, drawn._positions), oracle_split(degrees, edges)))
+
+
 def test_view_holds_only_items_of_its_design():
     # item 30 of an N = 10 design, at position 0 of groups 0 and 1: a view
     # holding it would decode item 9's test vector to success with {30}, a
@@ -203,6 +258,9 @@ def test_forced_view_holds_item_x_at_position_x(n, m, ell):
     (3, 10, 2),   # M > N*ell
     (10, 5, 1),   # ell < 2
     (0, 2, 2),    # N < 1
+    (60.0, 9, 3),  # not integers, which numpy refused unnamed
+    (60, 9.0, 3),
+    (60, 9, 3.0),
 ])
 def test_infeasible_shapes_raise_as_sample_graph(shape):
     with pytest.raises(ValueError) as whole:

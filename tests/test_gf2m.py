@@ -394,22 +394,13 @@ def test_cubic_table_matches_brute_force(degree):
     # entry c is the smallest root of y^3 + y = c when there are three
     # distinct roots, and -1 otherwise (c = 0 has 0 and the double root 1)
     f = make_field(degree)
-    table = f.cubic_table
+    table = f._cubic_solutions()
     assert table.shape == (f.order + 1,)
     roots = brute_cubic_roots(f)
     assert len(roots[0]) == 2
     want = [min(roots[c]) if len(roots.get(c, ())) == 3 else -1 for c in range(f.order + 1)]
     assert table.tolist() == want
     assert 0 < (table >= 0).sum() < f.order + 1
-
-
-def test_cubic_table_is_built_once():
-    f = make_field(16)
-    table = f.cubic_table
-    assert table is f.cubic_table and not table.flags.writeable
-    c = np.flatnonzero(table >= 0)
-    y = table[c]
-    assert np.array_equal(f.mul(f.mul(y, y), y) ^ y, c)
 
 
 # -- the closed-form decoder's step tables ------------------------------------
@@ -451,7 +442,9 @@ def test_step_tables_match_the_chains_they_replace(degree):
     assert np.array_equal(f.inverse_log, log[f.pow(x, -1)])
     assert np.array_equal(f.sqrt_log, log[f.pow(x, half)])
     assert np.array_equal(f.cubic_scale_log, log[f.pow(x, -3 * half)])
-    y1 = f.cubic_table[x]
+    y1 = f._cubic_solutions()[x]
+    three = np.flatnonzero(y1 >= 0)  # each y1 solves its cubic, up to b = 16
+    assert np.array_equal(f.mul(f.mul(y1[three], y1[three]), y1[three]) ^ y1[three], three)
     y2 = f.mul(y1, f.quadratic_table[f.pow(y1, -2) ^ 1])
     assert np.array_equal(f.cubic_logs[:, 0], log[y1])
     assert np.array_equal(f.cubic_logs[:, 1], log[y2])

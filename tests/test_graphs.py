@@ -183,6 +183,21 @@ def test_constructor_rejects_ell_below_two():
         BiRegularGraph(4, 1, [0, 1, 2, 3], [2, 2])
 
 
+def test_constructor_refuses_non_integer_sizes():
+    edges, degrees = [0, 2, 1, 3, 0, 1, 2, 3], [2, 2, 2, 2]
+    for n_left, ell, name, bad in ((4.0, 2, "n_left", 4.0), (4, 2.0, "ell", 2.0),
+                                   (4, True, "ell", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            BiRegularGraph(n_left, ell, edges, degrees)
+    g = BiRegularGraph(np.int64(4), np.uint8(2), edges, degrees)
+    assert (type(g.n_left), type(g.ell)) == (int, int)
+    # a view's N too, which bounds its items and, with its rows' ell, its degrees
+    rows = np.array([[1, 6]])  # item 2 in groups 0 and 3
+    with pytest.raises(ValueError, match="n_left must be an integer, got 4.0"):
+        graphs.DefectiveView(4.0, degrees, np.array([2]), rows)
+    assert type(graphs.DefectiveView(np.int64(4), degrees, np.array([2]), rows).n_left) is int
+
+
 def test_samplers_give_up_after_max_resamples(monkeypatch):
     # with no repair pass allowed every layout fails, so both samplers draw
     # MAX_RESAMPLES layouts and raise

@@ -189,11 +189,16 @@ def test_run_sweep_rejects_non_finite_budgets():
 
 
 def test_run_sweep_checks_the_design_as_derive_params():
-    # K = N, a bad ell and a bad radius are rejected before any trial
+    # K = N, a bad ell, a bad radius and a non-integer size or trial count
+    # are rejected before any trial
     for kwargs, message in ((dict(k=200), "need 1 <= K < N, got K=200, N=200"),
                             (dict(ell=1), "ell must be an int >= 2 or 'auto', got 1"),
                             (dict(ell=True), "ell must be an int >= 2 or 'auto', got True"),
-                            (dict(t=-3), "t must be in 1..4 to decode, got t=-3")):
+                            (dict(t=-3), "t must be in 1..4 to decode, got t=-3"),
+                            (dict(t=2.0), "t must be an integer, got 2.0"),
+                            (dict(n_items=200.0), "n_items must be an integer, got 200.0"),
+                            (dict(trials=2.5), "trials must be an integer, got 2.5"),
+                            (dict(trials=True), "trials must be an integer, got True")):
         args = dict(n_items=200, k=5, t=2, m_over_k_grid=[20.0], trials=1, master_seed=1)
         with pytest.raises(ValueError, match=re.escape(message)):
             run_sweep(**{**args, **kwargs})

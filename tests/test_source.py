@@ -68,9 +68,9 @@ def test_only_bch_names_the_oracle():
     assert found == []
 
 
-def integers_calls(source: str) -> dict[str, list[int]]:
-    """Lines of .integers( calls, by the name of the function that holds
-    each ("" at module level)."""
+def lines_by_owner(source: str, matches) -> dict[str, list[int]]:
+    """Lines of the nodes that matches(node) picks, by the name of the
+    outermost function that holds each ("" at module level)."""
     tree = ast.parse(source)
     owner = {}
     for fn in ast.walk(tree):
@@ -79,10 +79,16 @@ def integers_calls(source: str) -> dict[str, list[int]]:
                 owner.setdefault(id(node), fn.name)
     found = {}
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "integers"):
+        if matches(node):
             found.setdefault(owner.get(id(node), ""), []).append(node.lineno)
     return found
+
+
+def integers_calls(source: str) -> dict[str, list[int]]:
+    """Lines of .integers( calls, by the function that holds each."""
+    return lines_by_owner(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "integers"))
 
 
 def test_graphs_draw_integers_only_in_the_repair_loops():
@@ -96,3 +102,35 @@ def test_graphs_draw_integers_only_in_the_repair_loops():
                             "class A:\n    def g(self):\n        self.rng.integers(3)\n"
                             "x = rng.integers(2)\n")
     assert caught == {"f": [2], "g": [5], "": [6]}
+
+
+def group_rules(source: str) -> dict[str, list[int]]:
+    """Lines that look edge indices up in the layout, by the function that
+    holds each: reads of an entry of the bucket table, and searchsorted
+    against a starts, ends or bounds array."""
+    def matches(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+            return node.value.attr == "_buckets"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "searchsorted":
+            # np.searchsorted(a, v) searches a, a.searchsorted(v) searches a
+            base = node.func.value
+            searched = node.args[0] if ast.unparse(base) in ("np", "numpy") and node.args else base
+            return re.search(r"starts|ends|bounds", ast.unparse(searched)) is not None
+        return False
+    return lines_by_owner(source, matches)
+
+
+def test_graphs_split_edges_into_groups_in_one_place():
+    # a graph and a view share one layout (_Groups) and one rule from an
+    # edge index to its group, _split; the sampler's _Blocks computes its
+    # dealt blocks by arithmetic instead, and nothing searches the bounds
+    source = (SRC / "graphs.py").read_text(encoding="utf-8")
+    assert set(group_rules(source)) == {"_split"}
+    caught = group_rules("def f(self, e):\n    return np.searchsorted(self._starts, e)\n"
+                         "def g(bounds, e):\n    return bounds[1:].searchsorted(e)\n"
+                         "def h(self, e):\n    return self._buckets[e >> self._shift]\n"
+                         "def k(self, e):\n    self._buckets = np.zeros(e)\n"
+                         "    self._buckets.setflags(write=False)\n"
+                         "    return self.items.searchsorted(e) + np.searchsorted(e, 1)\n")
+    assert caught == {"f": [2], "g": [4], "h": [6]}
