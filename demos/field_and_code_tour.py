@@ -57,7 +57,7 @@ print(f"power-sum syndrome [S1, S3, S5]: {syndrome.tolist()}")
 # x^2 + S1 x + X1 X2, and S1^3 + S3 = S1 X1 X2, so x = S1 z turns it into
 # z^2 + z = u with u = (S3 + S1^3) / S1^3.  The field's quadratic table holds
 # one root z for every solvable u; the other is z + 1.  Counts 3 and 4 reduce
-# the same way to reads from the quadratic and cubic tables.
+# the same way to reads of tables indexed by one field element.
 pair = sorted(errors)[:2]
 x1, x2 = f6.alog_np[pair]  # the pair's locators alpha^j
 s1, s3 = x1 ^ x2, f6.pow(x1, 3) ^ f6.pow(x2, 3)
