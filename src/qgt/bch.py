@@ -42,8 +42,8 @@ class BchSpec:
         Number of columns kept, 1 <= r <= n.
 
     t and r are integers, numpy integers included.  A bool or a float is
-    refused by name, so make_bch's cache, which keys 2.0 and True as the
-    equal ints 2 and 1, never holds a spec built from one.
+    refused by name; make_bch's cache keys by type, so 2.0 and True miss
+    the equal ints' entries and reach this check.
     """
 
     field: GF2m
@@ -76,7 +76,7 @@ def check_radius(t: int) -> None:
         raise ValueError(f"t must be in 1..{MAX_T} to decode, got t={t}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def make_bch(degree: int, t: int, r: int) -> BchSpec:
     return BchSpec(make_field(degree), t, r)
 
@@ -348,8 +348,9 @@ def _locators_4(f: GF2m, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
     makes it u^4 + (S1 h + sigma2)/P(h) u^2 + S1/P(h) u = 1/P(h).  h is never
     a root there: with the linear term gone, a root at h is a double root,
     whose power sums are those of a quadratic, and those make the
-    determinant 0.  On a zero determinant the inverse reads 0, so sigma4 = 0
-    makes 0 a root and the row is refused; a true syndrome never has one.
+    determinant 0.  On a zero determinant the inverse's log is the sentinel
+    and the products it feeds read 0, so sigma4 = 0 makes 0 a root and the
+    row is refused; a true syndrome never has one.
 
     Either way the row reads L(u) = u^4 + A2 u^2 + A1 u = R, and L is
     GF(2)-linear.  Four solutions need its kernel {0, k1, k2, k1 + k2}, whose
@@ -357,7 +358,12 @@ def _locators_4(f: GF2m, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
     Q(u) = u^2 + k1 u, L(u) = Q(u) (Q(u) + Q(k2)), so v^2 + Q(k2) v = R and
     then Q(u) = v give one solution u0 by two quadratic-table reads, and the
     four are u0 plus the kernel.
+
+    Every step is a table read: an inverse is an inverse_log read added
+    into the product_alog read of the product it feeds, log h is a sqrt_log
+    read of h^2, and x^-2 is the squares entry of the inverse.
     """
+    prod, log, inv_log = f.product_alog, f.log_np, f.inverse_log
     s1_2 = f.squares[s1]
     s1_4 = f.squares[s1_2]
     den = s3 ^ f.cubes[s1]
@@ -365,25 +371,25 @@ def _locators_4(f: GF2m, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
     d2 = s5 ^ f.mul(s1_4, s1)
     r2 = s7 ^ f.mul(s1, f.mul(s3, s3)) ^ f.mul(s1_4, den)  # S1^4 S3 + S1^7 = S1^4 den
     det = f.mul(s3, den) ^ f.mul(s1, d2)
-    inv_det = f.pow(det, -1)
-    sigma2 = f.mul(f.mul(num, s3) ^ f.mul(s1, r2), inv_det)
+    inv_det = inv_log[det]  # log 1/det
+    sigma2 = prod[log[f.mul(num, s3) ^ f.mul(s1, r2)] + inv_det]
     sigma3 = den ^ f.mul(s1, sigma2)
-    sigma4 = f.mul(f.mul(den, r2) ^ f.mul(d2, num), inv_det)
+    sigma4 = prod[log[f.mul(den, r2) ^ f.mul(d2, num)] + inv_det]
 
-    h = f.pow(f.mul(sigma3, f.pow(s1, -1)), 1 << (f.degree - 1))
-    h_2 = f.mul(h, h)
-    inv_at_h = f.pow(f.mul(h_2, h_2) ^ f.mul(sigma2, h_2) ^ sigma4, -1)
+    h_2 = prod[log[sigma3] + inv_log[s1]]
+    log_h = f.sqrt_log[h_2]
+    inv_at_h = inv_log[f.squares[h_2] ^ f.mul(sigma2, h_2) ^ sigma4]  # log 1/P(h)
     linear = s1 == 0
     kernel, four = _cubic_roots(
         f,
-        np.where(linear, sigma2, f.mul(f.mul(s1, h) ^ sigma2, inv_at_h)),
-        np.where(linear, sigma3, f.mul(s1, inv_at_h)),
+        np.where(linear, sigma2, prod[log[prod[log[s1] + log_h] ^ sigma2] + inv_at_h]),
+        np.where(linear, sigma3, prod[log[s1] + inv_at_h]),
     )
     k1, k2 = kernel[:, 0], kernel[:, 1]
     q2 = f.mul(k2, k2 ^ k1)  # Q(k2)
-    z = f.quadratic_table[f.mul(np.where(linear, sigma4, inv_at_h), f.pow(q2, -2))]
-    y = f.quadratic_table[f.mul(f.mul(q2, z), f.pow(k1, -2))]
+    log_r = np.where(linear, log[sigma4], inv_at_h)
+    z = f.quadratic_table[prod[log_r + log[f.squares[prod[inv_log[q2]]]]]]
+    y = f.quadratic_table[f.mul(f.mul(q2, z), f.squares[prod[inv_log[k1]]])]
     u = f.mul(k1, y)[:, None] ^ np.concatenate([np.zeros_like(kernel[:, :1]), kernel], axis=1)
-    x = np.where(linear[:, None], u, f.pow(u, -1) ^ h[:, None])
+    x = np.where(linear[:, None], u, prod[inv_log[u]] ^ prod[log_h][:, None])
     return x, four & (z >= 0) & (y >= 0)
-

@@ -170,12 +170,13 @@ class Signature:
         return slots
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def build_signature(t: int, r_max: int) -> Signature:
     """Signature for groups of at most r_max items at decoding radius t.
 
     Cached: every trial of a sweep point asks for the same one.  Its arrays
-    are read-only, since every caller shares them.
+    are read-only, since every caller shares them.  The cache keys by type,
+    so a float or a bool equal to a cached int reaches BchSpec's refusal.
     """
     return Signature(make_bch(field_degree_for(r_max, t), t, r_max))
 

@@ -46,9 +46,9 @@ class DeConfig:
     lam: float
 
     def __post_init__(self):
-        if self.t < 1:
+        if _integer(self.t, "t") < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
-        if self.ell < 2:
+        if _integer(self.ell, "ell") < 2:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
@@ -119,7 +119,7 @@ def _log_poisson_tail(t: int, x: float) -> float:
     return math.log1p(-head)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def lambda_threshold(t: int, ell: int) -> float:
     """Largest density lambda at which the recursion still collapses to zero.
 
@@ -129,8 +129,11 @@ def lambda_threshold(t: int, ell: int) -> float:
     log x), and golden-section in u finds it to a bracket of 1e-10.  Every
     h(u) bounds log lambda_T >= log x* from above, which gives the right
     edge; at (t, ell) = (1, 2) the infimum sits at the left edge, x = 1e-8,
-    where x / (1 - e^-x) = 1 + 5e-9.
+    where x / (1 - e^-x) = 1 + 5e-9.  t and ell are integers (a bool or a
+    float refused by name; the cache keys by type, so neither finds the
+    equal int's entry).
     """
+    t, ell = _integer(t, "t"), _integer(ell, "ell")
     if t < 1 or ell < 2:
         raise ValueError(f"need t >= 1 and ell >= 2, got t={t}, ell={ell}")
 
@@ -154,12 +157,14 @@ def lambda_threshold(t: int, ell: int) -> float:
     return math.exp(h(0.5 * (a + b)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def c_of_t(t: int) -> tuple[float, int]:
     """Design constant c(t) = min over ell in ELL_RANGE of ell / lambda_T(t, ell).
 
-    Returns (c, ell_star); ties break toward the smaller ell.
+    Returns (c, ell_star); ties break toward the smaller ell.  t is an
+    integer, as in lambda_threshold.
     """
+    t = _integer(t, "t")
     best = None
     for ell in ELL_RANGE:
         ratio = ell / lambda_threshold(t, ell)
@@ -204,6 +209,7 @@ def tests_needed(n_items: int, k: int, t: int) -> tuple[float, int]:
     design aims for; an engineered design rounds the field degree up and so
     uses slightly more (see derive_params).
     """
+    n_items, k = _integer(n_items, "n_items"), _integer(k, "k")
     if not 1 <= k < n_items:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")
     c, ell_star = design_constant(t)

@@ -6,18 +6,20 @@ the coefficient of alpha^i in the polynomial basis, where alpha is a root of
 the fixed primitive polynomial for that degree.  All fields of a given degree
 therefore share one canonical representation.
 
-The power table is built in two levels, with no Python loop over the 2^b
-elements.  With width L = 2^ceil(b/2) and i = qL + r, alpha^i is alpha^r
-times alpha^(qL), so it is the xor of alpha^(r+j) over the set bits j of
-alpha^(qL).  Python steps out only the L + b low powers and the 2^b / L row
-heads alpha^(qL); b masked xors over the (2^b / L) x L table make the rest,
-and the log table is one scatter of the powers' exponents.
+The antilog table alpha^i is built in two levels, with no Python loop over
+the 2^b elements.  With width L = 2^ceil(b/2) and i = qL + r, alpha^i is
+alpha^r times alpha^(qL), so it is the xor of alpha^(r+j) over the set bits
+j of alpha^(qL).  Python steps out only the L + b low powers and the 2^b / L
+row heads alpha^(qL); b masked xors over the (2^b / L) x L table make the
+rest, and the log table is one scatter of the powers' exponents.
 
 Every other table is a cached property, built on first use and read-only:
 product_alog for mul, the quadratic and cubic root tables, and the steps of
 bch's closed-form decoder that depend on one element (its cube, the log of
 its inverse, the logs of a cubic's roots by its constant, ...), so that the
-decoder reads each such step instead of computing it with mul and pow.
+decoder reads each such step instead of computing it with mul and pow.  pow
+holds no table: it works alpha^(e log a) out from log_np and alog_np on each
+call, and the tables that need a power of every element call it once.
 """
 
 from __future__ import annotations
@@ -117,8 +119,6 @@ class GF2m:
         self.log_np = log
         # weight of each bit position, most significant first
         self._bit_weights = np.int64(1) << np.arange(degree - 1, -1, -1, dtype=np.int64)
-        # e mod order -> the table that pow reads for that exponent
-        self._powers: dict[int, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"GF2m(degree={self.degree}, primitive_poly=0b{self.primitive_poly:b})"
@@ -133,25 +133,15 @@ class GF2m:
         """Element-wise a^e for any integer e; 0 maps to 0 for every e.
 
         So pow(a, -1) is the inverse of a nonzero a, and reads 0 at a = 0.
-        One read of a 2^b-entry table of x^(e mod order), built on first use
-        of that exponent and held by this field alone (8 * 2^b bytes each).
-        Like every table read, a = -1 reads the last element, 2^b - 1.
-        e is any int, numpy integers included; a bool or a float raises
-        ValueError.
+        Worked out on each call as alpha^(e log a mod order), from the log
+        and antilog tables; nothing is built or held.  Like every table
+        read, a = -1 reads the last element, 2^b - 1, and an int a gives a
+        numpy scalar.  e is any int, numpy integers included; a bool or a
+        float raises ValueError.
         """
         e = _integer(e, "e") % self.order
-        powers = self._powers.get(e)
-        if powers is None:
-            powers = self._power_table(e)
-            powers.setflags(write=False)
-            self._powers[e] = powers
-        return powers[a]
-
-    def _power_table(self, e: int) -> np.ndarray:
-        """x^e for every element x, 0 at x = 0, as int64; not cached."""
-        powers = np.zeros(self.order + 1, dtype=np.int64)
-        powers[1:] = self.alog_np[(e * self.log_np[1:]) % self.order]
-        return powers
+        powers = self.alog_np[e * self.log_np[a] % self.order]
+        return np.where(np.equal(a, 0), 0, powers)[()]
 
     @cached_property
     def product_alog(self) -> np.ndarray:
@@ -204,14 +194,14 @@ class GF2m:
         return _read_only(self._quadratic_solutions())
 
     def _quadratic_solutions(self) -> np.ndarray:
-        """quadratic_table, built without caching it or any power table.
+        """quadratic_table, built without caching it.
 
         Squaring every even element at once: z and z ^ 1 share their u, so
         the even half of the field reaches each solvable u exactly once.
         """
         z = np.arange(0, self.order + 1, 2, dtype=np.int64)
         table = np.full(self.order + 1, -1, dtype=np.int64)
-        table[self._power_table(2)[z] ^ z] = z
+        table[self.pow(z, 2) ^ z] = z
         return table
 
     def _cubic_solutions(self) -> np.ndarray:
@@ -219,13 +209,13 @@ class GF2m:
 
         An entry is set only when y^3 + y = c has three distinct roots in the
         field; the other two solve y'^2 + y y' + y^2 + 1 = 0.  Built without
-        caching it or any power table, by cubing every element at once: for
-        c != 0 the cubic is separable, so 0, 1 or 3 elements reach c; c = 0
-        has the roots 0 and a double root 1, and two elements reach it.
+        caching it, by cubing every element at once: for c != 0 the cubic is
+        separable, so 0, 1 or 3 elements reach c; c = 0 has the roots 0 and a
+        double root 1, and two elements reach it.
         cubic_logs and cubic_splits are what a decode reads of it.
         """
         y = np.arange(self.order + 1, dtype=np.int64)
-        values, first, hits = np.unique(self._power_table(3) ^ y, return_index=True,
+        values, first, hits = np.unique(self.pow(y, 3) ^ y, return_index=True,
                                         return_counts=True)
         table = np.full(self.order + 1, -1, dtype=np.int64)
         table[values[hits == 3]] = first[hits == 3]
@@ -278,22 +268,22 @@ class GF2m:
     @cached_property
     def squares(self) -> np.ndarray:
         """x^2 for every x."""
-        return _read_only(self._power_table(2))
+        return _read_only(self.pow(np.arange(self.order + 1), 2))
 
     @cached_property
     def cubes(self) -> np.ndarray:
         """x^3 for every x."""
-        return _read_only(self._power_table(3))
+        return _read_only(self.pow(np.arange(self.order + 1), 3))
 
     @cached_property
     def inverse_log(self) -> np.ndarray:
         """log x^-1 for every x; 2*order at x = 0, where pow(x, -1) reads 0."""
-        return _read_only(self.log_np[self._power_table(-1)])
+        return _read_only(self.log_np[self.pow(np.arange(self.order + 1), -1)])
 
     @cached_property
     def sqrt_log(self) -> np.ndarray:
         """log sqrt(x) = log x^(2^(b-1)) for every x; 2*order at x = 0."""
-        return _read_only(self.log_np[self._power_table(1 << (self.degree - 1))])
+        return _read_only(self.log_np[self.pow(np.arange(self.order + 1), 1 << (self.degree - 1))])
 
     @cached_property
     def cubic_scale_log(self) -> np.ndarray:
@@ -301,7 +291,7 @@ class GF2m:
 
         w = sqrt(p) y turns w^3 + p w + q into y^3 + y = q / p^(3/2).
         """
-        return _read_only(self.log_np[self._power_table(-3 << (self.degree - 1))])
+        return _read_only(self.log_np[self.pow(np.arange(self.order + 1), -3 << (self.degree - 1))])
 
     @cached_property
     def cubic_logs(self) -> np.ndarray:
@@ -314,7 +304,7 @@ class GF2m:
         """
         log = self.log_np
         y1 = self._cubic_solutions() & self.order  # -1 reads as the last element
-        z = self._quadratic_solutions()[self._power_table(-2)[y1] ^ 1]
+        z = self._quadratic_solutions()[self.pow(y1, -2) ^ 1]
         y2 = self.product_alog[log[y1] + log[z]]
         return _read_only(log[np.stack([y1, y2, y1 ^ y2], axis=1)])
 

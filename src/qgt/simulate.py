@@ -35,6 +35,8 @@ class TrialConfig:
 
     def __post_init__(self):
         check_radius(self.t)
+        for name in ("n_items", "k", "ell", "m_groups"):
+            _integer(getattr(self, name), name)
         if not 0 <= self.k <= self.n_items:
             raise ValueError(f"need 0 <= K <= N, got K={self.k}, N={self.n_items}")
 
@@ -76,9 +78,10 @@ def run_trial(cfg: TrialConfig, trial_seed, graph=None) -> tuple[bool, float]:
 def groups_within_budget(n_items: int, t: int, ell: int, m_budget: int) -> int:
     """Largest M with M * s(M) + 1 <= m_budget.  Fewer groups are larger, so
     s(M) only grows as M falls: if M overspends at s, so does every M' above
-    (m_budget - 1) // s, which is below M and the next M tried.  t and
-    m_budget are integers (a bool or a float refused by name).
+    (m_budget - 1) // s, which is below M and the next M tried.  N, t, ell
+    and m_budget are integers (a bool or a float refused by name).
     """
+    n_items, ell = _integer(n_items, "n_items"), _integer(ell, "ell")
     t, m_budget = _integer(t, "t"), _integer(m_budget, "m_budget")
     m = min((m_budget - 1) // (t * MIN_DEGREE + 1), n_items * ell)  # s >= t*MIN_DEGREE + 1
     while m >= max(ell, 1):

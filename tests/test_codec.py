@@ -28,7 +28,7 @@ from qgt.codec import (
     save_support,
     save_test_vector,
 )
-from qgt.density import design_constant, lambda_threshold, paper_test_count
+from qgt.density import c_of_t, design_constant, lambda_threshold, paper_test_count
 from qgt.density import tests_needed as analytic_test_count
 from qgt.graphs import BiRegularGraph, sample_defectives, sample_graph
 from qgt.simulate import TrialConfig, groups_within_budget
@@ -591,9 +591,54 @@ def test_a_float_or_bool_radius_or_size_is_refused_and_cached_nowhere():
         make_bch(8, 2, 255.0)
     with pytest.raises(ValueError, match="m_budget must be an integer, got 400.0"):
         groups_within_budget(4096, 2, 2, 400.0)
+    # N, K, ell and M of a trial, and N and ell of a budget: TrialConfig
+    # accepted K = 20.5, which failed in run_trial, and both calls below
+    # returned 21
+    for name, bad in (("n_items", 4096.0), ("k", 20.5), ("k", True), ("ell", 2.0),
+                      ("m_groups", 60.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            TrialConfig(**{**dict(n_items=4096, k=20, t=2, ell=2, m_groups=60), name: bad})
+    for args, name, bad in (((4096.0, 2, 2, 400), "n_items", 4096.0),
+                            ((4096, 2, 2.0, 400), "ell", 2.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            groups_within_budget(*args)
     # numpy integers are integers
     assert design_constant(np.int64(2)) == design_constant(2)
-    assert groups_within_budget(4096, np.int64(2), 2, np.int64(400)) == 21
+    assert groups_within_budget(np.int64(4096), np.int64(2), np.int64(2), np.int64(400)) == 21
+    TrialConfig(np.int64(4096), np.int64(20), 2, np.int64(2), np.int64(60))
+
+
+@pytest.mark.parametrize("make, good, bad, name", [
+    (build_signature, (2, 100), (2.0, 100), "t"),
+    (build_signature, (1, 100), (True, 100), "t"),
+    (build_signature, (2, 100), (2, 100.0), "r"),
+    (make_bch, (7, 2, 100), (7, 2.0, 100), "t"),
+    (make_bch, (7, 2, 100), (7.0, 2, 100), "degree"),
+    (make_bch, (7, 1, 100), (7, True, 100), "t"),
+    (c_of_t, (2,), (2.0,), "t"),
+    (c_of_t, (1,), (True,), "t"),
+    (lambda_threshold, (1, 2), (True, 2), "t"),
+    (lambda_threshold, (2, 2), (2, 2.0), "ell"),
+])
+def test_cached_entry_points_refuse_a_float_or_bool_before_and_after_the_int(make, good, bad,
+                                                                             name):
+    # an untyped cache keys 2.0 and True as the equal ints 2 and 1, so once
+    # the int was cached they found its entry and were never checked
+    value = next(b for a, b in zip(good, bad) if type(a) is not type(b))
+    make.cache_clear()
+    message = re.escape(f"{name} must be an integer, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        make(*bad)
+    make(*good)
+    with pytest.raises(ValueError, match=message):
+        make(*bad)
+    # a numpy integer takes its own entry, with equal values
+    size = make.cache_info().currsize
+    got, want = make(*[np.int64(a) for a in good]), make(*good)
+    assert make.cache_info().currsize == size + 1
+    if make is build_signature:
+        got, want = got.bch, want.bch
+    assert got == want
 
 
 def test_derive_params_explicit_ell_and_beta():

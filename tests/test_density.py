@@ -215,6 +215,14 @@ def test_tests_needed_validation():
         formula_test_count(100, 100, 1)
     with pytest.raises(ValueError):
         formula_test_count(100, 0, 1)
+    # (65536, 100.5, 2) gave 1392 tests, and K = True gave K = 1's count
+    for args, name, bad in (((65536, 100.5, 2), "k", 100.5),
+                            ((65536.0, 100, 2), "n_items", 65536.0),
+                            ((65536, True, 2), "k", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            formula_test_count(*args)
+    want = formula_test_count(65536, 100, 2)
+    assert formula_test_count(np.int64(65536), np.int64(100), 2) == want
 
 
 def test_config_validation():
@@ -227,9 +235,18 @@ def test_config_validation():
     for lam in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             DeConfig(t=1, ell=2, lam=lam)
+    # True ran as t = 1, ell = 2.5 ran, and 2.0 ended in range()'s TypeError
+    for t, ell, name, bad in ((True, 2, "t", True), (2.0, 2, "t", 2.0), (2, 2.5, "ell", 2.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            DeConfig(t=t, ell=ell, lam=3.0)
+    DeConfig(t=np.int64(2), ell=np.int64(2), lam=3.0)
 
 
 def test_threshold_rejects_bad_degrees():
     for t, ell in ((0, 2), (1, 1), (2, 1)):
         with pytest.raises(ValueError, match="ell >= 2"):
+            lambda_threshold(t, ell)
+    # ell = 2.5 gave a threshold, and t = 2.0 ended in range()'s TypeError
+    for t, ell, name, bad in ((2, 2.5, "ell", 2.5), (2.0, 2, "t", 2.0), (2, True, "ell", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
             lambda_threshold(t, ell)

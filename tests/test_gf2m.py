@@ -180,29 +180,37 @@ def test_pow_and_dlog_round_trip():
         assert np.array_equal(f.pow(a, -e), f.pow(power, -1))
 
 
+# what GF2m.__init__ sets; everything else a field holds is a cached table
+CONSTRUCTION_ATTRIBUTES = {"degree", "primitive_poly", "order", "_narrow", "alog_np", "log_np",
+                           "_bit_weights"}
+
+
 def log_formula_pow(f, a, e):
-    """a^e by a modulo and two gathers per call, which the power tables replace."""
+    """a^e by a modulo and two gathers, written out apart from GF2m.pow."""
     a = np.asarray(a, dtype=np.int64)
     return np.where(a == 0, 0, f.alog_np[(e * f.log_np[a]) % f.order])
 
 
 @pytest.mark.parametrize("degree", range(3, 17))
 def test_pow_tables_equal_the_log_formula(degree):
-    # a new field builds every table here; -1 reads the last element, as
-    # _cubic_roots relies on for its refused rows
+    # every exponent the step tables ask of pow, on a new field; -1 reads
+    # the last element, as _cubic_roots relies on for its refused rows.  e,
+    # e + order and e - order are one exponent
     f = GF2m(degree)
     a = np.concatenate([elements_or_sample(f, 3000, degree), [0, -1]])
     half = 1 << (degree - 1)
     for e in (0, 1, -1, 2, -2, half, -3 * half, f.order, -f.order, 10 ** 12 + 7):
-        assert np.array_equal(f.pow(a, e), log_formula_pow(f, a, e))
+        want = log_formula_pow(f, a, e)
+        for same in (e, e + f.order, e - f.order):
+            assert np.array_equal(f.pow(a, same), want)
         for x in (0, -1, 1, int(a[3])):
             got = f.pow(x, e)
             assert np.shape(got) == () and got == log_formula_pow(f, x, e)
 
 
 def test_first_pow_call_reads_its_argument():
-    # the call that builds an exponent's table returns the reads of a, not
-    # the table, however short a is
+    # a new field's first call at each exponent gives a's shape, however
+    # short a is
     for degree in (3, 8, 16):
         f = GF2m(degree)
         for e in (2, -1, 1 << (degree - 1), 5):
@@ -212,10 +220,18 @@ def test_first_pow_call_reads_its_argument():
         assert np.shape(GF2m(degree).pow(5, -1)) == ()
 
 
+def test_pow_of_an_integer_is_a_numpy_scalar():
+    # a bare np.where would give a 0-d array here
+    f = GF2m(8)
+    for a in (5, np.int64(5), np.uint8(5), 0, np.int32(0), -1):
+        for e in (-1, 2, np.int64(3)):
+            got = f.pow(a, e)
+            assert isinstance(got, np.integer) and got == log_formula_pow(f, a, e)
+
+
 @pytest.mark.parametrize("e", [2.0, True, False, np.float64(2), np.bool_(True), "2", None])
 def test_pow_refuses_non_integer_exponents_in_any_call_order(e):
-    # 2.0 == 2 and True == 1 as dict keys, so a table built for the int must
-    # not answer for them
+    # 2.0 == 2 and True == 1, so a float or a bool must not read as the int
     f = GF2m(5)
     with pytest.raises(ValueError, match="e must be an integer, got "):
         f.pow(3, e)
@@ -226,32 +242,29 @@ def test_pow_refuses_non_integer_exponents_in_any_call_order(e):
         f.pow(3, e)
 
 
-def test_numpy_integer_exponents_share_the_int_table():
+def test_numpy_integer_exponents_give_the_int_values():
     f = GF2m(6)
     a = np.arange(f.order + 1)
     want = f.pow(a, 2)
     for e in (np.int64(2), np.uint8(2), np.int32(2 + f.order), np.array(2)):
         assert np.array_equal(f.pow(a, e), want)
     assert np.array_equal(f.pow(a, np.int16(-1)), f.pow(a, -1))
-    assert sorted(f._powers) == [2, f.order - 1]
-    assert all(type(e) is int for e in f._powers)
 
 
-def test_pow_holds_one_read_only_table_per_exponent_mod_order():
+def test_pow_builds_and_holds_nothing():
     f = GF2m(6)
-    for e in (-1, f.order - 1, 2 * f.order - 1):
+    for e in (-1, 2, f.order - 1, 1 << 5):
         f.pow(np.arange(5), e)
-    assert list(f._powers) == [f.order - 1]
-    table = f._powers[f.order - 1]
-    assert table.nbytes == 8 * (f.order + 1) and not table.flags.writeable
+        f.pow(3, e)
+    assert set(vars(f)) == CONSTRUCTION_ATTRIBUTES
 
 
 def test_a_field_is_freed_once_make_field_drops_it():
-    # the power tables live on the field itself; a cache on the method would
+    # the cached tables live on the field itself; a cache on a method would
     # hold every field it was called on for the life of the process
     make_field.cache_clear()
     f = make_field(12)
-    f.pow(np.arange(8), -1)
+    f.inverse_log
     f.pow(3, 2)
     ref = weakref.ref(f)
     del f
@@ -459,15 +472,13 @@ def test_step_tables_match_the_chains_they_replace(degree):
 
 def _table_bytes(f):
     """Bytes of the tables a field has built since construction."""
-    built = [v for k, v in vars(f).items()
-             if isinstance(v, np.ndarray) and k not in ("alog_np", "log_np", "_bit_weights")]
-    return sum(a.nbytes for a in built + list(f._powers.values()))
+    return sum(v.nbytes for k, v in vars(f).items() if k not in CONSTRUCTION_ATTRIBUTES)
 
 
 def test_a_t2_decode_builds_fewer_table_bytes_than_the_quadratic_table_did():
-    # a count-2 decode at b = 15 holds its four step tables and no power
-    # table: no more than quadratic_table and the exponent-2 power table
-    # that the quadratic step would otherwise hold, 8 * 2^b bytes each
+    # a count-2 decode at b = 15 holds its four step tables: no more than
+    # quadratic_table and a table of squares, which the quadratic step would
+    # otherwise read, 8 * 2^b bytes each
     from qgt.bch import make_bch
     from qgt.codec import build_signature, decode, encode
     from qgt.graphs import sample_defectives
@@ -482,5 +493,27 @@ def test_a_t2_decode_builds_fewer_table_bytes_than_the_quadratic_table_did():
     out = decode(view, sig, encode(view, sig, support))
     assert out.success and out.recovered == set(support)
     assert {"cube_by_log", "quadratic_logs"} <= set(vars(f))
-    assert not f._powers and "quadratic_table" not in vars(f)
+    assert "quadratic_table" not in vars(f)
     assert _table_bytes(f) <= 2 * 8 * (f.order + 1)
+
+
+def test_a_t4_decode_holds_only_the_named_cached_tables():
+    # count 4 reads the tables counts 2 and 3 read, and quadratic_table; pow
+    # adds nothing to the field
+    from qgt.bch import make_bch
+    from qgt.codec import build_signature, decode, derive_params, encode
+    from qgt.graphs import sample_defectives
+
+    for cache in (make_field, make_bch, build_signature):
+        cache.cache_clear()
+    p = derive_params(1 << 20, 100, 4)
+    support = np.random.default_rng(4).choice(p.n_items, size=p.k, replace=False).tolist()
+    view = sample_defectives(p.n_items, p.m_groups, p.ell, support, seed=4)
+    sig = build_signature(p.t, view.max_right_degree)
+    f = sig.bch.field
+    counts = np.bincount(view.incidence(support)[0].ravel(), minlength=p.m_groups)
+    assert f.degree == 16 and (counts == 4).any()
+    out = decode(view, sig, encode(view, sig, support))
+    assert out.success and out.recovered == set(support)
+    cached = set(STEP_TABLES) | {"product_alog", "quadratic_table"}
+    assert set(vars(f)) == CONSTRUCTION_ATTRIBUTES | cached

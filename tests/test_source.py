@@ -104,6 +104,27 @@ def test_graphs_draw_integers_only_in_the_repair_loops():
     assert caught == {"f": [2], "g": [5], "": [6]}
 
 
+def pow_calls(source: str) -> dict[str, list[int]]:
+    """Lines of .pow( calls, by the function that holds each."""
+    return lines_by_owner(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "pow"))
+
+
+def test_closed_form_decoder_makes_no_pow_call():
+    # every step of the closed forms is a read of a field table; pow works
+    # a power out on each call, so a pow in a step would redo per row what
+    # a table holds (the oracle, find_error_locator, may call it)
+    source = (SRC / "bch.py").read_text(encoding="utf-8")
+    steps = {"_decode_syndromes", "_cubic_roots", "_locators_3", "_locators_4"}
+    assert steps <= set(lines_by_owner(source, lambda node: isinstance(node, ast.FunctionDef)))
+    assert not steps & set(pow_calls(source))
+    caught = pow_calls("def _locators_4(f, s1):\n    return f.pow(s1, -1)\n"
+                       "def g(f, x):\n    return f.mul(x, x) ** 2 + pow(x, 2)\n"
+                       "class A:\n    def h(self):\n        self.field.pow(3, 2)\n")
+    assert caught == {"_locators_4": [2], "h": [7]}
+
+
 def group_rules(source: str) -> dict[str, list[int]]:
     """Lines that look edge indices up in the layout, by the function that
     holds each: reads of an entry of the bucket table, and searchsorted
