@@ -252,12 +252,14 @@ def _decode_syndromes(spec: BchSpec, syn: np.ndarray,
     positions of its own count with np.where.  The locators X = alpha^j of
     a weight-w pattern are the roots of x^w + sigma1 x^(w-1) + ... + sigma_w,
     with sigma1 = S1.  Count 1 has X = S1.  For count 2, x = S1 z turns the
-    quadratic into z^2 + z = u = (S3 + S1^3)/S1^3.  Both steps by S1, its
-    cube and the log of its inverse cube, are field tables, so log u is one
-    add; the field's quadratic_logs then give log z and log(z + 1) by log u,
-    and the positions log S1 + log z and log S1 + log(z + 1) never leave the
-    log domain.  Counts 3 and 4 reduce to table reads too (see _locators_3
-    and _locators_4), each on its own rows only.
+    quadratic into z^2 + z = u = (S3 + S1^3)/S1^3.  S1^3 is a read of the
+    field's cube_by_log, and log S1^-3 is -3 log S1 (0 at S1 = 0, whose
+    sentinel log is a multiple of the order), so log u is one subtraction
+    mod the order.  The field's quadratic_logs then give log z and
+    log(z + 1) by log u (quadratic_solvable, whether z exists, is read off
+    them), and the positions log S1 + log z and log S1 + log(z + 1) never
+    leave the log domain.  Counts 3 and 4 reduce to table reads too (see
+    _locators_3 and _locators_4), each on its own rows only.
     """
     f, t = spec.field, spec.t
     n, log = f.order, f.log_np
@@ -272,7 +274,7 @@ def _decode_syndromes(spec: BchSpec, syn: np.ndarray,
     positions[:, 0] = np.where((counts == 1) & nonzero, l1, -1)
     if t > 1:
         cube_term = syn[:, 1] ^ f.cube_by_log[s1]  # S1 sigma2
-        log_u = (log[cube_term] + f.neg_cube_log[s1]) % n
+        log_u = (log[cube_term] - 3 * l1) % n
         two = counts == 2
         ok = np.where(two, nonzero & (cube_term != 0) & f.quadratic_solvable[log_u], ok)
         pair = (l1[:, None] + f.quadratic_logs[log_u]) % n
@@ -302,8 +304,8 @@ def _cubic_roots(f: GF2m, p, q) -> tuple[np.ndarray, np.ndarray]:
     y = y1 z turns that into z^2 + z = 1 + 1/y1^2, a quadratic.  All of
     that is a function of c alone, which the field tabulates as the
     logs of y1, y2 and y1 + y2 (cubic_logs) and as whether there are three
-    roots (cubic_splits); with log sqrt(p) from a table too, each root is
-    one add and a product_alog read.  With p = 0, w^3 = q has three cube
+    roots (cubic_splits, read off cubic_logs); with log sqrt(p) from a table
+    too, each root is one add and a product_alog read.  With p = 0, w^3 = q has three cube
     roots exactly when 3 divides both the group order (the degree is even)
     and log q.
     """

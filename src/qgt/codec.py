@@ -12,6 +12,7 @@ recovered columns and repeats.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -20,7 +21,7 @@ import numpy as np
 
 from .bch import (BchSpec, _decode_syndromes, build_parity_columns, check_radius, make_bch,
                   syndrome_from_bits)
-from .density import design_constant, paper_test_count
+from .density import _real, design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE, _integer
 from .graphs import BiRegularGraph, DefectiveView, _int64_array
 
@@ -51,7 +52,15 @@ class DesignParams:
 
 
 def field_degree_for(r_max: int, t: int) -> int:
-    """Smallest supported field degree addressing r_max columns at radius t."""
+    """Smallest supported field degree addressing r_max columns at radius t.
+
+    t must pass check_radius, and r_max, the code's r, must be an integer
+    (not a bool) of at least 1; either is refused by name before the log.
+    """
+    check_radius(t)
+    r_max = _integer(r_max, "r")
+    if r_max < 1:
+        raise ValueError(f"r must be at least 1, got {r_max}")
     b = max(MIN_DEGREE, math.ceil(math.log2(r_max + 1)))
     while t >= 1 << (b - 1):  # BCH validity: t < 2^(b-1)
         b += 1
@@ -78,8 +87,9 @@ def design_ell(n_items: int, k: int, t: int, ell: int | str = "auto") -> int:
     """ell for N items, K defectives at radius t: the one check of a design's
     inputs.  N, K and t are integers (numpy integers included, a bool or a
     float refused by name).  'auto' gives ell* of design_constant(t); any
-    other ell is an int >= 2, and N*ell stays below 2^63 so that every stub
-    index fits in int64.
+    other ell is an integer >= 2 (numpy integers included, a bool refused),
+    returned as an int, and N*ell stays below 2^63 so that every stub index
+    fits in int64.
     """
     check_radius(t)
     n_items, k = _integer(n_items, "n_items"), _integer(k, "k")
@@ -87,6 +97,8 @@ def design_ell(n_items: int, k: int, t: int, ell: int | str = "auto") -> int:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n_items}")
     if ell == "auto":
         ell = design_constant(t)[1]
+    elif isinstance(ell, numbers.Integral) and not isinstance(ell, bool):
+        ell = int(ell)
     if not isinstance(ell, int) or ell < 2:  # a bool is below 2
         raise ValueError(f"ell must be an int >= 2 or 'auto', got {ell!r}")
     if n_items * ell >= 1 << 63:
@@ -99,7 +111,7 @@ def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
                   beta: float = DEFAULT_BETA) -> DesignParams:
     """Size a design for N items with K defectives at decoding radius t."""
     ell = design_ell(n_items, k, t, ell)
-    if not beta > 1.0:
+    if not _real(beta, "beta") > 1.0:
         raise ValueError(f"beta must exceed 1, got {beta}")
     c = design_constant(t)[0]
     if not math.isfinite(c * k * beta):

@@ -22,6 +22,7 @@ c(t) = min over ell of ell / lambda_T(t, ell).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,19 +40,33 @@ ELL_RANGE = range(2, 13)
 
 @dataclass(frozen=True)
 class DeConfig:
-    """Parameters of one density-evolution run."""
+    """Parameters of one density-evolution run.
+
+    t and ell are integers (numpy integers included, held as ints) and lam a
+    real number; a bool, or any other type, is refused by name.
+    """
 
     t: int
     ell: int
     lam: float
 
     def __post_init__(self):
-        if _integer(self.t, "t") < 1:
+        # frozen: each integer field holds the int that _integer returns
+        for name in ("t", "ell"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
-        if _integer(self.ell, "ell") < 2:
+        if self.ell < 2:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
-        if not 0 < self.lam < math.inf:
+        if not 0 < _real(self.lam, "lambda") < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+
+
+def _real(value, name: str):
+    """value, or ValueError naming it unless it is a real number (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,16 @@ row heads alpha^(qL); b masked xors over the (2^b / L) x L table make the
 rest, and the log table is one scatter of the powers' exponents.
 
 Every other table is a cached property, built on first use and read-only:
-product_alog for mul, the quadratic and cubic root tables, and the steps of
-bch's closed-form decoder that depend on one element (its cube, the log of
-its inverse, the logs of a cubic's roots by its constant, ...), so that the
+product_alog for mul, the quadratic root table, and the steps of bch's
+closed-form decoder that depend on one element (its cube, the log of its
+inverse, the logs of a cubic's roots by its constant, ...), so that the
 decoder reads each such step instead of computing it with mul and pow.  pow
 holds no table: it works alpha^(e log a) out from log_np and alog_np on each
-call, and the tables that need a power of every element call it once.
+call, and the tables that need a power of every element call it once.  Each
+fact is held once: a t = 4 field solves its cubic once and its quadratic at
+most three times, and the bool tables that say whether a root equation is
+solvable are read off the log tables of its roots, where the last element's
+log marks a row without them.
 """
 
 from __future__ import annotations
@@ -212,7 +216,8 @@ class GF2m:
         caching it, by cubing every element at once: for c != 0 the cubic is
         separable, so 0, 1 or 3 elements reach c; c = 0 has the roots 0 and a
         double root 1, and two elements reach it.
-        cubic_logs and cubic_splits are what a decode reads of it.
+        cubic_logs, the one table built from it, and cubic_splits, read off
+        cubic_logs, are what a decode reads of it.
         """
         y = np.arange(self.order + 1, dtype=np.int64)
         values, first, hits = np.unique(self.pow(y, 3) ^ y, return_index=True,
@@ -245,25 +250,25 @@ class GF2m:
         return _narrowest(self.alog_np[(3 * self.log_np) % self.order])
 
     @cached_property
-    def neg_cube_log(self) -> np.ndarray:
-        """(-3 log x) mod order for every x: the log of x^-3, and 0 at x = 0."""
-        return _narrowest((-3 * self.log_np) % self.order)
-
-    @cached_property
     def quadratic_logs(self) -> np.ndarray:
         """log z and log(z ^ 1) mod order, for u = alpha^e; shape (order, 2).
 
         Indexed by the exponent e of u, z is quadratic_table[u].  Where
         z^2 + z = u has no solution, z = -1 reads the logs of the last two
-        elements.
+        elements.  A solution z has bit 0 clear, so it is never the last
+        element, and quadratic_solvable is read off column 0.
         """
         z = self._quadratic_solutions()[self.alog_np]
         return _narrowest(self.log_np[z[:, None] ^ np.array([0, 1])] % self.order)
 
     @cached_property
     def quadratic_solvable(self) -> np.ndarray:
-        """Whether z^2 + z = alpha^e has a solution, indexed by e; bool."""
-        return _read_only(self._quadratic_solutions()[self.alog_np] >= 0)
+        """Whether z^2 + z = alpha^e has a solution, indexed by e; bool.
+
+        Read off quadratic_logs: a row reads the last element's log exactly
+        where there is no solution.
+        """
+        return _read_only(self.quadratic_logs[:, 0] != self.log_np[-1])
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -298,7 +303,8 @@ class GF2m:
         """The logs of y1, y2 and y1 + y2 for y^3 + y = c, by c; shape (2^b, 3).
 
         y1 is _cubic_solutions()[c], -1 reading as the last element where
-        there are not three roots, and y2 = y1 z with
+        there are not three roots (y1, the smallest of three distinct roots,
+        is never the last element), and y2 = y1 z with
         z = quadratic_table[y1^-2 + 1] (see bch._cubic_roots), so a product
         by sqrt(p) of each is one add and a product_alog read.
         """
@@ -310,8 +316,12 @@ class GF2m:
 
     @cached_property
     def cubic_splits(self) -> np.ndarray:
-        """Whether y^3 + y = c has three distinct roots, indexed by c; bool."""
-        return _read_only(self._cubic_solutions() >= 0)
+        """Whether y^3 + y = c has three distinct roots, indexed by c; bool.
+
+        Read off cubic_logs: a row reads the last element's log as y1
+        exactly where there are not three.
+        """
+        return _read_only(self.cubic_logs[:, 0] != self.log_np[-1])
 
 
 def _narrowest(values: np.ndarray) -> np.ndarray:

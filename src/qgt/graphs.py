@@ -11,9 +11,11 @@ The stubs lie in consecutive blocks, one per right node, and the sampler
 keeps two views of that layout: stubs[p], the item at position p, and
 loc[x], the positions of item x's ell stubs in ascending order.  loc is the
 inverse of the permutation, so it costs no sort.  It answers "how many
-stubs of x sit in block i" in O(ell) and lists a pass's duplicates without
-a sort per block.  Once the layout is simple, each block is sorted in place
-and the stubs become the graph's right-major edge array.  Every graph then
+stubs of x sit in block i" in O(ell), by the block rule _Blocks.of, and
+lists a pass's duplicates without a sort per block.  Once the layout is
+simple, two in-place sorts of reshaped rows (the blocks of base + 1 stubs,
+then those of base) sort every block, and the stubs become the graph's
+right-major edge array.  Every graph then
 groups its edges by left node with one argsort into an N x ell table of
 indices into that array, the form in which a DefectiveView holds a few
 items' rows, and passes the same vectorised O(N*ell) checks.
@@ -240,7 +242,7 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGra
     """
     seed = _integer(seed, "seed")
     blocks = _Blocks(n_left, n_right, ell)
-    n_edges = n_left * ell
+    n_edges = blocks.n_stubs
     if blocks.forced:
         # every group must hold every item exactly once, so the simple graph
         # is forced; build it directly rather than repairing collisions
@@ -268,8 +270,10 @@ def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGra
             loc.sort(axis=1)
         if _repair(stubs, loc, blocks, rng):
             del loc
-            for lo, hi in zip(blocks.bounds[:-1], blocks.bounds[1:]):
-                stubs[lo:hi].sort()
+            # each block sorted in place: the first `extra` hold base + 1
+            # stubs, the rest base
+            stubs[:blocks.split].reshape(blocks.extra, blocks.base + 1).sort(axis=1)
+            stubs[blocks.split:].reshape(n_right - blocks.extra, blocks.base).sort(axis=1)
             return BiRegularGraph(n_left, ell, stubs, blocks.degrees, seed=seed, retries=attempt)
     raise RuntimeError(
         f"simple-graph repair failed after {MAX_RESAMPLES} resamples "
@@ -302,7 +306,7 @@ def sample_defectives(n_left: int, n_right: int, ell: int, items,
                              items[:, None] + n_left * np.arange(n_right))
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RESAMPLES):
-        loc = rng.choice(n_left * ell, size=k * ell, replace=False).reshape(k, ell)
+        loc = rng.choice(blocks.n_stubs, size=k * ell, replace=False).reshape(k, ell)
         loc.sort(axis=1)
         held = _Held(zip(loc.ravel().tolist(), np.repeat(np.arange(k), ell).tolist()))
         if _repair(held, loc, blocks, rng):
@@ -448,12 +452,13 @@ class _Held(dict):
 
 
 class _Blocks:
-    """N*ell stub positions dealt to M right nodes, or ValueError.
+    """n_stubs = N*ell stub positions dealt to M right nodes, or ValueError.
 
-    Block i spans positions bounds[i]..bounds[i+1]-1.  The first `extra`
-    blocks hold base + 1 stubs and the rest base, so the block of a position
-    is computed, not looked up in a table.  With ell <= M no degree exceeds
-    N, so every accepted shape has a simple graph, `forced` when base == N.
+    The first `extra` blocks hold base + 1 stubs and the rest base, so the
+    block of a position is computed (of, of_all), never looked up: "stub s
+    lies in block i" is of(s) == i.  With ell <= M no degree exceeds N, so
+    every accepted shape has a simple graph, `forced` when base == N.  N*ell
+    must stay below 2^63, so that every stub index fits in int64.
     """
 
     def __init__(self, n_left: int, n_right: int, ell: int):
@@ -466,10 +471,13 @@ class _Blocks:
                              "ell distinct right nodes")
         if n_left < 1 or n_right > n_left * ell:
             raise ValueError("need 1 <= M <= N*ell")
-        self.base, self.extra = divmod(n_left * ell, n_right)
+        self.n_stubs = n_left * ell
+        if self.n_stubs >= 1 << 63:
+            raise ValueError(f"N*ell = {self.n_stubs} stubs do not fit int64 indices "
+                             f"(N={n_left}, ell={ell})")
+        self.base, self.extra = divmod(self.n_stubs, n_right)
         self.degrees = np.full(n_right, self.base, dtype=np.int64)
         self.degrees[:self.extra] += 1
-        self.bounds = [0] + np.cumsum(self.degrees).tolist()
         self.split = self.extra * (self.base + 1)
         self.forced = self.base == n_left
 
@@ -548,7 +556,7 @@ def _swap_rounds(stubs: np.ndarray, loc: np.ndarray, blocks: _Blocks, rng,
     one swaps and at least _ROUND_ROWS duplicates are left: below that, a
     round's fixed numpy cost outweighs the row loop's probes.
     """
-    n = blocks.bounds[-1]
+    n = blocks.n_stubs
     while len(pos) >= _ROUND_ROWS:
         x = stubs[pos]
         q = rng.integers(n, size=len(pos))
@@ -591,8 +599,7 @@ def _repair_rows(stubs, loc: np.ndarray, blocks: _Blocks, rng,
                  dup_pos: np.ndarray, dup_block: np.ndarray) -> bool:
     """Repair the given duplicates one at a time, in order, each from the
     next scalar rng.integers draws; False if one took a blind swap."""
-    bnd = blocks.bounds
-    n = bnd[-1]
+    n = blocks.n_stubs
     of = blocks.of
 
     def fits(q, i, row_x):
@@ -600,23 +607,15 @@ def _repair_rows(stubs, loc: np.ndarray, blocks: _Blocks, rng,
         if j == i:
             return False
         y = stubs[q]
-        if y >= 0:
-            lo, hi = bnd[i], bnd[i + 1]
-            for s in loc[y].tolist():
-                if lo <= s < hi:
-                    return False
-        lo, hi = bnd[j], bnd[j + 1]
-        for s in row_x:
-            if lo <= s < hi:
-                return False
-        return True
+        if y >= 0 and i in map(of, loc[y].tolist()):
+            return False
+        return j not in map(of, row_x)
 
     clean = True
     for p, i in zip(dup_pos.tolist(), dup_block.tolist()):
         x = int(stubs[p])
         row_x = loc[x].tolist()
-        lo, hi = bnd[i], bnd[i + 1]
-        if sum(lo <= s < hi for s in row_x) <= 1:
+        if list(map(of, row_x)).count(i) <= 1:
             continue  # already fixed by an earlier swap this pass
         q_found = -1
         for _try in range(32):

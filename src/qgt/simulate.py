@@ -16,6 +16,7 @@ import numpy as np
 
 from .bch import check_radius
 from .codec import build_signature, decode, design_ell, encode, group_shape
+from .density import _real
 from .gf2m import MIN_DEGREE, _integer
 from .graphs import sample_defectives, sample_graph
 
@@ -25,7 +26,11 @@ CSV_COLUMNS = ["m_over_K", "t", "ell", "N", "K", "trials",
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One simulated operating point (fixed design, random support)."""
+    """One simulated operating point (fixed design, random support).
+
+    Every field is an integer (numpy integers included, held as ints); a
+    bool or any other type is refused by name.
+    """
 
     n_items: int
     k: int
@@ -35,8 +40,9 @@ class TrialConfig:
 
     def __post_init__(self):
         check_radius(self.t)
-        for name in ("n_items", "k", "ell", "m_groups"):
-            _integer(getattr(self, name), name)
+        # frozen: each field holds the int that _integer returns
+        for name in ("n_items", "k", "t", "ell", "m_groups"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 0 <= self.k <= self.n_items:
             raise ValueError(f"need 0 <= K <= N, got K={self.k}, N={self.n_items}")
 
@@ -105,14 +111,18 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
     `trials` independent trials.  fixed_graph reuses one graph per grid point
     instead of resampling per trial.  master_seed is a non-negative int
     (numpy integers included, a bool refused), the entropy of every trial's
-    SeedSequence.
+    SeedSequence.  m_over_k_grid is an iterable of real numbers (not bools).
     """
     master_seed = _integer(master_seed, "master_seed")
     if _integer(trials, "trials") < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
-    grid = list(m_over_k_grid)
+    try:
+        grid = [_real(m_over_k, "m/K") for m_over_k in m_over_k_grid]
+    except (TypeError, ValueError):
+        raise ValueError(f"the m/K grid must be an iterable of real numbers, "
+                         f"got {m_over_k_grid!r}") from None
     for m_over_k in grid:
         if not math.isfinite(m_over_k * k):
             raise ValueError(f"m/K = {m_over_k:g} gives no finite test budget at K={k}")

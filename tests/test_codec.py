@@ -28,7 +28,7 @@ from qgt.codec import (
     save_support,
     save_test_vector,
 )
-from qgt.density import c_of_t, design_constant, lambda_threshold, paper_test_count
+from qgt.density import DeConfig, c_of_t, design_constant, lambda_threshold, paper_test_count
 from qgt.density import tests_needed as analytic_test_count
 from qgt.graphs import BiRegularGraph, sample_defectives, sample_graph
 from qgt.simulate import TrialConfig, groups_within_budget
@@ -107,6 +107,46 @@ def test_field_degree_for():
     assert field_degree_for(65535, 1) == 16
     with pytest.raises(ValueError):
         field_degree_for(65536, 1)
+
+
+@pytest.mark.parametrize("t, r_max, message", [
+    ("2", 100, "t must be an integer, got '2'"),
+    (5, 100, "t must be in 1..4 to decode, got t=5"),
+    (2, "100", "r must be an integer, got '100'"),
+    (2, True, "r must be an integer, got True"),
+    (2, -5, "r must be at least 1, got -5"),
+    (2, 0, "r must be at least 1, got 0"),
+])
+def test_field_degree_and_signature_refuse_a_bad_radius_or_size_by_name(t, r_max, message):
+    # these raised a TypeError from a comparison or a concatenation, math's
+    # "math domain error", or (r_max = True) sized a field
+    build_signature.cache_clear()
+    for _ in range(2):  # before and after the equal ints are cached
+        with pytest.raises(ValueError, match=re.escape(message)):
+            field_degree_for(r_max, t)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_signature(t, r_max)
+        build_signature(2, 100)
+        build_signature(2, 1)
+
+
+def test_configs_refuse_a_non_real_lambda_or_beta_and_hold_ints():
+    # a bool lambda was accepted and a string one ended in a TypeError, and
+    # numpy integers were kept as given
+    for lam in (True, np.bool_(True), "3", None, 1j):
+        with pytest.raises(ValueError, match=re.escape(f"lambda must be a real number, got {lam!r}")):
+            DeConfig(2, 2, lam)
+    for beta in ("2", True, None):
+        with pytest.raises(ValueError, match=re.escape(f"beta must be a real number, got {beta!r}")):
+            derive_params(2 ** 16, 100, 2, beta=beta)
+    assert derive_params(2 ** 16, 100, 2, beta=np.float64(1.5)) == derive_params(2 ** 16, 100, 2,
+                                                                                   beta=1.5)
+    cfg = DeConfig(np.int64(2), np.uint64(3), np.float64(3.0))
+    assert cfg == DeConfig(2, 3, 3.0) and type(cfg.t) is int and type(cfg.ell) is int
+    trial = TrialConfig(np.uint64(4096), np.int64(20), np.int32(2), np.uint8(2), np.int64(60))
+    assert trial == TrialConfig(4096, 20, 2, 2, 60)
+    assert all(type(getattr(trial, name)) is int
+               for name in ("n_items", "k", "t", "ell", "m_groups"))
 
 
 def test_encode_worked_example():
@@ -656,9 +696,14 @@ def test_derive_params_explicit_ell_and_beta():
 def test_design_ell_is_the_one_check_of_a_design():
     assert design_ell(1000, 5, 1) == 3 and design_ell(1000, 5, 2, "auto") == 2
     assert design_ell(1000, 5, 2, 4) == 4
-    for ell in (1, 0, -2, True, 2.0, "2", np.int64(3)):
+    for ell in (1, 0, -2, True, 2.0, "2", np.int64(1), np.bool_(True)):
         with pytest.raises(ValueError, match="ell must be an int >= 2 or 'auto'"):
             design_ell(1000, 5, 2, ell)
+    # a numpy integer ell is an integer, and comes back as the int
+    for ell in (np.int64(3), np.uint8(3)):
+        got = design_ell(1000, 5, 2, ell)
+        assert got == 3 and type(got) is int
+    assert derive_params(2 ** 16, 100, 2, ell=np.int64(3)) == derive_params(2 ** 16, 100, 2, ell=3)
     for n, k in ((100, 100), (100, 0), (100, 101)):
         with pytest.raises(ValueError, match=f"need 1 <= K < N, got K={k}, N={n}"):
             design_ell(n, k, 2)

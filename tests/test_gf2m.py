@@ -418,9 +418,11 @@ def test_cubic_table_matches_brute_force(degree):
 
 # -- the closed-form decoder's step tables ------------------------------------
 
-STEP_TABLES = ("cube_by_log", "neg_cube_log", "quadratic_logs", "quadratic_solvable",
+STEP_TABLES = ("cube_by_log", "quadratic_logs", "quadratic_solvable",
                "squares", "cubes", "inverse_log", "sqrt_log", "cubic_scale_log",
                "cubic_logs", "cubic_splits")
+# every table a field caches; tests/test_source.py checks that GF2m has no other
+FIELD_TABLES = STEP_TABLES + ("product_alog", "quadratic_table")
 
 
 @pytest.mark.parametrize("degree", range(3, 17))
@@ -436,18 +438,21 @@ def test_step_tables_match_the_chains_they_replace(degree):
     for name in STEP_TABLES:
         table = getattr(f, name)
         assert table is getattr(f, name) and not table.flags.writeable  # built once
-        if name in STEP_TABLES[:3]:  # count 2's, held at t = 2: the narrowest dtype
+        if name in STEP_TABLES[:2]:  # count 2's logs, held at t = 2: the narrowest dtype
             assert table.dtype == np.min_scalar_type(table.max())
         elif table.dtype != bool:
             assert table.dtype == np.int64
-    # count 2: S1^3 and S1^-3 in the log forms that step read, then by log u
+    # count 2: S1^3 as that step reads it, and log S1^-3 as it computes it,
+    # (-3 log S1) mod order, which is 0 at S1 = 0; then by log u
     assert np.array_equal(f.cube_by_log, alog[(3 * log[x]) % n])
     assert np.array_equal(f.cube_by_log[1:], f.mul(f.mul(x, x), x)[1:]) and f.cube_by_log[0] == 1
-    assert np.array_equal(f.neg_cube_log, (-3 * log[x]) % n)
-    assert np.array_equal(f.neg_cube_log[1:], log[f.pow(x, -3)][1:]) and f.neg_cube_log[0] == 0
+    neg_cube_log = (-3 * log[x]) % n
+    assert np.array_equal(neg_cube_log[1:], log[f.pow(x, -3)][1:]) and neg_cube_log[0] == 0
     z = f.quadratic_table[alog[e]]
     assert np.array_equal(f.quadratic_logs, log[z[:, None] ^ np.array([0, 1])] % n)
     assert np.array_equal(f.quadratic_solvable, z >= 0)
+    # the flag is read off the logs: no solution reads the last element's log
+    assert np.array_equal(f.quadratic_solvable, f.quadratic_logs[:, 0] != log[-1])
     assert 0 < f.quadratic_solvable.sum() < n
     # counts 3 and 4
     assert np.array_equal(f.squares, f.mul(x, x))
@@ -462,6 +467,7 @@ def test_step_tables_match_the_chains_they_replace(degree):
     assert np.array_equal(f.cubic_logs[:, 0], log[y1])
     assert np.array_equal(f.cubic_logs[:, 1], log[y2])
     assert np.array_equal(f.cubic_splits, y1 >= 0)
+    assert np.array_equal(f.cubic_splits, f.cubic_logs[:, 0] != log[-1])
     # a product by sqrt(p) of y1 + y2 is the sum of the two products, for
     # every c and a spread of p, p = 0 among them
     for p in (0, 1, 2, n // 3, n):
@@ -476,9 +482,10 @@ def _table_bytes(f):
 
 
 def test_a_t2_decode_builds_fewer_table_bytes_than_the_quadratic_table_did():
-    # a count-2 decode at b = 15 holds its four step tables: no more than
-    # quadratic_table and a table of squares, which the quadratic step would
-    # otherwise read, 8 * 2^b bytes each
+    # a count-2 decode at b = 15 holds its three step tables: 2^b uint16
+    # cubes by log, (2^b - 1) x 2 uint16 logs of z and z + 1, and 2^b - 1
+    # bools, well under quadratic_table and a table of squares at 8 * 2^b
+    # bytes each
     from qgt.bch import make_bch
     from qgt.codec import build_signature, decode, encode
     from qgt.graphs import sample_defectives
@@ -492,9 +499,9 @@ def test_a_t2_decode_builds_fewer_table_bytes_than_the_quadratic_table_did():
     assert f.degree == 15 and _table_bytes(f) == 0
     out = decode(view, sig, encode(view, sig, support))
     assert out.success and out.recovered == set(support)
-    assert {"cube_by_log", "quadratic_logs"} <= set(vars(f))
-    assert "quadratic_table" not in vars(f)
-    assert _table_bytes(f) <= 2 * 8 * (f.order + 1)
+    assert set(vars(f)) == CONSTRUCTION_ATTRIBUTES | {"cube_by_log", "quadratic_logs",
+                                                      "quadratic_solvable"}
+    assert _table_bytes(f) == 229_371 < 2 * 8 * (f.order + 1)
 
 
 def test_a_t4_decode_holds_only_the_named_cached_tables():
@@ -515,5 +522,33 @@ def test_a_t4_decode_holds_only_the_named_cached_tables():
     assert f.degree == 16 and (counts == 4).any()
     out = decode(view, sig, encode(view, sig, support))
     assert out.success and out.recovered == set(support)
-    cached = set(STEP_TABLES) | {"product_alog", "quadratic_table"}
-    assert set(vars(f)) == CONSTRUCTION_ATTRIBUTES | cached
+    assert set(vars(f)) == CONSTRUCTION_ATTRIBUTES | set(FIELD_TABLES)
+    assert _table_bytes(f) == 7_340_003
+
+
+def test_a_t4_field_solves_the_cubic_once_and_the_quadratic_three_times(monkeypatch):
+    # cubic_logs is the one table built from the cubic's solutions; the
+    # quadratic's are built for quadratic_table, quadratic_logs and
+    # cubic_logs, and each flag table is read off a log table
+    calls = {"_cubic_solutions": 0, "_quadratic_solutions": 0}
+
+    def counting(name):
+        solve = getattr(GF2m, name)
+
+        def counted(self):
+            calls[name] += 1
+            return solve(self)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(GF2m, name, counting(name))
+    f = GF2m(8)
+    for name in FIELD_TABLES:
+        getattr(f, name)
+    assert calls == {"_cubic_solutions": 1, "_quadratic_solutions": 3}
+    # count 2's tables alone, all that a t = 2 decode reads, solve once
+    calls.update(dict.fromkeys(calls, 0))
+    g = GF2m(8)
+    for name in ("cube_by_log", "quadratic_logs", "quadratic_solvable"):
+        getattr(g, name)
+    assert calls == {"_cubic_solutions": 0, "_quadratic_solutions": 1}

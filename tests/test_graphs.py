@@ -178,6 +178,18 @@ def test_load_rejects_malformed(tmp_path):
         BiRegularGraph.load(str(path))
 
 
+def test_samplers_refuse_more_stubs_than_int64_indices_by_name():
+    # numpy raised "Python int too large to convert to C long" or "Maximum
+    # allowed dimension exceeded" here
+    for n_left in (2 ** 62, 2 ** 70):
+        message = f"N\\*ell = {2 * n_left} stubs do not fit int64 indices"
+        with pytest.raises(ValueError, match=message):
+            sample_graph(n_left, 20, 2, 1)
+        with pytest.raises(ValueError, match=message):
+            graphs.sample_defectives(n_left, 20, 2, [1, 2], 1)
+    assert graphs._Blocks(2 ** 62 - 1, 20, 2).n_stubs == 2 ** 63 - 2
+
+
 def test_constructor_rejects_ell_below_two():
     with pytest.raises(ValueError, match="ell must be >= 2, got 1"):
         BiRegularGraph(4, 1, [0, 1, 2, 3], [2, 2])

@@ -30,9 +30,14 @@ def oracle_duplicates(loc, blocks):
     return dup_pos[order].tolist(), dup_block[order].tolist()
 
 
+def oracle_bounds(blocks) -> list[int]:
+    """Block i spans positions bounds[i]..bounds[i+1]-1, by its degrees."""
+    return [0] + np.cumsum(blocks.degrees).tolist()
+
+
 def oracle_repair(stubs, loc, blocks, rng, events: Counter) -> bool:
     """The row-by-row repair; events counts its linear scans and blind swaps."""
-    bnd = blocks.bounds
+    bnd = oracle_bounds(blocks)
     n = bnd[-1]
 
     def fits(q, i, row_x):
@@ -109,7 +114,8 @@ def oracle_sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiReg
         loc[perm] = np.arange(n_edges)
         loc = np.sort(loc.reshape(n_left, ell), axis=1)
         if oracle_repair(stubs, loc, blocks, rng, Counter()):
-            for lo, hi in zip(blocks.bounds[:-1], blocks.bounds[1:]):
+            bnd = oracle_bounds(blocks)
+            for lo, hi in zip(bnd[:-1], bnd[1:]):
                 stubs[lo:hi].sort()
             return BiRegularGraph(n_left, ell, stubs, blocks.degrees, seed=seed,
                                   retries=attempt)

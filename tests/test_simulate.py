@@ -19,6 +19,19 @@ from qgt.simulate import (CSV_COLUMNS, SweepPoint, TrialConfig,
                           sweep_csv)
 
 
+@pytest.mark.parametrize("grid", [12, "12", np.float64(12), None, [12, "13"], [True]])
+def test_run_sweep_refuses_a_grid_that_is_not_real_numbers(grid):
+    # a scalar ended in "'int' object is not iterable", and a string was
+    # iterated character by character
+    with pytest.raises(ValueError, match="the m/K grid must be an iterable of real numbers"):
+        run_sweep(4096, 20, 2, grid, 2, 1)
+
+
+def test_run_sweep_takes_a_numpy_integer_ell_and_grid():
+    want = run_sweep(4096, 20, 2, [12], 2, 1, ell=3)
+    assert run_sweep(4096, 20, 2, np.array([12]), 2, 1, ell=np.int64(3)) == want
+
+
 def test_trial_config_validates_k():
     with pytest.raises(ValueError):
         TrialConfig(n_items=10, k=11, t=1, ell=3, m_groups=5)

@@ -155,3 +155,15 @@ def test_graphs_split_edges_into_groups_in_one_place():
                          "    self._buckets.setflags(write=False)\n"
                          "    return self.items.searchsorted(e) + np.searchsorted(e, 1)\n")
     assert caught == {"f": [2], "g": [4], "h": [6]}
+
+
+def test_every_cached_field_table_is_counted():
+    # the table tests count a field's bytes and attributes by this list, so
+    # a table added to GF2m without being named there would go uncounted
+    from functools import cached_property
+
+    from qgt.gf2m import GF2m
+    from test_gf2m import FIELD_TABLES
+
+    cached = {name for name, value in vars(GF2m).items() if isinstance(value, cached_property)}
+    assert cached == set(FIELD_TABLES) and len(FIELD_TABLES) == 12
