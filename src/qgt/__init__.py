@@ -11,8 +11,8 @@ from .bch import BchSpec, build_parity_columns, make_bch
 from .codec import (
     DEFAULT_BETA,
     DecodeOutcome,
-    DesignParams,
     Signature,
+    TrialConfig,
     build_signature,
     decode,
     derive_params,
@@ -36,7 +36,7 @@ from .density import (
 )
 from .gf2m import GF2m, make_field
 from .graphs import BiRegularGraph, DefectiveView, sample_defectives, sample_graph
-from .simulate import SweepPoint, TrialConfig, groups_within_budget, run_sweep, run_trial, sweep_csv
+from .simulate import SweepPoint, groups_within_budget, run_sweep, run_trial, sweep_csv
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "DeResult",
     "DecodeOutcome",
     "DefectiveView",
-    "DesignParams",
     "GF2m",
     "Signature",
     "SweepPoint",

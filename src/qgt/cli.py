@@ -109,7 +109,7 @@ def cmd_design(args) -> int:
                                  beta=args.beta)
     m_real, m_ceil = density.tests_needed(args.N, args.K, args.t)
     print(f"design for N={params.n_items} K={params.k} t={params.t} "
-          f"(ell={params.ell}, beta={params.beta:g}):")
+          f"(ell={params.ell}, beta={args.beta:g}):")
     print(f"  groups                M = {params.m_groups}")
     print(f"  max group size    r_max = {params.r_max}")
     print(f"  field degree          b = {params.b}")

@@ -7,6 +7,12 @@ group's slice of the test vector is the integer column sum over its defective
 items.  Test 0 counts all defectives.  A group slice with count w <= t is
 inverted by BCH syndrome decoding of the slice mod 2; peeling subtracts the
 recovered columns and repeats.
+
+A design is one frozen value, TrialConfig(N, K, t, ell, M): its constructor
+checks the five inputs and derives, in the one place that does,
+(r_max, b, s) and the m_total = M*s + 1 tests it spends.  derive_params
+sizes M from the design table and returns one; the simulator runs trials on
+them.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -26,29 +32,6 @@ from .gf2m import MAX_DEGREE, MIN_DEGREE, _integer
 from .graphs import BiRegularGraph, DefectiveView, _int64_array
 
 DEFAULT_BETA = 1.35
-
-
-@dataclass(frozen=True)
-class DesignParams:
-    """Resolved shape of one measurement design.
-
-    m_total = M*s + 1 is what the design spends; m_bound is the real-valued
-    target it tracks, density.paper_test_count at this design's c and ell.
-    m_total runs above m_bound by the integer ceilings (field degree b, M)
-    and the beta slack; see tests for the quantified bound.
-    """
-
-    n_items: int
-    k: int
-    t: int
-    ell: int
-    beta: float
-    m_groups: int
-    r_max: int
-    b: int
-    s: int
-    m_total: int
-    m_bound: float
 
 
 def field_degree_for(r_max: int, t: int) -> int:
@@ -84,12 +67,12 @@ def group_shape(n_items: int, ell: int, m_groups: int, t: int) -> tuple[int, int
 
 
 def design_ell(n_items: int, k: int, t: int, ell: int | str = "auto") -> int:
-    """ell for N items, K defectives at radius t: the one check of a design's
-    inputs.  N, K and t are integers (numpy integers included, a bool or a
-    float refused by name).  'auto' gives ell* of design_constant(t); any
-    other ell is an integer >= 2 (numpy integers included, a bool refused),
-    returned as an int, and N*ell stays below 2^63 so that every stub index
-    fits in int64.
+    """ell for N items, K defectives at radius t: the one check of the inputs
+    that derive_params and run_sweep size designs from.  N, K and t are
+    integers (numpy integers included, a bool or a float refused by name).
+    'auto' gives ell* of design_constant(t); any other ell is an integer
+    >= 2 (numpy integers included, a bool refused), returned as an int, and
+    N*ell stays below 2^63 so that every stub index fits in int64.
     """
     check_radius(t)
     n_items, k = _integer(n_items, "n_items"), _integer(k, "k")
@@ -107,9 +90,71 @@ def design_ell(n_items: int, k: int, t: int, ell: int | str = "auto") -> int:
     return ell
 
 
+@dataclass(frozen=True)
+class TrialConfig:
+    """One measurement design: N items in M groups at left degree ell,
+    decoding radius t, K defectives.
+
+    The five inputs fix it.  Each is an integer (numpy integers included,
+    held as the Python int), a bool or any other type refused by name; t
+    must decode (1..4), ell >= 2, 0 <= K <= N and ell <= M <= N*ell.  The
+    rest is derived here, once, by group_shape: r_max = ceil(N ell / M)
+    items in the largest group, the field degree b that addresses them (a
+    design no field supports is refused), s = t*b + 1 tests per group, and
+    m_total = M*s + 1 tests in all.  m_bound is the real-valued target that
+    m_total tracks; m_total runs above it by the integer ceilings (field
+    degree b, M) and derive_params' beta slack; see tests for the quantified
+    bound.
+    """
+
+    n_items: int
+    k: int
+    t: int
+    ell: int
+    m_groups: int
+    r_max: int = field(init=False)
+    b: int = field(init=False)
+    s: int = field(init=False)
+    m_total: int = field(init=False)
+
+    def __post_init__(self):
+        check_radius(self.t)
+        # frozen: each field holds the int that _integer returns
+        for name in ("n_items", "k", "t", "ell", "m_groups"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        n_items, k, ell, m_groups = self.n_items, self.k, self.ell, self.m_groups
+        if ell < 2:
+            raise ValueError(f"ell must be >= 2, got {ell}")
+        if not 0 <= k <= n_items:
+            raise ValueError(f"need 0 <= K <= N, got K={k}, N={n_items}")
+        if m_groups < ell:
+            raise ValueError(f"M={m_groups} groups, fewer than the ell = {ell} "
+                             "distinct groups each item joins")
+        if m_groups > n_items * ell:
+            raise ValueError(
+                f"M={m_groups} groups, more than the N*ell = {n_items * ell} "
+                f"edges of any graph on N={n_items} items"
+            )
+        r_max, b, s = group_shape(n_items, ell, m_groups, self.t)
+        for name, value in (("r_max", r_max), ("b", b), ("s", s),
+                            ("m_total", m_groups * s + 1)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def m_bound(self) -> float:
+        """density.paper_test_count at c(t) and ell; at K = 0, its limit 1,
+        the count test alone."""
+        if self.k == 0:
+            return 1.0
+        return paper_test_count(self.n_items, self.k, self.t,
+                                design_constant(self.t)[0], self.ell)
+
+
 def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
-                  beta: float = DEFAULT_BETA) -> DesignParams:
-    """Size a design for N items with K defectives at decoding radius t."""
+                  beta: float = DEFAULT_BETA) -> TrialConfig:
+    """Size a design for N items with K defectives at decoding radius t:
+    M = max(ell, ceil(c(t) K beta)) groups, where beta > 1 is the slack
+    above the threshold."""
     ell = design_ell(n_items, k, t, ell)
     if not _real(beta, "beta") > 1.0:
         raise ValueError(f"beta must exceed 1, got {beta}")
@@ -117,23 +162,13 @@ def derive_params(n_items: int, k: int, t: int, ell: int | str = "auto",
     if not math.isfinite(c * k * beta):
         raise ValueError(f"beta={beta:g} gives an infinite group count c*K*beta")
     m_groups = max(ell, math.ceil(c * k * beta))
-    if m_groups > n_items * ell:
-        raise ValueError(
-            f"beta={beta:g} gives M={m_groups} groups, more than the "
-            f"N*ell = {n_items * ell} edges of any graph on N={n_items} items"
-        )
     n_max = ((1 << MAX_DEGREE) - 1) * m_groups // ell  # r_max fits GF(2^MAX_DEGREE)
     if n_items > n_max:
         raise ValueError(
             f"N={n_items} is too large: at K={k}, t={t} the largest N this "
             f"design can size is {n_max} (M={m_groups}, ell={ell})"
         )
-    r_max, b, s = group_shape(n_items, ell, m_groups, t)
-    m_bound = paper_test_count(n_items, k, t, c, ell)
-    return DesignParams(
-        n_items=n_items, k=k, t=t, ell=ell, beta=beta, m_groups=m_groups,
-        r_max=r_max, b=b, s=s, m_total=m_groups * s + 1, m_bound=m_bound,
-    )
+    return TrialConfig(n_items, k, t, ell, m_groups)
 
 
 class Signature:

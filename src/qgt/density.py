@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -146,7 +147,9 @@ def lambda_threshold(t: int, ell: int) -> float:
     edge; at (t, ell) = (1, 2) the infimum sits at the left edge, x = 1e-8,
     where x / (1 - e^-x) = 1 + 5e-9.  t and ell are integers (a bool or a
     float refused by name; the cache keys by type, so neither finds the
-    equal int's entry).
+    equal int's entry).  The right edge grows linearly in ell, and an ell
+    that puts it beyond the log of the largest float (above ~9*10^6 at
+    t = 2) is refused by name.
     """
     t, ell = _integer(t, "t"), _integer(ell, "ell")
     if t < 1 or ell < 2:
@@ -157,6 +160,9 @@ def lambda_threshold(t: int, ell: int) -> float:
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(1e-8), h(math.log(t + 10.0))
+    if not b < math.log(sys.float_info.max):
+        raise ValueError(f"ell={ell} is too large at t={t}: the search for "
+                         "lambda_T would overflow a float")
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = h(c), h(d)

@@ -3,6 +3,10 @@
 Per-trial randomness is position-derived: trial (g, j) of a sweep draws its
 stream from SeedSequence(master_seed, spawn_key=(g, j)), so results do not
 depend on execution order and any subset of trials can be reproduced.
+
+A trial runs on one design, codec.TrialConfig, re-exported here: run_sweep
+turns each budget into the largest M that fits it (groups_within_budget)
+and reads the tests it spends, m_used, off that design's m_total.
 """
 
 from __future__ import annotations
@@ -14,37 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import check_radius
-from .codec import build_signature, decode, design_ell, encode, group_shape
+from .codec import TrialConfig, build_signature, decode, design_ell, encode, group_shape
 from .density import _real
 from .gf2m import MIN_DEGREE, _integer
 from .graphs import sample_defectives, sample_graph
 
 CSV_COLUMNS = ["m_over_K", "t", "ell", "N", "K", "trials",
                "success_rate", "mean_unidentified", "stderr", "seed"]
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """One simulated operating point (fixed design, random support).
-
-    Every field is an integer (numpy integers included, held as ints); a
-    bool or any other type is refused by name.
-    """
-
-    n_items: int
-    k: int
-    t: int
-    ell: int
-    m_groups: int
-
-    def __post_init__(self):
-        check_radius(self.t)
-        # frozen: each field holds the int that _integer returns
-        for name in ("n_items", "k", "t", "ell", "m_groups"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not 0 <= self.k <= self.n_items:
-            raise ValueError(f"need 0 <= K <= N, got K={self.k}, N={self.n_items}")
 
 
 @dataclass
@@ -123,20 +103,18 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
     except (TypeError, ValueError):
         raise ValueError(f"the m/K grid must be an iterable of real numbers, "
                          f"got {m_over_k_grid!r}") from None
+    ell = design_ell(n_items, k, t, ell)
     for m_over_k in grid:
         if not math.isfinite(m_over_k * k):
             raise ValueError(f"m/K = {m_over_k:g} gives no finite test budget at K={k}")
-    ell = design_ell(n_items, k, t, ell)
     points = []
     for g_idx, m_over_k in enumerate(grid):
         m_budget = int(round(m_over_k * k))
-        m_groups = groups_within_budget(n_items, t, ell, m_budget)
-        _, _, s = group_shape(n_items, ell, m_groups, t)
-        cfg = TrialConfig(n_items=n_items, k=k, t=t, ell=ell, m_groups=m_groups)
+        cfg = TrialConfig(n_items, k, t, ell, groups_within_budget(n_items, t, ell, m_budget))
         graph = None
         if fixed_graph:
             base = np.random.SeedSequence(master_seed, spawn_key=(g_idx,))
-            graph = sample_graph(n_items, m_groups, ell,
+            graph = sample_graph(cfg.n_items, cfg.m_groups, cfg.ell,
                                  seed=int(base.generate_state(1)[0]))
         successes = 0
         fractions = np.zeros(trials)
@@ -147,7 +125,7 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
             fractions[j] = frac
         stderr = float(fractions.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         points.append(SweepPoint(
-            m_over_k=float(m_over_k), m_used=m_groups * s + 1, m_groups=m_groups,
+            m_over_k=float(m_over_k), m_used=cfg.m_total, m_groups=cfg.m_groups,
             trials=trials, success_rate=successes / trials,
             mean_unidentified=float(fractions.mean()), stderr=stderr,
         ))

@@ -581,7 +581,7 @@ def test_derive_params_reference_scale():
     assert p.m_bound == pytest.approx(1387, abs=2.0)
     # engineered total exceeds the bound only by quantified rounding slack
     c = 0.596851
-    slack = p.m_groups * p.t + p.s + (p.beta - 1.0) * c * p.k * p.s + 2
+    slack = p.m_groups * p.t + p.s + (DEFAULT_BETA - 1.0) * c * p.k * p.s + 2
     assert p.m_total <= p.m_bound + slack
 
 
@@ -735,6 +735,52 @@ def test_derive_params_rejects_more_groups_than_edges():
         derive_params(300, 10, 2, beta=1000.0)
     p = derive_params(300, 10, 2, beta=100.0)  # M = 597 <= 600 still sizes
     assert p.m_groups == 597
+
+
+def test_derive_params_holds_python_ints_from_numpy_inputs():
+    # a numpy radius kept M*s + 1 in int32, which wrapped to -1713809820,
+    # and a numpy N overflowed N*ell in the edge check and refused this
+    # valid design with "N*ell = -2147483648"
+    p = derive_params(2 ** 40, 10 ** 8, np.int32(4))
+    assert p.m_total == 2_581_157_476
+    assert all(type(getattr(p, name)) is int
+               for name in ("n_items", "k", "t", "ell", "m_groups", "r_max", "b", "s", "m_total"))
+    assert derive_params(np.int32(2 ** 30), 10 ** 6, 2) == derive_params(2 ** 30, 10 ** 6, 2)
+
+
+def test_trial_config_derives_the_design_once():
+    p = derive_params(2 ** 16, 100, 2)
+    assert isinstance(p, TrialConfig) and TrialConfig is codec.TrialConfig
+    cfg = TrialConfig(2 ** 16, 100, 2, 2, p.m_groups)
+    assert cfg == p
+    assert (cfg.r_max, cfg.b, cfg.s) == codec.group_shape(2 ** 16, 2, p.m_groups, 2)
+    assert cfg.m_total == cfg.m_groups * cfg.s + 1
+    with pytest.raises(TypeError):
+        TrialConfig(2 ** 16, 100, 2, 2, p.m_groups, r_max=1)
+    # with no defectives the paper's count falls to the count test alone
+    assert TrialConfig(100, 0, 1, 3, 20).m_bound == 1.0
+
+
+def test_trial_config_refuses_a_design_when_constructed():
+    # the checks run in the constructor: M = 0 and M > N*ell were accepted,
+    # and a group too large for any field failed in every run_trial
+    for m, message in ((0, "M=0 groups, fewer than the ell = 2"),
+                       (1, "M=1 groups, fewer than the ell = 2"),
+                       (-3, "M=-3 groups, fewer than the ell = 2"),
+                       (8193, "M=8193 groups, more than the N*ell = 8192 edges of any "
+                              "graph on N=4096 items")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrialConfig(4096, 20, 2, 2, m)
+    with pytest.raises(ValueError, match=re.escape("r_max=419431 needs field degree 19 > 16")):
+        TrialConfig(2 ** 21, 100, 2, 2, 10)
+    # derive_params' edge check, now the constructor's, and K and ell
+    for args, message in (((300, 10, 2, 2, 5969), "M=5969 groups, more than the N*ell = 600"),
+                          ((10, 11, 1, 3, 5), "need 0 <= K <= N, got K=11, N=10"),
+                          ((10, -1, 1, 3, 5), "need 0 <= K <= N, got K=-1, N=10"),
+                          ((4096, 20, 2, 1, 60), "ell must be >= 2, got 1"),
+                          ((4096, 20, 2, 0, 0), "ell must be >= 2, got 0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrialConfig(*args)
 
 
 def test_derive_params_tiny_instance_clamps():

@@ -250,3 +250,13 @@ def test_threshold_rejects_bad_degrees():
     for t, ell, name, bad in ((2, 2.5, "ell", 2.5), (2.0, 2, "t", 2.0), (2, True, "ell", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
             lambda_threshold(t, ell)
+
+
+def test_threshold_refuses_an_ell_its_search_cannot_hold():
+    # the search's right edge grows linearly in ell; at ell = 2^70 the final
+    # exp raised OverflowError, and at t = 2 every ell above ~8.9e6 did too
+    for t, ell in ((2, 2 ** 70), (2, 10 ** 9), (8, 10 ** 6)):
+        with pytest.raises(ValueError, match=f"ell={ell} is too large at t={t}"):
+            lambda_threshold(t, ell)
+    # just inside the bound the threshold is finite and still grows with ell
+    assert lambda_threshold(2, 10 ** 6) < lambda_threshold(2, 8_000_000) < 24

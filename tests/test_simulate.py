@@ -211,7 +211,9 @@ def test_run_sweep_checks_the_design_as_derive_params():
                             (dict(t=2.0), "t must be an integer, got 2.0"),
                             (dict(n_items=200.0), "n_items must be an integer, got 200.0"),
                             (dict(trials=2.5), "trials must be an integer, got 2.5"),
-                            (dict(trials=True), "trials must be an integer, got True")):
+                            (dict(trials=True), "trials must be an integer, got True"),
+                            (dict(k="20"), "k must be an integer, got '20'"),
+                            (dict(k=None), "k must be an integer, got None")):
         args = dict(n_items=200, k=5, t=2, m_over_k_grid=[20.0], trials=1, master_seed=1)
         with pytest.raises(ValueError, match=re.escape(message)):
             run_sweep(**{**args, **kwargs})

@@ -157,6 +157,33 @@ def test_graphs_split_edges_into_groups_in_one_place():
     assert caught == {"f": [2], "g": [4], "h": [6]}
 
 
+def group_shape_calls(source: str) -> dict[str, list[int]]:
+    """Lines of group_shape( calls, bare or as an attribute, by the function
+    that holds each."""
+    return lines_by_owner(source, lambda node: (
+        isinstance(node, ast.Call)
+        and "group_shape" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))))
+
+
+def test_one_place_derives_the_group_shape():
+    # a design's (r_max, b, s) and m_total are derived once, by TrialConfig's
+    # constructor; the budget search tries one M per field degree before it
+    # has a design, and is the one other caller
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    found = {f"{path.name}:{owner}" for path in paths
+             for owner in group_shape_calls(path.read_text(encoding="utf-8"))}
+    assert found == {"codec.py:__post_init__", "simulate.py:groups_within_budget"}
+    source = (SRC / "codec.py").read_text(encoding="utf-8")
+    design = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef) and node.name == "TrialConfig")
+    assert all(design.lineno <= line <= design.end_lineno
+               for line in group_shape_calls(source)["__post_init__"])
+    caught = group_shape_calls("def f(n):\n    return group_shape(n, 2, 3, 2)\n"
+                               "def g(n):\n    _, b, _ = codec.group_shape(n, 2, 3, 2)\n"
+                               "def h(group_shape):\n    return group_shape\n")
+    assert caught == {"f": [2], "g": [4]}
+
+
 def test_every_cached_field_table_is_counted():
     # the table tests count a field's bytes and attributes by this list, so
     # a table added to GF2m without being named there would go uncounted
