@@ -8,7 +8,10 @@ Codes are shortened by keeping the first r columns only.
 decode_syndromes decodes in closed form at every radius 1..MAX_T; each
 step of the closed forms that depends on one field element is a read of a
 table that the field builds on first use (see gf2m), so a stack costs a few
-table reads, adds and product_alog reads per count.  Berlekamp-Massey and
+table reads, adds and product_alog reads per count.  A row takes its own
+count's answer by an in-place masked write into an array the call owns,
+never np.where: at a peeling round's ~14 rows a numpy call's fixed cost is
+the time, and the masked write has the smaller one.  Berlekamp-Massey and
 the Chien scan (decode_syndrome) are the test oracle.
 """
 
@@ -19,9 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import GF2m, _integer, make_field
+from .gf2m import GF2m, _integer, _read_only, make_field
 
 MAX_T = 4  # the paper's decoding radii; analysis in density goes to 8
+
+# ONES[t] sums a row of t slots by a product, cheaper than a reduction along
+# so short an axis.  int64, as the syndromes and counts are: a product or
+# compare with a narrower operand costs a cast on every call
+ONES = tuple(_read_only(np.ones(t, dtype=np.int64)) for t in range(MAX_T + 1))
 
 
 class DecodeFailure(Exception):
@@ -248,8 +256,10 @@ def _decode_syndromes(spec: BchSpec, syn: np.ndarray,
     """decode_syndromes of int64 syndromes of shape (f, t), each an element,
     and int64 counts of shape (f,); unchecked.
 
-    Counts 1 and 2 are solved over the whole stack, and each row picks the
-    positions of its own count with np.where.  The locators X = alpha^j of
+    Counts 1 and 2 are solved over the whole stack, and the rows of each
+    count take its answer by a masked write (np.copyto(..., where=)) into
+    positions and ok, which this call owns; no np.where, whose scalar fill
+    costs about twice as much at a round's size.  The locators X = alpha^j of
     a weight-w pattern are the roots of x^w + sigma1 x^(w-1) + ... + sigma_w,
     with sigma1 = S1.  Count 1 has X = S1.  For count 2, x = S1 z turns the
     quadratic into z^2 + z = u = (S3 + S1^3)/S1^3.  S1^3 is a read of the
@@ -259,32 +269,47 @@ def _decode_syndromes(spec: BchSpec, syn: np.ndarray,
     log(z + 1) by log u (quadratic_solvable, whether z exists, is read off
     them), and the positions log S1 + log z and log S1 + log(z + 1) never
     leave the log domain.  Counts 3 and 4 reduce to table reads too (see
-    _locators_3 and _locators_4), each on its own rows only.
+    _locators_3 and _locators_4), each on its own rows only, and a zero
+    locator is marked -1 in the fresh gather of its log before the rows
+    are written.  Every output is what the np.where form gave, refused
+    rows included.
     """
     f, t = spec.field, spec.t
     n, log = f.order, f.log_np
-    # row sums over t slots by a product with ones, cheaper than a reduction
-    # along so short an axis; a row of elements sums to 0 only when all are 0
-    ones = np.ones(t, dtype=np.uint8)
-    ok = (syn @ ones == 0) | (counts != 0)  # count 0 needs a zero syndrome
+    ones = ONES[t]
+    # count 0 needs a zero syndrome; a row of elements sums to 0 only when
+    # all are 0
+    ok = syn @ ones == 0
+    ok |= counts != 0
     s1 = syn[:, 0]
     l1 = log[s1]
     nonzero = s1 != 0
-    positions = np.full((len(counts), t), -1, dtype=np.int64)  # -1: empty slot
-    positions[:, 0] = np.where((counts == 1) & nonzero, l1, -1)
+    positions = np.empty((len(counts), t), dtype=np.int64)
+    positions.fill(-1)  # -1: empty slot
+    one = counts == 1
+    one &= nonzero
+    np.copyto(positions[:, 0], l1, where=one)
     if t > 1:
         cube_term = syn[:, 1] ^ f.cube_by_log[s1]  # S1 sigma2
-        log_u = (log[cube_term] - 3 * l1) % n
+        log_u = log[cube_term]
+        log_u -= 3 * l1
+        log_u %= n
         two = counts == 2
-        ok = np.where(two, nonzero & (cube_term != 0) & f.quadratic_solvable[log_u], ok)
-        pair = (l1[:, None] + f.quadratic_logs[log_u]) % n
-        positions[:, :2] = np.where(two[:, None], pair, positions[:, :2])
+        solved = f.quadratic_solvable[log_u]
+        solved &= nonzero
+        solved &= cube_term != 0
+        np.copyto(ok, solved, where=two)
+        pair = l1[:, None] + f.quadratic_logs[log_u]
+        pair %= n
+        np.copyto(positions[:, :2], pair, where=two[:, None])
 
     for count, locators in zip(range(3, t + 1), (_locators_3, _locators_4)):
         rows = (ok & (counts == count)).nonzero()[0]
         if rows.size:
             roots, solved = locators(f, *syn[rows, :count].T)
-            positions[rows, :count] = np.where(roots != 0, log[roots], -1)
+            found = log[roots]
+            found[roots == 0] = -1
+            positions[rows, :count] = found
             ok[rows] &= solved
 
     # a row fills at most its count of slots, so counting the slots inside
@@ -382,16 +407,19 @@ def _locators_4(f: GF2m, s1, s3, s5, s7) -> tuple[np.ndarray, np.ndarray]:
     log_h = f.sqrt_log[h_2]
     inv_at_h = inv_log[f.squares[h_2] ^ f.mul(sigma2, h_2) ^ sigma4]  # log 1/P(h)
     linear = s1 == 0
-    kernel, four = _cubic_roots(
-        f,
-        np.where(linear, sigma2, prod[log[prod[log[s1] + log_h] ^ sigma2] + inv_at_h]),
-        np.where(linear, sigma3, prod[log[s1] + inv_at_h]),
-    )
+    p = prod[log[prod[log[s1] + log_h] ^ sigma2] + inv_at_h]
+    np.copyto(p, sigma2, where=linear)
+    q = prod[log[s1] + inv_at_h]
+    np.copyto(q, sigma3, where=linear)
+    kernel, four = _cubic_roots(f, p, q)
     k1, k2 = kernel[:, 0], kernel[:, 1]
     q2 = f.mul(k2, k2 ^ k1)  # Q(k2)
-    log_r = np.where(linear, log[sigma4], inv_at_h)
+    log_r = inv_at_h  # log R, as log 1/P(h) is no longer read
+    np.copyto(log_r, log[sigma4], where=linear)
     z = f.quadratic_table[prod[log_r + log[f.squares[prod[inv_log[q2]]]]]]
     y = f.quadratic_table[f.mul(f.mul(q2, z), f.squares[prod[inv_log[k1]]])]
     u = f.mul(k1, y)[:, None] ^ np.concatenate([np.zeros_like(kernel[:, :1]), kernel], axis=1)
-    x = np.where(linear[:, None], u, prod[inv_log[u]] ^ prod[log_h][:, None])
+    x = prod[inv_log[u]]
+    x ^= prod[log_h][:, None]
+    np.copyto(x, u, where=linear[:, None])
     return x, four & (z >= 0) & (y >= 0)

@@ -79,8 +79,8 @@ def _parse_ell(raw: str) -> int | str:
 
 
 def cmd_table(args) -> int:
-    if not 1 <= args.t_max <= 8:
-        raise ValueError(f"--t-max must be in 1..8, got {args.t_max}")
+    if not 1 <= args.t_max <= density.MAX_DE_T:
+        raise ValueError(f"--t-max must be in 1..{density.MAX_DE_T}, got {args.t_max}")
     rows = []
     for t in range(1, args.t_max + 1):
         if args.solve:
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("table", help="per-t design constants and thresholds")
-    p.add_argument("--t-max", type=int, default=8, metavar="T")
+    p.add_argument("--t-max", type=int, default=density.MAX_DE_T, metavar="T")
     p.add_argument("--solve", action="store_true",
                    help="recompute constants instead of reading the frozen table")
     p.add_argument("--out", metavar="CSV", help="also write CSV here")

@@ -25,11 +25,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bch import (BchSpec, _decode_syndromes, build_parity_columns, check_radius, make_bch,
+from .bch import (ONES, BchSpec, _decode_syndromes, build_parity_columns, check_radius, make_bch,
                   syndrome_from_bits)
 from .density import _real, design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE, _integer
-from .graphs import BiRegularGraph, DefectiveView, _int64_array
+from .graphs import BiRegularGraph, DefectiveView, _int64_array, _integer_lines
 
 DEFAULT_BETA = 1.35
 
@@ -384,23 +384,28 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
     while frontier.size:
         iterations += 1
         at = counts[frontier]
-        if not at.all():
+        live = at.nonzero()[0]
+        if live.size < frontier.size:
             empty = frontier[at == 0]
             unresolved[empty[~residual[empty].any(axis=1)]] = False
-            frontier = frontier[at != 0]
+            frontier = frontier[live]
         if frontier.size:
-            positions, ok = resolve_node(residual[frontier], sig)
+            z = residual.take(frontier, axis=0)
+            positions, ok = resolve_node(z, sig)
             items = graph._items_at(frontier[:, None], positions)
             # a padding column, or a position a view does not hold, leaves
-            # the group unresolved; neither happens on genuine input
-            ok &= ((items >= 0) | (positions < 0)).all(axis=1)
+            # the group unresolved; neither happens on genuine input.  A row
+            # that resolves fills exactly its count of slots, -1 in the
+            # rest, so it names an item at each of them when that many
+            # items are found
+            ok &= (items >= 0) @ ONES[t] == z[:, 0]
             unresolved[frontier[ok]] = False
             # distinct items, -1 slots dropped, that no earlier round recovered
-            found = items[ok].ravel()
+            found = items.compress(ok, axis=0).ravel()
             found.sort()
             new = _distinct(found[found.searchsorted(0):])
             if recovered.size:
-                new = new[recovered.searchsorted(new) == recovered.searchsorted(new, "right")]
+                new = new[recovered.take(recovered.searchsorted(new), mode="clip") != new]
             recovered = np.concatenate([recovered, new])
             recovered.sort()
             rights, positions = graph._incidence(new)
@@ -441,8 +446,7 @@ def save_test_vector(path: str, y: np.ndarray) -> None:
 
 
 def load_test_vector(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        values = [int(ln) for ln in fh if ln.strip() and not ln.startswith("#")]
+    values = [int(value) for value in _single_integers(path)]
     if not values:
         raise ValueError(f"{path}: empty test vector")
     try:
@@ -461,6 +465,16 @@ def save_support(path: str, support) -> None:
 
 
 def load_support(path: str) -> set[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return {int(ln) for ln in fh if ln.strip() and not ln.startswith("#")}
+    return {int(item) for item in _single_integers(path)}
 
+
+def _single_integers(path: str) -> list[str]:
+    """The integer on each line of a text file that holds one (see
+    graphs._integer_lines); a line with more raises ValueError naming it."""
+    values = []
+    for number, fields in _integer_lines(path):
+        if len(fields) != 1:
+            raise ValueError(f"{path}, line {number}: expected one integer, "
+                             f"got {len(fields)}")
+        values.append(fields[0])
+    return values

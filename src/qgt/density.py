@@ -44,7 +44,8 @@ class DeConfig:
     """Parameters of one density-evolution run.
 
     t and ell are integers (numpy integers included, held as ints) and lam a
-    real number; a bool, or any other type, is refused by name.
+    real number; a bool, or any other type, is refused by name.  t is in
+    DESIGN_TABLE's range, 1..MAX_DE_T.
     """
 
     t: int
@@ -55,12 +56,21 @@ class DeConfig:
         # frozen: each integer field holds the int that _integer returns
         for name in ("t", "ell"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
+        _check_t(self.t)
         if self.ell < 2:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
         if not 0 < _real(self.lam, "lambda") < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+
+
+def _check_t(t: int) -> None:
+    """Raise ValueError naming t unless it is in DESIGN_TABLE's range.
+
+    The Poisson sums are O(t) per evaluation, so a t far beyond the table
+    would run for minutes rather than be refused.
+    """
+    if not 1 <= t <= MAX_DE_T:
+        raise ValueError(f"t must be in 1..{MAX_DE_T}, got t={t}")
 
 
 def _real(value, name: str):
@@ -149,11 +159,12 @@ def lambda_threshold(t: int, ell: int) -> float:
     float refused by name; the cache keys by type, so neither finds the
     equal int's entry).  The right edge grows linearly in ell, and an ell
     that puts it beyond the log of the largest float (above ~9*10^6 at
-    t = 2) is refused by name.
+    t = 2) is refused by name, and so is a t outside DESIGN_TABLE's range,
+    1..MAX_DE_T.
     """
     t, ell = _integer(t, "t"), _integer(ell, "ell")
-    if t < 1 or ell < 2:
-        raise ValueError(f"need t >= 1 and ell >= 2, got t={t}, ell={ell}")
+    if not 1 <= t <= MAX_DE_T or ell < 2:
+        raise ValueError(f"need t in 1..{MAX_DE_T} and ell >= 2, got t={t}, ell={ell}")
 
     def h(u: float) -> float:
         return u - (ell - 1) * _log_poisson_tail(t, math.exp(u))
@@ -183,9 +194,10 @@ def c_of_t(t: int) -> tuple[float, int]:
     """Design constant c(t) = min over ell in ELL_RANGE of ell / lambda_T(t, ell).
 
     Returns (c, ell_star); ties break toward the smaller ell.  t is an
-    integer, as in lambda_threshold.
+    integer in 1..MAX_DE_T, as in lambda_threshold.
     """
     t = _integer(t, "t")
+    _check_t(t)
     best = None
     for ell in ELL_RANGE:
         ratio = ell / lambda_threshold(t, ell)
@@ -207,6 +219,8 @@ DESIGN_TABLE = {
     7: (0.176303, 2, 11.344129),
     8: (0.156481, 2, 12.781100),
 }
+# the largest t the table holds, and the largest the density layer takes
+MAX_DE_T = max(DESIGN_TABLE)
 
 
 def design_constant(t: int) -> tuple[float, int]:

@@ -43,6 +43,7 @@ what a graph returns to encode and decode is int64.
 from __future__ import annotations
 
 import operator
+import re
 
 import numpy as np
 
@@ -104,7 +105,10 @@ class _Groups:
     def items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The left node at each (group, position) pair; -1 past the group's
         end, and in a view where it holds no item."""
-        return self._items_at(*_pairs(groups, positions))
+        groups, positions = _pairs(groups, positions)
+        if groups.ndim == positions.ndim == 0:  # the kernels write into an array
+            return self._items_at(groups.reshape(1), positions.reshape(1)).reshape(())
+        return self._items_at(groups, positions)
 
     def _split(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Groups and positions of int64 edge indices in [0, N*ell), unchecked."""
@@ -194,9 +198,9 @@ class BiRegularGraph(_Groups):
     def _items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """items_at of int64 groups in [0, M) and int64 positions, unchecked;
         groups broadcasts against positions."""
-        inside = (positions >= 0) & (positions < self._degrees[groups])
-        edges = self._edges.take(self._starts[groups] + positions, mode="wrap")
-        return np.where(inside, edges, np.int64(-1))
+        items = self._edges.take(self._starts[groups] + positions, mode="wrap").astype(np.int64)
+        items[_outside(self._degrees[groups], positions)] = -1
+        return items
 
     # -- text serialization --------------------------------------------------
     # line 1: "N M ell seed"; then one line per right node with its ascending
@@ -210,25 +214,51 @@ class BiRegularGraph(_Groups):
 
     @classmethod
     def load(cls, path: str) -> "BiRegularGraph":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = _integer_lines(path)
         if not lines:
             raise ValueError(f"{path}: empty graph file")
-        try:
-            n_left, n_right, ell, seed = (int(x) for x in lines[0].split())
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad header {lines[0]!r}") from exc
+        number, header = lines[0]
+        if len(header) != 4:
+            raise ValueError(f"{path}, line {number}: bad header {' '.join(header)!r}")
+        n_left, n_right, ell, seed = map(int, header)
         if len(lines) != 1 + n_right:
             raise ValueError(
                 f"{path}: expected {n_right} adjacency lines, got {len(lines) - 1}"
             )
-        rows = [ln.split() for ln in lines[1:]]
-        degrees = [len(row) for row in rows]
+        degrees = [len(row) for _, row in lines[1:]]
         try:
-            edges = np.fromiter((int(x) for row in rows for x in row), np.int64, sum(degrees))
+            edges = np.fromiter((int(x) for _, row in lines[1:] for x in row), np.int64,
+                                sum(degrees))
         except OverflowError:
             raise ValueError(f"{path}: a left index does not fit in 64 bits") from None
         return cls(n_left, ell, edges, degrees, seed=seed)
+
+
+# a line of a text file: integers separated by whitespace, each an optional
+# sign and ASCII digits.  int() alone would also read "1_0" as 10 and "١" as
+# 1.  One match per line keeps a large graph's load fast; _INTEGER finds the
+# bad field of a line that fails
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INTEGER_LINE = re.compile(r"\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*")
+
+
+def _integer_lines(path: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, integer fields) of each line of a text file
+    that holds any, skipping blank lines and those that start with "#".
+
+    A field that is not an optional sign and ASCII digits raises ValueError
+    naming the path and the line.
+    """
+    lines = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            if not _INTEGER_LINE.fullmatch(line):
+                bad = next((x for x in line.split() if not _INTEGER.fullmatch(x)), line.strip())
+                raise ValueError(f"{path}, line {number}: {bad!r} is not an integer")
+            lines.append((number, line.split()))
+    return lines
 
 
 def sample_graph(n_left: int, n_right: int, ell: int, seed: int) -> BiRegularGraph:
@@ -373,10 +403,19 @@ class DefectiveView(_Groups):
     def _items_at(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """items_at of int64 groups in [0, M) and int64 positions, unchecked;
         groups broadcasts against positions."""
-        inside = (positions >= 0) & (positions < self._degrees[groups])
-        edges = np.where(inside, self._starts[groups] + positions, -1)
+        edges = self._starts[groups] + positions
+        edges[_outside(self._degrees[groups], positions)] = -1
         rows = self._edges.searchsorted(edges)
-        return np.where(self._edges[rows] == edges, self._edge_items[rows], -1)
+        items = self._edge_items[rows]
+        items[self._edges[rows] != edges] = -1
+        return items
+
+
+def _outside(degrees: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Where int64 positions fall outside [0, degree) of their int64 groups'
+    degrees: as uint64 a negative position reads above every degree, so one
+    comparison checks both ends."""
+    return positions.view(np.uint64) >= degrees.view(np.uint64)
 
 
 def _view_items(items, n_left: int) -> np.ndarray:

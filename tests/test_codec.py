@@ -827,6 +827,52 @@ def test_file_round_trips(tmp_path):
     assert load_support(str(ps)) == {0, 3, 9}
 
 
+@pytest.mark.parametrize("entry", ["2.5", "1_0", "\u0661", "0x10", "1e3", "+", "-", "nan",
+                                   "\x00", "7#", "\u00e9"])
+def test_loaders_read_plain_integers_and_name_the_line(tmp_path, entry):
+    # int() read "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1, and a bad
+    # entry ended in int()'s message, which named neither the file nor the line
+    for name, loader in (("y", load_test_vector), ("s", load_support)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"# header\n3\n\n{entry}\n1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ")):
+            loader(str(path))
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"4 2 2 0\n0 1 2 3\n# next group\n{entry} 0 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{graph}, line 4: ")):
+        BiRegularGraph.load(str(graph))
+    graph.write_text(f"4 2 {entry} 0\n0 1 2 3\n0 1 2 3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{graph}, line 1: ")):
+        BiRegularGraph.load(str(graph))
+
+
+def test_loaders_take_a_sign_and_surrounding_space(tmp_path):
+    path = tmp_path / "y.txt"
+    path.write_text(" +3 \n-0\n\t12\n", encoding="utf-8")
+    assert load_test_vector(str(path)).tolist() == [3, 0, 12]
+    assert load_support(str(path)) == {0, 3, 12}
+    graph = tmp_path / "g.txt"
+    graph.write_text("+4 2 2 -1\n 0 1\t+2 3\n0 1 2 3 \n", encoding="utf-8")
+    loaded = BiRegularGraph.load(str(graph))
+    assert (loaded.n_left, loaded.seed) == (4, -1)
+    assert [adj.tolist() for adj in loaded.right_adj] == [[0, 1, 2, 3]] * 2
+    # a count or an item is one integer to a line
+    path.write_text("3\n3 4\n", encoding="utf-8")
+    for loader in (load_test_vector, load_support):
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: expected one integer, got 2")):
+            loader(str(path))
+
+
+def test_cli_names_the_bad_line(tmp_path, capsys):
+    from qgt.cli import main
+
+    support = tmp_path / "s.txt"
+    support.write_text("1\n1_0\n", encoding="utf-8")
+    code = main(["encode", "--support", str(support), "--out", str(tmp_path / "y.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {support}, line 2: '1_0' is not an integer\n"
+
+
 def test_save_support_takes_integer_items_only(tmp_path):
     # the rule encode applies: repeats count once, numpy integers are items
     ps = tmp_path / "s.txt"

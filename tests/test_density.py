@@ -1,6 +1,8 @@
 """Density evolution recursion, thresholds, and the design-constant table."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.stats import binom, poisson
 
 from qgt.density import (
     DESIGN_TABLE,
+    MAX_DE_T,
     DeConfig,
     _log_poisson_tail,
     c_of_t,
@@ -250,6 +253,38 @@ def test_threshold_rejects_bad_degrees():
     for t, ell, name, bad in ((2, 2.5, "ell", 2.5), (2.0, 2, "t", 2.0), (2, True, "ell", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
             lambda_threshold(t, ell)
+
+
+@contextlib.contextmanager
+def within_a_second(*what):
+    """Fail, rather than hang, a block that runs past a second (a real-time
+    timer's signal interrupts the pure-Python loops of this module)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} ran past a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_de_layer_refuses_a_t_outside_the_table():
+    # the Poisson sums are O(t): lambda_threshold(2**70, 2) and c_of_t(2**70)
+    # did not return within 5 s, and c_of_t(10**6) took ~30 s
+    assert sorted(DESIGN_TABLE) == list(range(1, MAX_DE_T + 1))
+    calls = {"lambda_threshold": lambda t: lambda_threshold(t, 2), "c_of_t": c_of_t,
+             "DeConfig": lambda t: DeConfig(t=t, ell=2, lam=3.0)}
+    for name, call in calls.items():
+        for t in (2 ** 70, 10 ** 6, MAX_DE_T + 1, 0, -1):
+            with within_a_second(name, t), \
+                    pytest.raises(ValueError, match=f"t.*1..{MAX_DE_T}.*got t={t}\\b"):
+                call(t)
+    # the table's last row is still solved
+    assert DeConfig(t=MAX_DE_T, ell=2, lam=3.0).t == MAX_DE_T
+    assert c_of_t(MAX_DE_T) == pytest.approx(DESIGN_TABLE[MAX_DE_T][:2], abs=1e-6)
 
 
 def test_threshold_refuses_an_ell_its_search_cannot_hold():

@@ -542,11 +542,22 @@ def seeded_graph_decode_t4():
     return graph, sig, encode(graph, sig, support)
 
 
-# 25% above the counts when set: 27.9, 29.6 and 56.3 calls per round (numpy
-# 2.4); the t = 2 view reads 26.9 now
+def seeded_graph_decode_t2():
+    # the path decode-wide-field times, t = 2 through a whole graph's
+    # _items_at; 17 rounds
+    graph = sample_graph(1 << 12, 60, 2, seed=5)
+    sig = build_signature(2, graph.max_right_degree)
+    support = np.random.default_rng(150).choice(1 << 12, size=100, replace=False).tolist()
+    return graph, sig, encode(graph, sig, support)
+
+
+# 25% above the counts when set: 27.9, 29.6, 56.3 and 19.4 calls per round
+# (numpy 2.4); the view and the t = 3 and t = 4 graphs read 19.9, 23.0 and
+# 48.9 since the round's selects became masked writes
 @pytest.mark.parametrize("instance, ceiling", [(seeded_view_decode, 35),
                                                (seeded_graph_decode, 37),
-                                               (seeded_graph_decode_t4, 70)])
+                                               (seeded_graph_decode_t4, 70),
+                                               (seeded_graph_decode_t2, 24)])
 def test_calls_per_round_stay_under_ceiling(instance, ceiling):
     per_round = calls_per_round(*instance())
     assert per_round <= ceiling, (

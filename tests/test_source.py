@@ -125,6 +125,36 @@ def test_closed_form_decoder_makes_no_pow_call():
     assert caught == {"_locators_4": [2], "h": [7]}
 
 
+def where_calls(source: str) -> dict[str, list[int]]:
+    """Lines of np.where( or numpy.where( calls, by the function that holds each."""
+    return lines_by_owner(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "where" and ast.unparse(node.func.value) in ("np", "numpy")))
+
+
+def test_peeling_round_makes_no_where_call():
+    # np.where with a scalar fill costs about twice an in-place masked write
+    # (np.copyto(..., where=), or a[mask] = -1 on an array the call owns),
+    # and a round's time at these sizes is its count of numpy calls
+    round_steps = {
+        "codec.py": {"decode", "resolve_node", "_column_sums"},
+        "bch.py": {"_decode_syndromes", "_cubic_roots", "_locators_3", "_locators_4"},
+        "graphs.py": {"_items_at"},
+    }
+    for name, steps in round_steps.items():
+        source = (SRC / name).read_text(encoding="utf-8")
+        assert steps <= set(lines_by_owner(source, lambda node: isinstance(node, ast.FunctionDef)))
+        assert not steps & set(where_calls(source)), name
+    # both graph classes own an _items_at, and the owner is the method's name
+    graphs_source = (SRC / "graphs.py").read_text(encoding="utf-8")
+    assert len(lines_by_owner(graphs_source, lambda node: (
+        isinstance(node, ast.FunctionDef) and node.name == "_items_at"))["_items_at"]) == 2
+    caught = where_calls("def _items_at(self, g):\n    return np.where(g > 0, g, -1)\n"
+                         "def f(x):\n    np.copyto(x, 0, where=x < 0)\n"
+                         "    return numpy.where(x)\n")
+    assert caught == {"_items_at": [2], "f": [5]}
+
+
 def group_rules(source: str) -> dict[str, list[int]]:
     """Lines that look edge indices up in the layout, by the function that
     holds each: reads of an entry of the bucket table, and searchsorted
