@@ -271,8 +271,10 @@ def _decode_syndromes(spec: BchSpec, syn: np.ndarray,
     leave the log domain.  Counts 3 and 4 reduce to table reads too (see
     _locators_3 and _locators_4), each on its own rows only, and a zero
     locator is marked -1 in the fresh gather of its log before the rows
-    are written.  Every output is what the np.where form gave, refused
-    rows included.
+    are written.  Every row's positions and ok, a refused row's included,
+    depend only on that row's syndrome and count, so a stack answers as its
+    rows would one at a time; the tests pin both outputs bit for bit over
+    stacks of mostly invalid rows at every radius.
     """
     f, t = spec.field, spec.t
     n, log = f.order, f.log_np

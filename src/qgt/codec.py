@@ -293,7 +293,7 @@ def _integer_items(support) -> np.ndarray:
         raise ValueError(f"support items must be integers: {exc}") from None
     except OverflowError:
         bad = next(v for v in values if not -(1 << 63) <= operator.index(v) < 1 << 63)
-        raise ValueError(f"item {bad} out of range of int64") from None
+        raise ValueError(f"support item {bad} out of range of int64") from None
     return _distinct(np.sort(items))
 
 
@@ -349,16 +349,16 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
     does a signature with fewer columns than the largest group, as in encode.
 
     Rounds are synchronous: every group in the round's frontier (unresolved,
-    count at most t) is settled from the residual as it stood when the round
-    began.  A count-0 group resolves exactly when its whole slice is zero,
-    which needs no syndrome decode; the others are resolved in one
-    resolve_node call, and their items are read in one gather.  A group
-    resolves only when every position it decodes names an item.  The items
-    recovered are deduplicated, so each item is peeled exactly once, and the
-    sum of their columns, one _column_sums call, is subtracted from the
-    residual; the next frontier is the touched groups still unresolved with
-    count at most t.  A round whose frontier holds only count-0 groups
-    touches none, so it is the last.
+    count at most t) is resolved from the residual as it stood when the round
+    began, all in one resolve_node call, and their items are read in one
+    gather.  Count 0 takes the same path: such a slice resolves exactly when
+    it is zero, and names no item.  A group resolves only when every
+    position it decodes names an item.  The items recovered are
+    deduplicated, so each item is peeled exactly once, and the sum of their
+    columns, one _column_sums call, is subtracted from the residual; the
+    next frontier is the touched groups still unresolved with count at most
+    t.  A round that recovers no new item changes no slice, so it is the
+    last; it still counts as a round and is traced.
     After every round the residual equals y - encode(recovered), so success
     means exactly that the recovered set re-encodes to y.
     trace(round_idx, residual, recovered) is called after each round when
@@ -383,29 +383,22 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
     iterations = 0
     while frontier.size:
         iterations += 1
-        at = counts[frontier]
-        live = at.nonzero()[0]
-        if live.size < frontier.size:
-            empty = frontier[at == 0]
-            unresolved[empty[~residual[empty].any(axis=1)]] = False
-            frontier = frontier[live]
-        if frontier.size:
-            z = residual.take(frontier, axis=0)
-            positions, ok = resolve_node(z, sig)
-            items = graph._items_at(frontier[:, None], positions)
-            # a padding column, or a position a view does not hold, leaves
-            # the group unresolved; neither happens on genuine input.  A row
-            # that resolves fills exactly its count of slots, -1 in the
-            # rest, so it names an item at each of them when that many
-            # items are found
-            ok &= (items >= 0) @ ONES[t] == z[:, 0]
-            unresolved[frontier[ok]] = False
-            # distinct items, -1 slots dropped, that no earlier round recovered
-            found = items.compress(ok, axis=0).ravel()
-            found.sort()
-            new = _distinct(found[found.searchsorted(0):])
-            if recovered.size:
-                new = new[recovered.take(recovered.searchsorted(new), mode="clip") != new]
+        z = residual.take(frontier, axis=0)
+        positions, ok = resolve_node(z, sig)
+        items = graph._items_at(frontier[:, None], positions)
+        # a padding column, or a position a view does not hold, leaves the
+        # group unresolved; neither happens on genuine input.  A row that
+        # resolves fills exactly its count of slots, -1 in the rest, so it
+        # names an item at each of them when that many items are found
+        ok &= (items >= 0) @ ONES[t] == z[:, 0]
+        unresolved[frontier[ok]] = False
+        # distinct items, -1 slots dropped, that no earlier round recovered
+        found = items.compress(ok, axis=0).ravel()
+        found.sort()
+        new = _distinct(found[found.searchsorted(0):])
+        if recovered.size:
+            new = new[recovered.take(recovered.searchsorted(new), mode="clip") != new]
+        if new.size:
             recovered = np.concatenate([recovered, new])
             recovered.sort()
             rights, positions = graph._incidence(new)
@@ -415,6 +408,8 @@ def decode(graph: BiRegularGraph | DefectiveView, sig: Signature, y,
             touched &= unresolved
             touched &= counts <= t
             frontier = touched.nonzero()[0]
+        else:  # nothing peeled, so no slice changed: this round is the last
+            frontier = new
         if trace is not None:
             trace(iterations, residual.copy(), set(recovered.tolist()))
     success = len(recovered) == int(y[0]) and not residual.any()
@@ -426,8 +421,14 @@ def measurement_matrix(graph: BiRegularGraph, sig: Signature) -> np.ndarray:
     """Dense 0/1 matrix of the M*s signature tests (count-all row excluded).
 
     Row block i covers group i; column v carries the signature column of
-    item v's position in each group it belongs to.
+    item v's position in each group it belongs to.  graph must be a whole
+    BiRegularGraph, since a DefectiveView cannot name the other items, and
+    sig must cover its largest group, as in encode; either is refused by
+    name with ValueError.
     """
+    if not isinstance(graph, BiRegularGraph):
+        raise ValueError(f"graph must be a BiRegularGraph, got {type(graph).__name__}")
+    _check_covers(graph, sig)
     s = sig.s
     a = np.zeros((graph.n_right * s, graph.n_left), dtype=np.uint8)
     for i, adj in enumerate(graph.right_adj):

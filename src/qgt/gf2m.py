@@ -166,11 +166,21 @@ class GF2m:
         """Elements as 0/1 columns, shape (b, len(elements)), uint8.
 
         Row j holds the coefficient of alpha^(b-1-j): most significant first.
+        elements must be a 1-D array of integers (not bools) in [0, 2^b);
+        anything else raises ValueError naming them, checked before the cast.
         """
         b = self.degree
-        # the narrow copy keeps the low bits, which hold all b that the rows read
+        elements = _integers(elements, "elements")
+        if elements.ndim != 1:
+            raise ValueError(f"elements must be 1-D, got shape {elements.shape}")
+        # high bits are set exactly outside [0, 2^b): a negative one shifts to -1
+        high = elements >> b
+        if np.count_nonzero(high):
+            raise ValueError(f"elements must lie in [0, {self.order + 1}), "
+                             f"got {elements[high != 0][0]}")
+        # every element fits the field's narrowest unsigned dtype
         shifts = np.arange(b - 1, -1, -1, dtype=self._narrow)
-        narrow = np.asarray(elements, dtype=np.int64).astype(self._narrow)
+        narrow = elements.astype(self._narrow)
         columns = (narrow[None, :] >> shifts[:, None]).astype(np.uint8)
         columns &= 1
         return columns
@@ -178,10 +188,12 @@ class GF2m:
     def element_from_bits(self, bits) -> np.ndarray:
         """Inverse of bit_columns, over the last axis of a stack of bit rows.
 
-        bits has shape (..., b); the elements come back as int64 of shape
-        bits.shape[:-1].
+        bits has shape (..., b) and an integer dtype (not bool), or ValueError
+        naming them; the elements come back as int64 of shape bits.shape[:-1].
+        Only the dtype is checked, not that each bit is 0 or 1: a peeling
+        round packs bits it masked itself.
         """
-        bits = np.asarray(bits)
+        bits = _integers(bits, "bits")
         if bits.ndim == 0 or bits.shape[-1] != self.degree:
             raise ValueError(f"expected {self.degree} bits in the last axis, got shape {bits.shape}")
         return bits.astype(np.int64, copy=False) @ self._bit_weights
@@ -345,6 +357,18 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """values as an array, or ValueError unless it holds integers (not bools).
+
+    Checked before any cast, which would truncate a float and read a bool as
+    0 or 1; an empty array, such as that of an empty list, may have any dtype.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values
 
 
 def make_field(degree: int) -> GF2m:

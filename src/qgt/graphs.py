@@ -47,7 +47,7 @@ import re
 
 import numpy as np
 
-from .gf2m import _integer
+from .gf2m import _integer, _integers
 
 # repair passes per stub layout, and layouts drawn, before sampling gives up
 MAX_REPAIR_PASSES = 200
@@ -442,18 +442,6 @@ def _pairs(groups, positions) -> tuple[np.ndarray, np.ndarray]:
     if groups.size and groups.min() < 0:
         raise IndexError(f"group {int(groups.min())} is out of range")
     return groups, _integers(positions, "positions").astype(np.int64, copy=False)
-
-
-def _integers(values, name: str) -> np.ndarray:
-    """values as an array, or ValueError unless it holds integers (not bools).
-
-    Checked before any cast, which would truncate a float and read a bool as
-    0 or 1; an empty array, such as that of an empty list, may have any dtype.
-    """
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
-    return values
 
 
 def _int64_array(values, name: str) -> np.ndarray:

@@ -380,10 +380,12 @@ def test_a_count_zero_slice_resolves_exactly_when_it_is_zero(t):
     assert np.array_equal(resolve_node(z, sig)[1], ~z.any(axis=1))
 
 
-def test_rounds_of_empty_groups_skip_the_resolve(monkeypatch):
-    # a count-0 group is settled without a resolve; a round holding only
-    # such groups still counts and is traced, but peels nothing, so it is
-    # the last.  Every decode traces each of its rounds exactly once.
+def test_each_round_makes_one_resolve_and_ends_when_it_peels_nothing(monkeypatch):
+    # every frontier group, count 0 included, goes through the round's one
+    # resolve_node call, and each round is traced once, in order.  A round
+    # that recovers no new item changes no slice, so it is the last, and on
+    # genuine input it holds only count-0 groups.  A decode may also end on
+    # a round that peels, when every group its items touch resolved in it.
     stacks = []
 
     def counting(z, sig):
@@ -392,7 +394,7 @@ def test_rounds_of_empty_groups_skip_the_resolve(monkeypatch):
 
     monkeypatch.setattr(codec, "resolve_node", counting)
     rng = np.random.default_rng(2026)
-    empty_last = 0
+    empty_last = peeled_last = 0
     for _ in range(120):
         t = int(rng.integers(1, 5))
         n = int(rng.integers(200, 800))
@@ -405,16 +407,16 @@ def test_rounds_of_empty_groups_skip_the_resolve(monkeypatch):
         stacks.clear()
         out = decode(graph, sig, y, trace=lambda i, res, rec: rounds.append(
             (i, len(stacks), res, rec)))
-        assert [r[0] for r in rounds] == list(range(1, out.iterations + 1))
-        assert all((counts != 0).all() for counts in stacks)
-        resolves = [r[1] for r in rounds]
-        skipped = [i for i, (a, b) in enumerate(zip([0] + resolves, resolves)) if a == b]
-        assert skipped in ([], [out.iterations - 1])
-        if skipped:
+        assert [r[:2] for r in rounds] == [(i, i) for i in range(1, out.iterations + 1)]
+        sizes = [0] + [len(r[3]) for r in rounds]
+        idle = [i for i in range(out.iterations) if sizes[i + 1] == sizes[i]]
+        assert idle in ([], [out.iterations - 1])
+        if idle and out.iterations >= 2:
             empty_last += 1
-            assert out.iterations >= 2
             assert np.array_equal(rounds[-1][2], rounds[-2][2]) and rounds[-1][3] == rounds[-2][3]
-    assert empty_last >= 5
+            assert (stacks[-1] == 0).all()
+        peeled_last += not idle
+    assert empty_last >= 5 and peeled_last >= 5
 
 
 def test_corrupt_parity_in_an_empty_group_stays_unresolved():
@@ -563,6 +565,16 @@ def test_measurement_matrix_column_weights():
     x[[5, 17]] = 1
     y = encode(g, sig, {5, 17})
     assert np.array_equal(a.astype(np.int64) @ x, y[1:])
+
+
+def test_measurement_matrix_refuses_a_view_or_a_narrow_signature():
+    graph = sample_graph(100, 10, 2, seed=1)
+    view = sample_defectives(100, 10, 2, [4, 50], seed=1)
+    sig = build_signature(2, graph.max_right_degree)
+    with pytest.raises(ValueError, match="graph must be a BiRegularGraph, got DefectiveView"):
+        measurement_matrix(view, sig)
+    with pytest.raises(ValueError, match="signature covers 10 columns but a group has 20 items"):
+        measurement_matrix(graph, build_signature(2, 10))
 
 
 def test_derive_params_t1():

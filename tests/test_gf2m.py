@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from qgt.bch import make_bch, syndrome_from_bits
 from qgt.gf2m import PRIMITIVE_POLY, GF2m, make_field
 
 
@@ -317,16 +318,19 @@ def test_bit_column_is_msb_first():
 
 @pytest.mark.parametrize("degree", range(3, 17))
 def test_bit_columns_equal_the_int64_formula(degree):
-    # every element, 0 and 2^b - 1 included, and int64 values outside the
-    # field, whose low b bits the rows read
+    # every element, 0 and 2^b - 1 included; an int64 value outside the
+    # field is refused, where its low b bits would have been read
     f = make_field(degree)
-    elements = np.concatenate([np.arange(f.order + 1), [-1, -f.order, f.order + 1, (1 << 40) + 5]])
+    elements = np.arange(f.order + 1)
     shifts = np.arange(degree - 1, -1, -1, dtype=np.int64)
     want = ((elements[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
     got = f.bit_columns(elements)
     assert got.dtype == np.uint8 and got.shape == (degree, len(elements))
     assert np.array_equal(got, want)
     assert np.array_equal(f.bit_columns(elements.tolist()), want)
+    for outside in (-1, -f.order, f.order + 1, (1 << 40) + 5):
+        with pytest.raises(ValueError, match=rf"elements must lie in \[0, {f.order + 1}\)"):
+            f.bit_columns(np.append(elements, outside))
 
 
 def test_bit_column_round_trip():
@@ -355,6 +359,28 @@ def test_element_from_bits_stacks():
 def test_element_from_bits_rejects_wrong_shapes(shape):
     with pytest.raises(ValueError):
         make_field(5).element_from_bits(np.zeros(shape, dtype=np.uint8))
+
+
+def test_bit_views_refuse_what_is_no_field_element():
+    # a cast would have read 2.7 as 2, True as 1, 17 as 1 and -1 as 15 in
+    # GF(2^4), and packed fractional bits into an element
+    f = make_field(4)
+    for elements, message in (([2.7], "elements must be integers, got dtype float64"),
+                              ([True], "elements must be integers, got dtype bool"),
+                              (3, r"elements must be 1-D, got shape \(\)"),
+                              ([[1, 2]], r"elements must be 1-D, got shape \(1, 2\)"),
+                              ([17], r"elements must lie in \[0, 16\), got 17"),
+                              ([3, -1], r"elements must lie in \[0, 16\), got -1"),
+                              (np.array([1 << 63], dtype=np.uint64),
+                               f"elements must lie in \\[0, 16\\), got {1 << 63}")):
+        with pytest.raises(ValueError, match=message):
+            f.bit_columns(elements)
+    assert f.bit_columns([0, 15]).T.tolist() == [[0, 0, 0, 0], [1, 1, 1, 1]]
+    for bits in (np.array([0.9, 1.5, 0, 1]), np.array([True, False, False, True])):
+        with pytest.raises(ValueError, match=f"bits must be integers, got dtype {bits.dtype}"):
+            f.element_from_bits(bits)
+    with pytest.raises(ValueError, match="bits must be integers, got dtype float64"):
+        syndrome_from_bits(make_bch(4, 2, 15), np.full(8, 0.6))
 
 
 def test_sqrt_inverts_square():

@@ -552,8 +552,9 @@ def seeded_graph_decode_t2():
 
 
 # 25% above the counts when set: 27.9, 29.6, 56.3 and 19.4 calls per round
-# (numpy 2.4); the view and the t = 3 and t = 4 graphs read 19.9, 23.0 and
-# 48.9 since the round's selects became masked writes
+# (numpy 2.4).  Since count-0 groups joined the round's one resolve and
+# element_from_bits checks its dtype, the view and the t = 2, 3 and 4 graphs
+# read 20.8, 21.2, 24.9 and 49.9
 @pytest.mark.parametrize("instance, ceiling", [(seeded_view_decode, 35),
                                                (seeded_graph_decode, 37),
                                                (seeded_graph_decode_t4, 70),

@@ -155,6 +155,33 @@ def test_peeling_round_makes_no_where_call():
     assert caught == {"_items_at": [2], "f": [5]}
 
 
+def round_calls(source: str, name: str) -> dict[str, list[int]]:
+    """Lines of calls to name, bare or as an attribute, by the function that
+    holds each; for "any", only those over rows (axis 1, by keyword or
+    position)."""
+    def matches(node):
+        if not (isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            return False
+        axes = node.args + [kw.value for kw in node.keywords if kw.arg == "axis"]
+        return name != "any" or "1" in map(ast.unparse, axes)
+    return lines_by_owner(source, matches)
+
+
+def test_decode_resolves_every_group_in_one_call():
+    # a count-0 slice resolves exactly when it is zero, which resolve_node
+    # answers too, so decode sends every frontier group, count 0 included,
+    # through its one resolve_node call and tests no slice for zero itself
+    source = (SRC / "codec.py").read_text(encoding="utf-8")
+    assert len(round_calls(source, "resolve_node")["decode"]) == 1
+    assert "decode" not in round_calls(source, "any")
+    sample = ("def decode(z, sig):\n    keep = ~z.any(axis=1)\n"
+              "    return codec.resolve_node(z[keep], sig), resolve_node(z, sig)\n"
+              "def f(z):\n    return z.any() | np.any(z, axis=0) | z.all(axis=1) | z.any(1)\n")
+    assert round_calls(sample, "any") == {"decode": [2], "f": [5]}
+    assert round_calls(sample, "resolve_node") == {"decode": [3, 3]}
+
+
 def group_rules(source: str) -> dict[str, list[int]]:
     """Lines that look edge indices up in the layout, by the function that
     holds each: reads of an entry of the bucket table, and searchsorted
