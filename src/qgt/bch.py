@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import GF2m, _integer, _read_only, make_field
+from .gf2m import GF2m, _integer, _integers, _read_only, make_field
 
 MAX_T = 4  # the paper's decoding radii; analysis in density goes to 8
 
@@ -107,15 +107,26 @@ def build_parity_columns(spec: BchSpec) -> np.ndarray:
 def syndrome_from_bits(spec: BchSpec, bits) -> np.ndarray:
     """Unpack t*b syndrome bits into the odd power sums [S_1, S_3, ...].
 
-    bits has shape (..., t*b); the sums come back as int64 of shape
-    bits.shape[:-1] + (t,).
+    bits has shape (..., t*b), an integer dtype (not bool) and only 0s and
+    1s, or ValueError naming them; the sums come back as int64 of shape
+    bits.shape[:-1] + (t,).  _syndromes is the unchecked packing that
+    codec.resolve_node calls on bits it masked itself.
     """
-    bits = np.asarray(bits)
+    bits = _integers(bits, "bits")
     if bits.ndim == 0 or bits.shape[-1] != spec.syndrome_bits:
         raise ValueError(
             f"expected {spec.syndrome_bits} syndrome bits in the last axis, "
             f"got shape {bits.shape}"
         )
+    outside = bits[(bits < 0) | (bits > 1)]
+    if outside.size:
+        raise ValueError(f"bits must be 0 or 1, got {outside[0]}")
+    return _syndromes(spec, bits)
+
+
+def _syndromes(spec: BchSpec, bits: np.ndarray) -> np.ndarray:
+    """syndrome_from_bits of an integer array of 0s and 1s of shape
+    (..., t*b); unchecked."""
     return spec.field.element_from_bits(
         bits.reshape(bits.shape[:-1] + (spec.t, spec.field.degree)))
 
@@ -263,15 +274,16 @@ def _decode_syndromes(spec: BchSpec, syn: np.ndarray,
     a weight-w pattern are the roots of x^w + sigma1 x^(w-1) + ... + sigma_w,
     with sigma1 = S1.  Count 1 has X = S1.  For count 2, x = S1 z turns the
     quadratic into z^2 + z = u = (S3 + S1^3)/S1^3.  S1^3 is a read of the
-    field's cube_by_log, and log S1^-3 is -3 log S1 (0 at S1 = 0, whose
-    sentinel log is a multiple of the order), so log u is one subtraction
-    mod the order.  The field's quadratic_logs then give log z and
-    log(z + 1) by log u (quadratic_solvable, whether z exists, is read off
-    them), and the positions log S1 + log z and log S1 + log(z + 1) never
-    leave the log domain.  Counts 3 and 4 reduce to table reads too (see
-    _locators_3 and _locators_4), each on its own rows only, and a zero
-    locator is marked -1 in the fresh gather of its log before the rows
-    are written.  Every row's positions and ok, a refused row's included,
+    field's cubes, and log S1^-3 is -3 log S1, so log u is one subtraction
+    mod the order.  At S1 = 0 there is no quadratic: the row reads log S3
+    mod the order as log u (S1's sentinel log is a multiple of the order),
+    a valid index, and is refused.  The field's quadratic_logs then give
+    log z and log(z + 1) by log u (quadratic_solvable, whether z exists, is
+    read off them), and the positions log S1 + log z and log S1 + log(z + 1)
+    never leave the log domain.  Counts 3 and 4 reduce to table reads too
+    (see _locators_3 and _locators_4), each on its own rows only, and a
+    zero locator is marked -1 in the fresh gather of its log before the
+    rows are written.  Every row's positions and ok, a refused row's included,
     depend only on that row's syndrome and count, so a stack answers as its
     rows would one at a time; the tests pin both outputs bit for bit over
     stacks of mostly invalid rows at every radius.
@@ -292,7 +304,7 @@ def _decode_syndromes(spec: BchSpec, syn: np.ndarray,
     one &= nonzero
     np.copyto(positions[:, 0], l1, where=one)
     if t > 1:
-        cube_term = syn[:, 1] ^ f.cube_by_log[s1]  # S1 sigma2
+        cube_term = syn[:, 1] ^ f.cubes[s1]  # S1 sigma2
         log_u = log[cube_term]
         log_u -= 3 * l1
         log_u %= n

@@ -25,8 +25,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bch import (ONES, BchSpec, _decode_syndromes, build_parity_columns, check_radius, make_bch,
-                  syndrome_from_bits)
+from .bch import (ONES, BchSpec, _decode_syndromes, _syndromes, build_parity_columns,
+                  check_radius, make_bch)
 from .density import _real, design_constant, paper_test_count
 from .gf2m import MAX_DEGREE, MIN_DEGREE, _integer
 from .graphs import BiRegularGraph, DefectiveView, _int64_array, _integer_lines
@@ -332,7 +332,7 @@ def resolve_node(z: np.ndarray, sig: Signature) -> tuple[np.ndarray, np.ndarray]
         z = _int64_array(z, "slices")
     if z.ndim != 2 or z.shape[1] != sig.s:
         raise ValueError(f"expected a stack of slices of length {sig.s}, got shape {z.shape}")
-    syndromes = syndrome_from_bits(sig.bch, z[:, 1:] & 1)
+    syndromes = _syndromes(sig.bch, z[:, 1:] & 1)
     positions, ok = _decode_syndromes(sig.bch, syndromes, z[:, 0])
     # integer re-check of the whole slice.  An empty slot's -1 wraps to the
     # padding row; a refused row may read any row, and its ok stays False

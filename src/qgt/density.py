@@ -88,9 +88,15 @@ class DeResult:
 
 
 def de_step(p: float, cfg: DeConfig) -> float:
-    """One round of the recursion; p = 0 is treated exactly (absorbing)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    """One round of the recursion; p = 0 is treated exactly (absorbing).
+
+    p is a real number in [0, 1], or ValueError naming it.
+    """
+    try:  # a float's path is the bare range test
+        if not 0.0 <= p <= 1.0:
+            raise ValueError
+    except (TypeError, ValueError):  # TypeError: a string or None does not compare
+        raise ValueError(f"p must be a real number in [0, 1], got {p!r}") from None
     if p == 0.0:
         return 0.0  # q = P[Poisson(0) <= t-1] = 1, exactly
     x = cfg.lam * p

@@ -19,11 +19,11 @@ closed-form decoder that depend on one element (its cube, the log of its
 inverse, the logs of a cubic's roots by its constant, ...), so that the
 decoder reads each such step instead of computing it with mul and pow.  pow
 holds no table: it works alpha^(e log a) out from log_np and alog_np on each
-call, and the tables that need a power of every element call it once.  Each
-fact is held once: a t = 4 field solves its cubic once and its quadratic at
-most three times, and the bool tables that say whether a root equation is
-solvable are read off the log tables of its roots, where the last element's
-log marks a row without them.
+call, and the tables that need a power of every element but the cube call it
+once.  Each fact is held once: one table of cubes, a t = 4 field solves its
+cubic once and its quadratic at most three times, and the bool tables that
+say whether a root equation is solvable are read off the log tables of its
+roots, where the last element's log marks a row without them.
 """
 
 from __future__ import annotations
@@ -225,14 +225,14 @@ class GF2m:
 
         An entry is set only when y^3 + y = c has three distinct roots in the
         field; the other two solve y'^2 + y y' + y^2 + 1 = 0.  Built without
-        caching it, by cubing every element at once: for c != 0 the cubic is
-        separable, so 0, 1 or 3 elements reach c; c = 0 has the roots 0 and a
-        double root 1, and two elements reach it.
-        cubic_logs, the one table built from it, and cubic_splits, read off
-        cubic_logs, are what a decode reads of it.
+        caching it, from cubes, over every element at once: for c != 0
+        the cubic is separable, so 0, 1 or 3 elements reach c; c = 0 has the
+        roots 0 and a double root 1, and two elements reach it.  cubic_logs,
+        the one table built from it, and cubic_splits, read off cubic_logs,
+        are what a decode reads of it.
         """
         y = np.arange(self.order + 1, dtype=np.int64)
-        values, first, hits = np.unique(self.pow(y, 3) ^ y, return_index=True,
+        values, first, hits = np.unique(self.cubes ^ y, return_index=True,
                                         return_counts=True)
         table = np.full(self.order + 1, -1, dtype=np.int64)
         table[values[hits == 3]] = first[hits == 3]
@@ -244,22 +244,25 @@ class GF2m:
     # single element, evaluated at every element and built on first use.
     # Its entries are exactly what the step computes with mul, pow and the
     # tables above, the entries read at x = 0 and at -1 (the last element)
-    # included, so a refused row reads what it always did.  A log here is as
-    # log_np has it, 2*order at 0, unless the table says "mod order".  All
-    # are read-only.  The count-2 tables are all that a t = 2 decode builds,
-    # so they take the narrowest unsigned dtype; the count-3 and count-4
-    # tables, built once a count-3 row appears, are int64 like log_np,
-    # because their reads feed index arithmetic, where a narrow read would
-    # be cast on every use.
+    # included.  A log here is as log_np has it, 2*order at 0, unless the
+    # table says "mod order".  All are read-only.  cubes and count 2's logs,
+    # all that a t = 2 decode builds, take the narrowest unsigned dtype:
+    # each of their reads meets an int64 syndrome or log at once, so no sum
+    # of two narrow reads can wrap.  The other count-3 and count-4 tables,
+    # built once a count-3 row appears, are int64 like log_np, because their
+    # reads are summed with one another as indices.
 
     @cached_property
-    def cube_by_log(self) -> np.ndarray:
-        """alpha^(3 log x mod order) for every x: x^3, but 1 at x = 0.
+    def cubes(self) -> np.ndarray:
+        """x^3 for every x, the field's one table of cubes.
 
-        The count-2 step forms S1^3 this way; at S1 = 0 the sentinel log is
-        a multiple of order, so it reads alpha^0.
+        alpha^(3 log x mod order), with 0 at x = 0: three temporaries the
+        size of the field, where pow over every element takes five, which
+        raised a t = 2 decode's peak resident memory at b = 15.
         """
-        return _narrowest(self.alog_np[(3 * self.log_np) % self.order])
+        table = self.alog_np[3 * self.log_np % self.order]
+        table[0] = 0
+        return _narrowest(table)
 
     @cached_property
     def quadratic_logs(self) -> np.ndarray:
@@ -286,11 +289,6 @@ class GF2m:
     def squares(self) -> np.ndarray:
         """x^2 for every x."""
         return _read_only(self.pow(np.arange(self.order + 1), 2))
-
-    @cached_property
-    def cubes(self) -> np.ndarray:
-        """x^3 for every x."""
-        return _read_only(self.pow(np.arange(self.order + 1), 3))
 
     @cached_property
     def inverse_log(self) -> np.ndarray:

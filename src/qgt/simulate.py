@@ -44,8 +44,12 @@ def run_trial(cfg: TrialConfig, trial_seed, graph=None) -> tuple[bool, float]:
     Without a graph only the defectives' edges are sampled
     (graphs.sample_defectives): on genuine input every group with count <= t
     resolves, so which groups the defectives sit in decides the decode.
-    Returns (exact recovery?, fraction of defectives left unidentified).
+    trial_seed is a SeedSequence or an integer (numpy integers included); a
+    bool, a float or None is refused by name.  Returns (exact recovery?,
+    fraction of defectives left unidentified).
     """
+    if not isinstance(trial_seed, np.random.SeedSequence):
+        trial_seed = _integer(trial_seed, "trial_seed")
     rng = np.random.default_rng(trial_seed)
     graph_seed = int(rng.integers(1 << 62)) if graph is None else None
     items = rng.choice(cfg.n_items, size=cfg.k, replace=False)
@@ -99,11 +103,14 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
     if master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed}")
     try:
-        grid = [_real(m_over_k, "m/K") for m_over_k in m_over_k_grid]
+        # Python floats, and K a Python int below: numpy scalar arithmetic
+        # would wrap an integer's budget and overflow a float16's
+        grid = [float(_real(m_over_k, "m/K")) for m_over_k in m_over_k_grid]
     except (TypeError, ValueError):
         raise ValueError(f"the m/K grid must be an iterable of real numbers, "
                          f"got {m_over_k_grid!r}") from None
     ell = design_ell(n_items, k, t, ell)
+    k = int(k)  # an integer, as design_ell checked
     for m_over_k in grid:
         if not math.isfinite(m_over_k * k):
             raise ValueError(f"m/K = {m_over_k:g} gives no finite test budget at K={k}")
@@ -125,7 +132,7 @@ def run_sweep(n_items: int, k: int, t: int, m_over_k_grid, trials: int,
             fractions[j] = frac
         stderr = float(fractions.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         points.append(SweepPoint(
-            m_over_k=float(m_over_k), m_used=cfg.m_total, m_groups=cfg.m_groups,
+            m_over_k=m_over_k, m_used=cfg.m_total, m_groups=cfg.m_groups,
             trials=trials, success_rate=successes / trials,
             mean_unidentified=float(fractions.mean()), stderr=stderr,
         ))

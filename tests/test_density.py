@@ -56,6 +56,10 @@ def test_de_step_rejects_bad_p():
         de_step(-0.1, cfg)
     with pytest.raises(ValueError):
         de_step(1.1, cfg)
+    # neither compares with a float, which raised TypeError
+    for p in ("0.5", None):
+        with pytest.raises(ValueError, match=rf"p must be a real number in \[0, 1\], got {p!r}"):
+            de_step(p, cfg)
 
 
 def test_de_step_matches_t1_closed_form():

@@ -5,7 +5,9 @@ element (or every pair) for b <= 8 and over samples at wider fields.
 """
 
 import gc
+import itertools
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -444,8 +446,8 @@ def test_cubic_table_matches_brute_force(degree):
 
 # -- the closed-form decoder's step tables ------------------------------------
 
-STEP_TABLES = ("cube_by_log", "quadratic_logs", "quadratic_solvable",
-               "squares", "cubes", "inverse_log", "sqrt_log", "cubic_scale_log",
+STEP_TABLES = ("cubes", "quadratic_logs", "quadratic_solvable",
+               "squares", "inverse_log", "sqrt_log", "cubic_scale_log",
                "cubic_logs", "cubic_splits")
 # every table a field caches; tests/test_source.py checks that GF2m has no other
 FIELD_TABLES = STEP_TABLES + ("product_alog", "quadratic_table")
@@ -464,14 +466,13 @@ def test_step_tables_match_the_chains_they_replace(degree):
     for name in STEP_TABLES:
         table = getattr(f, name)
         assert table is getattr(f, name) and not table.flags.writeable  # built once
-        if name in STEP_TABLES[:2]:  # count 2's logs, held at t = 2: the narrowest dtype
+        if name in STEP_TABLES[:2]:  # held at t = 2: the narrowest dtype
             assert table.dtype == np.min_scalar_type(table.max())
         elif table.dtype != bool:
             assert table.dtype == np.int64
-    # count 2: S1^3 as that step reads it, and log S1^-3 as it computes it,
-    # (-3 log S1) mod order, which is 0 at S1 = 0; then by log u
-    assert np.array_equal(f.cube_by_log, alog[(3 * log[x]) % n])
-    assert np.array_equal(f.cube_by_log[1:], f.mul(f.mul(x, x), x)[1:]) and f.cube_by_log[0] == 1
+    # count 2: S1^3, and log S1^-3 as that step computes it, (-3 log S1)
+    # mod order, which is 0 at S1 = 0; then by log u
+    assert np.array_equal(f.cubes, f.mul(f.mul(x, x), x))
     neg_cube_log = (-3 * log[x]) % n
     assert np.array_equal(neg_cube_log[1:], log[f.pow(x, -3)][1:]) and neg_cube_log[0] == 0
     z = f.quadratic_table[alog[e]]
@@ -482,7 +483,6 @@ def test_step_tables_match_the_chains_they_replace(degree):
     assert 0 < f.quadratic_solvable.sum() < n
     # counts 3 and 4
     assert np.array_equal(f.squares, f.mul(x, x))
-    assert np.array_equal(f.cubes, f.mul(f.mul(x, x), x))
     assert np.array_equal(f.inverse_log, log[f.pow(x, -1)])
     assert np.array_equal(f.sqrt_log, log[f.pow(x, half)])
     assert np.array_equal(f.cubic_scale_log, log[f.pow(x, -3 * half)])
@@ -502,6 +502,19 @@ def test_step_tables_match_the_chains_they_replace(degree):
                               f.mul(sqrt_p, y1) ^ f.mul(sqrt_p, y2))
 
 
+@pytest.mark.parametrize("degree", range(3, 17))
+def test_no_two_cached_tables_hold_one_fact(degree):
+    # two 1-D tables of one length that agree on every nonzero element tell
+    # a decode the same thing twice; every cached property of GF2m is
+    # compared, not only the named ones, so a new duplicate is caught too
+    f = GF2m(degree)
+    tables = {name: getattr(f, name) for name, value in vars(GF2m).items()
+              if isinstance(value, cached_property)}
+    flat = [(name, table) for name, table in tables.items() if table.ndim == 1]
+    for (a, x), (b, y) in itertools.combinations(flat, 2):
+        assert len(x) != len(y) or not np.array_equal(x[1:], y[1:]), (a, b)
+
+
 def _table_bytes(f):
     """Bytes of the tables a field has built since construction."""
     return sum(v.nbytes for k, v in vars(f).items() if k not in CONSTRUCTION_ATTRIBUTES)
@@ -509,7 +522,7 @@ def _table_bytes(f):
 
 def test_a_t2_decode_builds_fewer_table_bytes_than_the_quadratic_table_did():
     # a count-2 decode at b = 15 holds its three step tables: 2^b uint16
-    # cubes by log, (2^b - 1) x 2 uint16 logs of z and z + 1, and 2^b - 1
+    # cubes, (2^b - 1) x 2 uint16 logs of z and z + 1, and 2^b - 1
     # bools, well under quadratic_table and a table of squares at 8 * 2^b
     # bytes each
     from qgt.bch import make_bch
@@ -525,7 +538,7 @@ def test_a_t2_decode_builds_fewer_table_bytes_than_the_quadratic_table_did():
     assert f.degree == 15 and _table_bytes(f) == 0
     out = decode(view, sig, encode(view, sig, support))
     assert out.success and out.recovered == set(support)
-    assert set(vars(f)) == CONSTRUCTION_ATTRIBUTES | {"cube_by_log", "quadratic_logs",
+    assert set(vars(f)) == CONSTRUCTION_ATTRIBUTES | {"cubes", "quadratic_logs",
                                                       "quadratic_solvable"}
     assert _table_bytes(f) == 229_371 < 2 * 8 * (f.order + 1)
 
@@ -549,7 +562,7 @@ def test_a_t4_decode_holds_only_the_named_cached_tables():
     out = decode(view, sig, encode(view, sig, support))
     assert out.success and out.recovered == set(support)
     assert set(vars(f)) == CONSTRUCTION_ATTRIBUTES | set(FIELD_TABLES)
-    assert _table_bytes(f) == 7_340_003
+    assert _table_bytes(f) == 6_815_715
 
 
 def test_a_t4_field_solves_the_cubic_once_and_the_quadratic_three_times(monkeypatch):
@@ -575,6 +588,6 @@ def test_a_t4_field_solves_the_cubic_once_and_the_quadratic_three_times(monkeypa
     # count 2's tables alone, all that a t = 2 decode reads, solve once
     calls.update(dict.fromkeys(calls, 0))
     g = GF2m(8)
-    for name in ("cube_by_log", "quadratic_logs", "quadratic_solvable"):
+    for name in ("cubes", "quadratic_logs", "quadratic_solvable"):
         getattr(g, name)
     assert calls == {"_cubic_solutions": 0, "_quadratic_solutions": 1}

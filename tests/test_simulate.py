@@ -47,6 +47,18 @@ def test_run_trial_deterministic_and_seed_sensitive():
     assert len(results) > 1 or all(r[0] for r in results)
 
 
+def test_run_trial_takes_a_seed_sequence_or_an_integer():
+    # None drew a fresh, unseeded trial, True ran as seed 1, and 2.0 raised
+    # numpy's TypeError
+    cfg = TrialConfig(n_items=300, k=12, t=2, ell=2, m_groups=40)
+    assert run_trial(cfg, np.int64(7)) == run_trial(cfg, 7)
+    seq = np.random.SeedSequence(3, spawn_key=(1, 2))
+    assert run_trial(cfg, seq) == run_trial(cfg, np.random.SeedSequence(3, spawn_key=(1, 2)))
+    for bad in (None, True, 2.0, "7"):
+        with pytest.raises(ValueError, match=f"trial_seed must be an integer, got {bad!r}"):
+            run_trial(cfg, bad)
+
+
 def test_run_trial_success_means_zero_unidentified():
     cfg = TrialConfig(n_items=300, k=12, t=2, ell=2, m_groups=40)
     for s in range(30):
@@ -194,11 +206,24 @@ def test_run_sweep_budget_dichotomy():
         assert p.stderr >= 0.0
 
 
+def test_run_sweep_takes_numpy_grid_scalars_as_python_floats():
+    # numpy arithmetic wrapped 2^62 * K to a negative budget and overflowed
+    # float16(60000) * K, warning and then refusing both
+    want = run_sweep(1000, 10, 2, [float(2**62)], 2, 1)
+    assert (want[0].m_groups, want[0].m_used) == (2000, 14001)
+    assert run_sweep(1000, 10, 2, [np.int64(2**62)], 2, 1) == want
+    half = run_sweep(1000, 10, 2, [np.float16(60000)], 2, 1)
+    assert half == run_sweep(1000, 10, 2, [60000.0], 2, 1)
+
+
 def test_run_sweep_rejects_non_finite_budgets():
     # 1e308 is finite, but its budget m = 1e308 * K is not
     for bad in (math.inf, -math.inf, math.nan, 1e308):
         with pytest.raises(ValueError, match="finite test budget"):
             run_sweep(200, 5, 2, [20.0, bad], trials=1, master_seed=1)
+    # a numpy K made 1e308 * K numpy arithmetic, which warned of overflow
+    with pytest.raises(ValueError, match="finite test budget"):
+        run_sweep(200, np.int64(5), 2, [1e308], trials=1, master_seed=1)
 
 
 def test_run_sweep_checks_the_design_as_derive_params():

@@ -250,4 +250,4 @@ def test_every_cached_field_table_is_counted():
     from test_gf2m import FIELD_TABLES
 
     cached = {name for name, value in vars(GF2m).items() if isinstance(value, cached_property)}
-    assert cached == set(FIELD_TABLES) and len(FIELD_TABLES) == 12
+    assert cached == set(FIELD_TABLES) and len(FIELD_TABLES) == 11
